@@ -1,8 +1,7 @@
 //! Search-layer throughput: end-to-end candidate evaluations per second
 //! for the hill climb and NSGA-II driving fitted random-forest models
 //! over the paper-shaped Sobel study — the full propose → estimate →
-//! insert cycle, not just the inference kernel (that is
-//! `forest_kernel`'s job).
+//! insert cycle, with the kernel encoding each model runs on.
 //!
 //! ```sh
 //! cargo run --release -p autoax-bench --bin search_speed -- --scale default
@@ -12,7 +11,7 @@
 //!
 //! ```sh
 //! cargo run --release -p autoax-bench --bin search_speed -- \
-//!     --scale quick --assert-evals 200000 --assert-ratio 0.8
+//!     --scale quick --assert-evals 150000 --assert-ratio 0.7
 //! ```
 //!
 //! * `--assert-evals <n>` — minimum hill-climb evals/s (absolute floor;

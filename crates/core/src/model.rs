@@ -239,26 +239,6 @@ impl<'a> ModelEstimator<'a> {
         space: &'a ConfigSpace,
         lib: &'a ComponentLibrary,
     ) -> Self {
-        Self::with_fusion(models, space, lib, true)
-    }
-
-    /// The matrix-path-only adapter (no compiled-forest fusion) — the
-    /// baseline the `forest_kernel` bench and the parity tests compare
-    /// the fused kernel against.
-    pub fn new_unfused(
-        models: &'a FittedModels,
-        space: &'a ConfigSpace,
-        lib: &'a ComponentLibrary,
-    ) -> Self {
-        Self::with_fusion(models, space, lib, false)
-    }
-
-    fn with_fusion(
-        models: &'a FittedModels,
-        space: &'a ConfigSpace,
-        lib: &'a ComponentLibrary,
-        fuse: bool,
-    ) -> Self {
         let qor_table: Vec<Vec<f64>> = space
             .slots()
             .iter()
@@ -278,31 +258,26 @@ impl<'a> ModelEstimator<'a> {
             })
             .collect();
         let slots = space.slot_count();
-        let (qor_fused, hw_fused) = if fuse {
-            // Bake the gather tables into compiled arenas: QoR feature f
-            // is slot f's WMED; hardware feature f is lane f%3 of slot
-            // f/3 — exactly the columns qor_features/hw_features emit.
-            let qor_layout = autoax_ml::GatherLayout {
-                stride: slots,
-                slot_of: (0..slots as u32).collect(),
-                values: qor_table.clone(),
-            };
-            let hw_layout = autoax_ml::GatherLayout {
-                stride: slots,
-                slot_of: (0..3 * slots as u32).map(|f| f / 3).collect(),
-                values: (0..3 * slots)
-                    .map(|f| hw_table[f / 3].iter().map(|hw| hw[f % 3]).collect())
-                    .collect(),
-            };
-            (
-                compile_tree_model(models.qor.as_ref())
-                    .and_then(|cf| cf.bake_gather(&qor_layout).ok()),
-                compile_tree_model(models.hw.as_ref())
-                    .and_then(|cf| cf.bake_gather(&hw_layout).ok()),
-            )
-        } else {
-            (None, None)
+        // Bake the gather tables into compiled arenas: QoR feature f is
+        // slot f's WMED; hardware feature f is lane f%3 of slot f/3 —
+        // exactly the columns qor_features/hw_features emit. A layout no
+        // node encoding fits keeps the model on the matrix path.
+        let qor_layout = autoax_ml::GatherLayout {
+            stride: slots,
+            slot_of: (0..slots as u32).collect(),
+            values: qor_table.clone(),
         };
+        let hw_layout = autoax_ml::GatherLayout {
+            stride: slots,
+            slot_of: (0..3 * slots as u32).map(|f| f / 3).collect(),
+            values: (0..3 * slots)
+                .map(|f| hw_table[f / 3].iter().map(|hw| hw[f % 3]).collect())
+                .collect(),
+        };
+        let qor_fused =
+            compile_tree_model(models.qor.as_ref()).and_then(|cf| cf.bake_gather(&qor_layout).ok());
+        let hw_fused =
+            compile_tree_model(models.hw.as_ref()).and_then(|cf| cf.bake_gather(&hw_layout).ok());
         ModelEstimator {
             models,
             space,
@@ -320,10 +295,9 @@ impl<'a> ModelEstimator<'a> {
         (self.qor_fused.is_some(), self.hw_fused.is_some())
     }
 
-    /// Node encoding each fused kernel dispatches to (`"mask32"`,
-    /// `"mask"`, `"quant"` or `"gather"`; `"matrix"` when the model is
-    /// not fused) — hot-path observability for benches and the pipeline
-    /// record.
+    /// Node encoding each model runs on: `"mask32"` or `"quant"` when it
+    /// is fused, `"matrix"` when it is not — hot-path observability for
+    /// benches and the pipeline record.
     pub fn engines(&self) -> (&'static str, &'static str) {
         let name =
             |g: &Option<autoax_ml::GatherForest>| g.as_ref().map_or("matrix", |g| g.engine());
@@ -701,6 +675,8 @@ mod tests {
 
     #[test]
     fn fused_kernel_engages_for_tree_models_and_matches_matrix_path() {
+        // The scalar `Estimator::estimate` (one `predict_row` per model)
+        // is the oracle of both the fused kernel and the matrix path.
         use crate::search::Estimator;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -713,33 +689,25 @@ mod tests {
         for kind in EngineKind::ALL {
             let models = fit_models(kind, &s.pre.space, &s.lib, &train, 9)
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
-            let fused = ModelEstimator::new(&models, &s.pre.space, &s.lib);
-            let unfused = ModelEstimator::new_unfused(&models, &s.pre.space, &s.lib);
-            assert_eq!(unfused.fused(), (false, false), "{kind}");
+            let est = ModelEstimator::new(&models, &s.pre.space, &s.lib);
             let tree_like = matches!(kind, EngineKind::RandomForest | EngineKind::DecisionTree);
             assert_eq!(
-                fused.fused(),
+                est.fused(),
                 (tree_like, tree_like),
                 "{kind}: fusion must engage exactly for forest/tree models"
             );
             // identical bits at search-realistic slice granularity
             for chunk in [1, 7, 32, 61] {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let mut a = Vec::new();
                 let mut start = 0;
                 while start < slab.len() {
                     let end = (start + chunk).min(slab.len());
-                    fused.estimate_slice(slab.slice(start..end), &mut a);
-                    unfused.estimate_slice(slab.slice(start..end), &mut b);
+                    est.estimate_slice(slab.slice(start..end), &mut a);
                     start = end;
                 }
                 assert_eq!(a.len(), configs.len());
-                for (i, (fa, fb)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(fa.qor.to_bits(), fb.qor.to_bits(), "{kind} qor row {i}");
-                    assert_eq!(fa.cost.to_bits(), fb.cost.to_bits(), "{kind} hw row {i}");
-                }
-                // and both equal the scalar estimate
                 for (c, fa) in configs.iter().zip(&a) {
-                    let one = fused.estimate(c);
+                    let one = est.estimate(c);
                     assert_eq!(one.qor.to_bits(), fa.qor.to_bits(), "{kind} chunk {chunk}");
                     assert_eq!(
                         one.cost.to_bits(),

@@ -493,14 +493,14 @@ pub fn run_pipeline<W: Workload + ?Sized>(
         seed: opts.seed.wrapping_add(2),
         ..opts.search
     };
-    let (pseudo_front, refinement) = if refine_on {
-        match refined_warm {
+    let (pseudo_front, refinement, search_engines) = if refine_on {
+        let (front, report) = match refined_warm {
             Some((m, report, front)) => {
                 // Warm refined start: models, report and front replay
                 // bit-identically without a single real evaluation.
                 models = m;
                 fidelity = report.after;
-                (front, Some(report))
+                (front, report)
             }
             None => {
                 if step2_evaluator.is_none() {
@@ -548,21 +548,20 @@ pub fn run_pipeline<W: Workload + ?Sized>(
                         }
                     }
                 }
-                (front, Some(report))
+                (front, report)
             }
-        }
+        };
+        // The refined models are not the ones Step 2 fitted: bake them
+        // once more to read which kernel encodings they run.
+        let engines = ModelEstimator::new(&models, &pre.space, lib).engines();
+        (front, Some(report), engines)
     } else {
         let estimator = ModelEstimator::new(&models, &pre.space, lib);
-        (
-            run_search_cancellable(&pre.space, &estimator, &search_opts, &opts.cancel),
-            None,
-        )
+        let front = run_search_cancellable(&pre.space, &estimator, &search_opts, &opts.cancel);
+        (front, None, estimator.engines())
     };
     let t_search = sp_search.finish();
     let phases = crate::search::SearchTimings::snapshot().since(&phases_at_t3);
-    // Which kernel encodings Step 3 ran on (rebaked from the final
-    // models — cheap, and outside every timed region).
-    let search_engines = ModelEstimator::new(&models, &pre.space, lib).engines();
     // A mid-search cancellation leaves a truncated front; refuse to pass
     // it off as a result.
     if opts.cancel.is_cancelled() {

@@ -6,37 +6,42 @@
 //! for fitting, hostile to a search loop that performs 10⁵–10⁶ model
 //! estimates per run. [`CompiledForest`] flattens **all** trees into one
 //! structure-of-arrays arena (contiguous `feature`/`threshold`/`left`/
-//! `right`/`leaf` lanes, trees concatenated with root offsets) and
-//! predicts whole batches with a *branchless* batch-major traversal:
+//! `right`/`leaf` lanes, trees concatenated with root offsets). Leaves
+//! are encoded as self-loops (`left == right == self`, threshold `NaN` so
+//! `x <= t` is always false), which makes every node a split and every
+//! traversal step a pure arithmetic select (no data-dependent branch).
 //!
-//! * leaves are encoded as self-loops (`left == right == self`, threshold
-//!   `NaN` so `x <= t` is always false), which makes every node a split
-//!   and the step `idx = if x <= t { left } else { right }` a pure
-//!   arithmetic select (mask/cmov — no data-dependent branch);
-//! * trees run in the outer loop over a block of rows, so one tree's
-//!   lanes stay cache-hot across the whole block;
-//! * per-row accumulation happens in tree order with a single final
-//!   division, exactly like [`crate::engine::Regressor::predict_row`] — results are
-//!   **bitwise identical** to the pointer walk.
+//! [`GatherForest`] is what the DSE runs: [`CompiledForest::bake_gather`]
+//! folds the estimator's per-slot feature tables *into* the node records,
+//! so prediction runs straight off a `u16` genome slab and the feature
+//! matrix is never materialized. The bake selects one of two node
+//! encodings per model and builds only its records:
 //!
-//! [`GatherForest`] goes one step further for the DSE: the per-slot
-//! feature tables of the estimator are pre-baked *into* the arena's
-//! feature indices (each node stores a flat table offset plus the genome
-//! slot that selects the row), so prediction runs straight off a `u16`
-//! genome slab — the feature matrix is never materialized. An explicit
-//! AVX2 variant (4 rows per instruction stream, `vgatherqpd` lane loads,
-//! `vcmppd`/`vblendvpd` select) is runtime-dispatched on `x86_64`; the
-//! scalar mask-select fallback is bit-identical.
+//! * **mask32** — 8-byte records holding the precomputed comparison of
+//!   every gene as a bitmask; needs every slot a feature reads to have
+//!   ≤ 32 members, ≤ 64 slots, every tree ≤ 2¹³ nodes and fewer than 2²⁴
+//!   nodes in total (every shipped workload qualifies);
+//! * **quant** — 16-byte records comparing per-gene sorted ranks, exact
+//!   for any slot width; needs fewer than 2¹⁶ slots and ≤ 65,535 entries
+//!   per table.
+//!
+//! A layout that fits neither is an error, and the caller keeps its
+//! matrix path. Both encodings run through one batch-major scalar walker
+//! and, on `x86_64` with AVX2 (detected at runtime), through a gather
+//! kernel each whose lanes perform exactly the walker's step. Per-row
+//! accumulation happens in tree order with a single final division,
+//! exactly like [`crate::engine::Regressor::predict_row`], so every path
+//! is **bitwise identical** to the pointer walk.
 
 use crate::engine::TrainError;
 use crate::forest::RandomForest;
-use crate::linalg::Matrix;
 use crate::tree::{DecisionTree, NodeRepr};
 
-/// Rows per traversal block: one tree's lanes are reused across this many
-/// rows before the next tree streams in. Matches the cache-blocking of
-/// [`RandomForest::predict`] and comfortably covers the search layer's
-/// 32-candidate estimation rounds.
+/// Rows per traversal block: one tree's records are reused across this
+/// many rows before the next tree streams in. Matches the cache-blocking
+/// of [`RandomForest::predict`], comfortably covers the search layer's
+/// 32-candidate estimation rounds, and is a multiple of both AVX2 lane
+/// widths.
 const BLOCK: usize = 64;
 
 /// All trees of a fitted ensemble flattened into one structure-of-arrays
@@ -198,54 +203,6 @@ impl CompiledForest {
         h.0
     }
 
-    /// Predicts every row of `x`, overwriting `out` (cleared first; the
-    /// caller's allocation is reused across rounds).
-    ///
-    /// Bitwise identical to mapping [`crate::engine::Regressor::predict_row`] of the
-    /// source model over the rows.
-    ///
-    /// # Panics
-    /// Panics when `x` has fewer columns than the arena's feature width.
-    pub fn predict_matrix_into(&self, x: &Matrix, out: &mut Vec<f64>) {
-        assert!(
-            x.ncols() >= self.n_features,
-            "matrix has {} columns, arena needs {}",
-            x.ncols(),
-            self.n_features
-        );
-        let n = x.nrows();
-        out.clear();
-        out.resize(n, 0.0);
-        let mut idx = [0u32; BLOCK];
-        for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let r0 = b * BLOCK;
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..chunk.len()].fill(root);
-                for _ in 0..self.depths[ti] {
-                    let mut changed = 0u32;
-                    for (k, slot) in idx[..chunk.len()].iter_mut().enumerate() {
-                        let i = *slot as usize;
-                        let xv = x.row(r0 + k)[self.feature[i] as usize];
-                        // mask select: no data-dependent branch
-                        let m = 0u32.wrapping_sub((xv <= self.threshold[i]) as u32);
-                        let next = (self.left[i] & m) | (self.right[i] & !m);
-                        changed |= next ^ *slot;
-                        *slot = next;
-                    }
-                    if changed == 0 {
-                        break; // whole block settled on leaves
-                    }
-                }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    *acc += self.leaf[idx[k] as usize];
-                }
-            }
-        }
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
-    }
-
     /// Bakes a per-slot feature table into the arena, producing the fused
     /// genome-slab kernel of the DSE. `layout.slot_of[f]` names the
     /// genome slot whose gene selects feature `f`'s value, and
@@ -253,158 +210,128 @@ impl CompiledForest {
     /// exactly what a gathered feature matrix would contain, so fused
     /// predictions stay bitwise identical to the matrix path.
     ///
+    /// The records are baked as mask32 when every slot a feature reads
+    /// has ≤ 32 members, the stride is ≤ 64, every tree spans ≤ 2¹³ nodes
+    /// and the arena has fewer than 2²⁴ nodes; otherwise as quant when
+    /// the stride is below 2¹⁶ and every table has ≤ 65,535 entries. Only
+    /// the selected encoding's records are built.
+    ///
     /// # Errors
     /// [`TrainError`] when the layout does not cover the arena's feature
-    /// width or names a slot outside its own stride.
+    /// width, names a slot outside its own stride, or fits neither
+    /// encoding.
     pub fn bake_gather(&self, layout: &GatherLayout) -> Result<GatherForest, TrainError> {
         if layout.slot_of.len() < self.n_features || layout.values.len() != layout.slot_of.len() {
             return Err(TrainError::new("gather layout narrower than the arena"));
         }
         let stride = layout.stride;
-        let mut slot_members = vec![u32::MAX; stride];
-        let mut offsets = Vec::with_capacity(layout.values.len());
-        let mut values = Vec::new();
-        for (f, table) in layout.values.iter().enumerate() {
-            let s = layout.slot_of[f] as usize;
-            if s >= stride {
-                return Err(TrainError::new("gather layout slot out of range"));
-            }
-            offsets.push(values.len() as u32);
-            values.extend_from_slice(table);
-            slot_members[s] = slot_members[s].min(table.len() as u32);
+        // Per slot: the smallest table over the features it backs.
+        // `usize::MAX` marks a slot no feature reads — never indexed, so
+        // it blocks neither encoding.
+        let mut slot_members = vec![usize::MAX; stride];
+        for (&s, table) in layout.slot_of.iter().zip(&layout.values) {
+            let members = slot_members
+                .get_mut(s as usize)
+                .ok_or_else(|| TrainError::new("gather layout slot out of range"))?;
+            *members = (*members).min(table.len());
         }
-        // `u32::MAX` marks a slot no feature reads — never indexed, so it
-        // does not block the mask encoding.
-        let mask_mode = slot_members.iter().all(|&m| m <= 64 || m == u32::MAX)
-            && self.feature.len() < (1 << 24)
-            && stride < (1 << 16);
-        // Quantized-rank mode is the universal fallback when some slot
-        // exceeds the 64-gene mask budget: every feature table is rank-
-        // compressed so the hot compare is u16-vs-u16 on the genome slab,
-        // no float feature gather at all. See `QuantNode` for the exact-
-        // equivalence argument.
-        let quant_mode = !mask_mode
-            && stride < (1 << 16)
-            && layout.values.iter().all(|t| t.len() <= u16::MAX as usize);
-        let mut ranks = Vec::new();
-        let mut ranks32 = Vec::new();
-        let mut quants = Vec::new();
-        if quant_mode {
-            ranks.resize(values.len(), 0u16);
-            for (f, table) in layout.values.iter().enumerate() {
-                let off = offsets[f] as usize;
-                // Argsort with NaNs (either sign) last: members of the
-                // `v <= t` set then occupy exactly the ranks below
-                // `count(v <= t)` for every threshold `t`, duplicates and
-                // signed zeros included.
-                let mut order: Vec<u32> = (0..table.len() as u32).collect();
-                order.sort_by(|&a, &b| {
-                    let (va, vb) = (table[a as usize], table[b as usize]);
-                    va.is_nan()
-                        .cmp(&vb.is_nan())
-                        .then(va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal))
-                });
-                for (pos, &g) in order.iter().enumerate() {
-                    ranks[off + g as usize] = pos as u16;
-                }
-            }
-            ranks32 = ranks.iter().map(|&r| r as u32).collect();
-            quants = (0..self.feature.len())
-                .map(|i| {
-                    let f = self.feature[i] as usize;
-                    let t = self.threshold[i];
-                    // Leaves carry a NaN threshold: `v <= NaN` never
-                    // holds, so their count is 0 and `rank < 0` is always
-                    // false — the self-loop still never steps left.
-                    let thresh = layout.values[f].iter().filter(|&&v| v <= t).count() as u64;
-                    QuantNode {
-                        key: offsets[f] as u64
-                            | (thresh << 32)
-                            | ((layout.slot_of[f] as u64) << 48),
-                        children: ((self.right[i] as u64) << 32) | self.left[i] as u64,
-                    }
-                })
-                .collect();
-        }
-        let masks = if mask_mode {
-            (0..self.feature.len())
-                .map(|i| {
-                    let f = self.feature[i] as usize;
-                    let t = self.threshold[i];
-                    let mut mask = 0u64;
-                    for (g, &v) in layout.values[f].iter().enumerate().take(64) {
-                        mask |= ((v <= t) as u64) << g;
-                    }
-                    MaskNode {
-                        mask,
-                        meta: (self.left[i] as u64)
-                            | ((self.right[i] as u64) << 24)
-                            | ((layout.slot_of[f] as u64) << 48),
-                    }
-                })
-                .collect()
+        let n = self.feature.len() as u32;
+        let ends = self.roots.iter().skip(1).chain([&n]);
+        let mask32 = stride <= 64
+            && n < (1 << 24)
+            && self
+                .roots
+                .iter()
+                .zip(ends)
+                .all(|(&a, &b)| b - a <= (1 << 13))
+            && slot_members.iter().all(|&m| m <= 32 || m == usize::MAX);
+        let quant = stride < (1 << 16)
+            && layout.values.iter().all(|t| t.len() <= u16::MAX as usize)
+            && layout.values.iter().map(Vec::len).sum::<usize>() <= u32::MAX as usize;
+        let nodes = if mask32 {
+            Nodes::Mask32(self.bake_mask32(layout))
+        } else if quant {
+            self.bake_quant(layout)
         } else {
-            Vec::new()
-        };
-        // The ≤32-member refinement of mask mode: 8-byte records with
-        // root-relative 13-bit children. Falls back to the 16-byte masks
-        // when a slot, the stride, or a tree span exceeds the packed
-        // field widths — paper-scale spaces (≤ 32 members/slot, trees of
-        // a few thousand nodes) always qualify.
-        let masks32 = 'm32: {
-            if !mask_mode || stride > 64 || !slot_members.iter().all(|&m| m <= 32 || m == u32::MAX)
-            {
-                break 'm32 Vec::new();
-            }
-            let n = self.feature.len() as u32;
-            let mut out = Vec::with_capacity(n as usize);
-            for (ti, &root) in self.roots.iter().enumerate() {
-                let end = self.roots.get(ti + 1).copied().unwrap_or(n);
-                if end - root > (1 << 13) {
-                    break 'm32 Vec::new(); // tree too deep for 13-bit rel
-                }
-                for i in root..end {
-                    let i = i as usize;
-                    let f = self.feature[i] as usize;
-                    let t = self.threshold[i];
-                    let mut mask = 0u32;
-                    for (g, &v) in layout.values[f].iter().enumerate().take(32) {
-                        mask |= ((v <= t) as u32) << g;
-                    }
-                    out.push(Mask32Node {
-                        mask,
-                        meta: (self.right[i] - root)
-                            | ((self.left[i] - root) << 13)
-                            | (layout.slot_of[f] << 26),
-                    });
-                }
-            }
-            out
+            return Err(TrainError::new(
+                "gather layout fits neither the mask32 nor the quant encoding",
+            ));
         };
         Ok(GatherForest {
-            nodes: (0..self.feature.len())
-                .map(|i| {
-                    let f = self.feature[i] as usize;
-                    PackedNode {
-                        threshold: self.threshold[i],
-                        slot_off: ((layout.slot_of[f] as u64) << 32) | offsets[f] as u64,
-                        children: ((self.right[i] as u64) << 32) | self.left[i] as u64,
-                    }
-                })
-                .collect(),
-            masks,
-            masks32,
-            quants,
-            ranks,
-            ranks32,
+            nodes,
             leaf: self.leaf.clone(),
             roots: self.roots.clone(),
             depths: self.depths.clone(),
-            values,
             slot_members,
             stride,
             divisor: self.divisor,
         })
+    }
+
+    /// The mask32 records: bit `g` of a node's mask is the comparison
+    /// `values[f][g] <= threshold` (0 everywhere for leaves, since
+    /// `x <= NaN` never holds); children are stored root-relative.
+    fn bake_mask32(&self, layout: &GatherLayout) -> Vec<Mask32Node> {
+        let n = self.feature.len() as u32;
+        let mut out = Vec::with_capacity(n as usize);
+        for (ti, &root) in self.roots.iter().enumerate() {
+            let end = self.roots.get(ti + 1).copied().unwrap_or(n);
+            for i in root as usize..end as usize {
+                let f = self.feature[i] as usize;
+                let mut mask = 0u32;
+                for (g, &v) in layout.values[f].iter().enumerate().take(32) {
+                    mask |= ((v <= self.threshold[i]) as u32) << g;
+                }
+                out.push(Mask32Node {
+                    mask,
+                    meta: (self.right[i] - root)
+                        | ((self.left[i] - root) << 13)
+                        | (layout.slot_of[f] << 26),
+                });
+            }
+        }
+        out
+    }
+
+    /// The quant records plus the per-gene rank slab they index (see
+    /// [`QuantNode`] for why the rank compare is exact).
+    fn bake_quant(&self, layout: &GatherLayout) -> Nodes {
+        let mut offsets = Vec::with_capacity(layout.values.len());
+        let mut ranks = Vec::new();
+        for table in &layout.values {
+            let off = ranks.len();
+            offsets.push(off as u64);
+            ranks.resize(off + table.len(), 0u32);
+            // Argsort with NaNs (either sign) last: members of the
+            // `v <= t` set then occupy exactly the ranks below
+            // `count(v <= t)` for every threshold `t`, duplicates and
+            // signed zeros included.
+            let mut order: Vec<u32> = (0..table.len() as u32).collect();
+            order.sort_by(|&a, &b| {
+                let (va, vb) = (table[a as usize], table[b as usize]);
+                va.is_nan()
+                    .cmp(&vb.is_nan())
+                    .then(va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal))
+            });
+            for (pos, &g) in order.iter().enumerate() {
+                ranks[off + g as usize] = pos as u32;
+            }
+        }
+        let nodes = (0..self.feature.len())
+            .map(|i| {
+                let f = self.feature[i] as usize;
+                let t = self.threshold[i];
+                // Leaves carry a NaN threshold: `v <= NaN` never holds,
+                // so their count is 0 and `rank < 0` is always false —
+                // the self-loop still never steps left.
+                let thresh = layout.values[f].iter().filter(|&&v| v <= t).count() as u64;
+                QuantNode {
+                    key: offsets[f] | (thresh << 32) | ((layout.slot_of[f] as u64) << 48),
+                    children: ((self.right[i] as u64) << 32) | self.left[i] as u64,
+                }
+            })
+            .collect();
+        Nodes::Quant { nodes, ranks }
     }
 }
 
@@ -443,74 +370,32 @@ pub struct GatherLayout {
     pub values: Vec<Vec<f64>>,
 }
 
-/// One traversal node of a [`GatherForest`], packed to 24 bytes so a
-/// node visit touches one cache line instead of five SoA lanes (paths
-/// through a paper-sized arena are effectively random, so the lane
-/// spread dominates the miss rate).
-#[derive(Debug, Clone, Copy)]
-#[repr(C)]
-struct PackedNode {
-    /// Split threshold (`NaN` for leaves, so `x <= t` never holds).
-    threshold: f64,
-    /// Genome slot in the high 32 bits, base offset of the node's value
-    /// table in the low 32.
-    slot_off: u64,
-    /// Left child in the low 32 bits, right child in the high 32 (self
-    /// for leaves).
-    children: u64,
-}
-
-/// One mask-mode traversal node: when every slot has ≤ 64 members (and
-/// the arena fits 24-bit node indices), the per-node comparison
-/// `table[gene] <= threshold` is precomputed for every gene into a
-/// bitmask at bake time, so a step needs neither the value load nor the
-/// float compare — just `(mask >> gene) & 1`. 16 bytes per node keeps
-/// four nodes per cache line; node-record traffic is what bounds the
-/// kernel on paper-sized arenas.
-#[derive(Debug, Clone, Copy)]
-#[repr(C)]
-struct MaskNode {
-    /// Bit `g` = `table[g] <= threshold` (0 everywhere for leaves, since
-    /// `x <= NaN` never holds).
-    mask: u64,
-    /// Bits 0..24 left child, 24..48 right child (self for leaves),
-    /// 48..64 the genome slot read at this node.
-    meta: u64,
-}
-
-/// One 32-bit mask-mode traversal node: when additionally every slot
-/// has ≤ 32 members, every tree spans ≤ 8192 nodes and the genome
-/// stride is ≤ 64, the [`MaskNode`] record halves to 8 bytes — the
-/// comparison mask fits a `u32` and the children are stored
-/// *root-relative* in 13 bits each (`next = root + rel`; leaves carry
-/// their own offset on both sides, preserving the self-loop). Eight
-/// records per cache line, and — the real win — the whole record is a
-/// single 64-bit gather lane, so the SIMD kernel runs 8 rows per
-/// vector on 32-bit lanes instead of 4 on 64-bit lanes, halving the
-/// gather count per row on gather-bound cores.
+/// One mask32 traversal node. The comparison `table[gene] <= threshold`
+/// is precomputed for every gene at bake time, so a step needs neither a
+/// value load nor a float compare — just `(mask >> gene) & 1`. Children
+/// are stored *root-relative* in 13 bits each (`next = root + rel`;
+/// leaves carry their own offset on both sides, preserving the
+/// self-loop). Eight records per cache line, and each record is a single
+/// 64-bit gather lane, so the AVX2 kernel runs 8 rows per vector.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 struct Mask32Node {
-    /// Bit `g` = `table[g] <= threshold` (0 everywhere for leaves,
-    /// since `x <= NaN` never holds).
+    /// Bit `g` = `table[g] <= threshold`.
     mask: u32,
     /// Bits 0..13 root-relative right child, 13..26 root-relative left
     /// child (self for leaves), 26..32 the genome slot read here.
     meta: u32,
 }
 
-/// One quantized-rank traversal node: the universal extension of the
-/// ≤ 64-member [`MaskNode`] trick. At bake time every feature table is
-/// stably argsorted and each gene `g` is assigned its sorted position
-/// `rank[g]` (`u16`); the node stores `thresh_rank = |{v : v <= t}|`.
-/// Because the `v <= t` members occupy exactly the sorted positions
-/// `0..thresh_rank` (duplicates share a contiguous run that is entirely
-/// in or entirely out; NaN table entries sort last and never compare
-/// `<= t`), the float step `values[off+g] <= t` is **exactly**
-/// `rank[off+g] < thresh_rank` — a u16-vs-u16 compare on the genome
-/// slab with no float feature gather, reaching the same leaves and
-/// therefore producing bit-identical predictions. 16 bytes per node,
-/// same layout discipline as [`MaskNode`].
+/// One quant traversal node. At bake time every feature table is stably
+/// argsorted and each gene `g` is assigned its sorted position
+/// `rank[g]`; the node stores `thresh_rank = |{v : v <= t}|`. Because the
+/// `v <= t` members occupy exactly the sorted positions `0..thresh_rank`
+/// (duplicates share a contiguous run that is entirely in or entirely
+/// out; NaN table entries sort last and never compare `<= t`), the float
+/// step `values[off+g] <= t` is **exactly** `rank[off+g] < thresh_rank` —
+/// an integer compare with no float feature gather, reaching the same
+/// leaves and therefore producing bit-identical predictions.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 struct QuantNode {
@@ -522,41 +407,33 @@ struct QuantNode {
     children: u64,
 }
 
+/// The node records of a [`GatherForest`], in arena order: exactly one
+/// encoding is baked.
+#[derive(Debug, Clone)]
+enum Nodes {
+    Mask32(Vec<Mask32Node>),
+    Quant {
+        nodes: Vec<QuantNode>,
+        /// Per-gene sorted ranks, table after table.
+        ranks: Vec<u32>,
+    },
+}
+
 /// A [`CompiledForest`] with the estimator's per-slot feature tables
-/// baked into the node records: node `i` resolves its split value as
-/// `values[off(i) + genome[slot(i)]]`, fusing the feature gather into
-/// the traversal — no feature matrix exists at any point.
+/// baked into its node records (mask32 or quant, see the module docs),
+/// predicting straight off a genome slab — no feature matrix exists at
+/// any point.
 #[derive(Debug, Clone)]
 pub struct GatherForest {
-    /// Packed traversal records, trees concatenated.
-    nodes: Vec<PackedNode>,
-    /// Mask-mode records (empty when some slot exceeds 64 members and
-    /// the precomputed-comparison encoding cannot hold it; the kernels
-    /// then run on `quants` or `nodes`). Same node order, same bits out.
-    masks: Vec<MaskNode>,
-    /// 8-byte mask records (built when every slot has ≤ 32 members,
-    /// stride ≤ 64 and every tree fits 13-bit root-relative children;
-    /// empty otherwise — the kernels then run on `masks`). Same node
-    /// order, same bits out.
-    masks32: Vec<Mask32Node>,
-    /// Quantized-rank records (built when mask mode is unavailable but
-    /// every table fits u16 ranks; empty otherwise). Same node order as
-    /// `nodes`, bit-identical predictions.
-    quants: Vec<QuantNode>,
-    /// Per-gene sorted ranks, parallel to `values` (quant mode only).
-    ranks: Vec<u16>,
-    /// `ranks` widened to u32 for 32-bit SIMD gathers.
-    ranks32: Vec<u32>,
+    nodes: Nodes,
     /// Leaf value per node (0 for splits — read once per row and tree).
     leaf: Vec<f64>,
     roots: Vec<u32>,
     depths: Vec<u32>,
-    /// Flat baked feature tables.
-    values: Vec<f64>,
     /// Per slot: smallest table length over the features it backs — the
     /// exclusive upper bound a gene must respect (checked per batch, so
-    /// the gather kernels can load unchecked).
-    slot_members: Vec<u32>,
+    /// the kernels can load unchecked).
+    slot_members: Vec<usize>,
     stride: usize,
     divisor: f64,
 }
@@ -567,80 +444,32 @@ impl GatherForest {
         self.stride
     }
 
+    /// Which node encoding the bake selected: `"mask32"` or `"quant"`.
+    pub fn engine(&self) -> &'static str {
+        match self.nodes {
+            Nodes::Mask32(_) => "mask32",
+            Nodes::Quant { .. } => "quant",
+        }
+    }
+
     /// Predicts one value per genome row of a flat `u16` slab,
     /// overwriting `out` (cleared first; the allocation is reused across
-    /// rounds). Dispatches to the AVX2 kernel when the CPU supports it;
-    /// the scalar fallback produces identical bits.
+    /// rounds). Runs the AVX2 kernel when the CPU supports it; the scalar
+    /// walker produces identical bits.
     ///
     /// # Panics
     /// Panics on a ragged slab or a gene outside its slot's baked table —
     /// both indicate a genome from a different configuration space.
     pub fn predict_genomes_into(&self, genes: &[u16], out: &mut Vec<f64>) {
-        self.check_genes(genes);
-        let mask32 = !self.masks32.is_empty() && mask32_enabled();
-        let quant = !self.quants.is_empty() && quant_enabled();
-        #[cfg(target_arch = "x86_64")]
-        if simd_enabled() && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 confirmed at runtime; gene bounds checked above.
-            unsafe {
-                if mask32 {
-                    self.predict_mask32_avx2(genes, out);
-                } else if !self.masks.is_empty() {
-                    self.predict_mask_avx2(genes, out);
-                } else if quant {
-                    self.predict_quant_avx2(genes, out);
-                } else {
-                    self.predict_avx2(genes, out);
-                }
-            }
-            return;
-        }
-        if mask32 {
-            self.predict_mask32_scalar(genes, out);
-        } else if !self.masks.is_empty() {
-            self.predict_mask_scalar(genes, out);
-        } else if quant {
-            self.predict_quant_scalar(genes, out);
-        } else {
-            self.predict_scalar(genes, out);
-        }
+        self.predict(genes, out, true);
     }
 
-    /// Which node encoding [`GatherForest::predict_genomes_into`] runs on:
-    /// `"mask32"` (every slot ≤ 32 members, 8-byte records), `"mask"`
-    /// (every slot ≤ 64 members), `"quant"` (u16 rank compare) or
-    /// `"gather"` (float value gather). Observability for benches/tests.
-    pub fn engine(&self) -> &'static str {
-        if !self.masks32.is_empty() && mask32_enabled() {
-            "mask32"
-        } else if !self.masks.is_empty() {
-            "mask"
-        } else if !self.quants.is_empty() && quant_enabled() {
-            "quant"
-        } else {
-            "gather"
-        }
-    }
-
-    /// The portable mask-select kernel (also the test oracle for the SIMD
-    /// path). Same contract as [`GatherForest::predict_genomes_into`].
-    ///
-    /// # Panics
-    /// Panics on a ragged slab or an out-of-range gene.
-    pub fn predict_genomes_scalar_into(&self, genes: &[u16], out: &mut Vec<f64>) {
-        self.check_genes(genes);
-        self.predict_scalar(genes, out);
-    }
-
-    /// Per-row mean and per-tree prediction variance over the compiled
-    /// arena — the refinement loop's acquisition signal, computed without
-    /// materializing per-tree prediction vectors. Batch-major walk over
-    /// the packed `nodes` lane (the same block shape as
-    /// [`GatherForest::predict_genomes_scalar_into`]) with sum and
-    /// sum-of-squares accumulators updated per tree, in tree order, so
-    /// `mean` is bitwise identical to [`GatherForest::predict_genomes_into`]
-    /// on the scalar path and `var` is bitwise identical to brute force
-    /// over the source forest's fitted trees.
+    /// Per-row mean and per-tree prediction variance — the refinement
+    /// loop's acquisition signal, computed without materializing
+    /// per-tree prediction vectors. Sum and sum-of-squares accumulate per
+    /// tree, in tree order, through the scalar walker, so `mean` is
+    /// bitwise identical to [`GatherForest::predict_genomes_into`] and
+    /// `var` to brute force over the source forest's fitted trees.
     ///
     /// # Panics
     /// Panics on a ragged slab or an out-of-range gene.
@@ -652,49 +481,42 @@ impl GatherForest {
     ) {
         self.check_genes(genes);
         let n = genes.len() / self.stride;
-        mean.clear();
-        mean.resize(n, 0.0);
-        var.clear();
-        var.resize(n, 0.0);
-        let mut idx = [0u32; BLOCK];
-        let mut sumsq = [0.0f64; BLOCK];
-        for (b, chunk) in mean.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
-            sumsq[..len].fill(0.0);
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.depths[ti] {
-                    let mut changed = 0u32;
-                    for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.nodes[*at as usize];
-                        let g = rows[k * self.stride + (nd.slot_off >> 32) as usize] as u64;
-                        let xv = self.values[((nd.slot_off & 0xFFFF_FFFF) + g) as usize];
-                        let hit = (xv <= nd.threshold) as u64;
-                        let next = (nd.children >> (32 & hit.wrapping_sub(1))) as u32;
-                        changed |= next ^ *at;
-                        *at = next;
-                    }
-                    if changed == 0 {
-                        break; // whole block settled on leaves
-                    }
-                }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    let v = self.leaf[idx[k] as usize];
-                    *acc += v;
-                    sumsq[k] += v * v;
-                }
-            }
-            for (k, acc) in chunk.iter_mut().enumerate() {
-                let m = *acc / self.divisor;
-                *acc = m;
-                var[b * BLOCK + k] = (sumsq[k] / self.divisor - m * m).max(0.0);
-            }
+        for v in [&mut *mean, &mut *var] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        self.walk(genes, |k, v| {
+            mean[k] += v;
+            var[k] += v * v;
+        });
+        for (m, s) in mean.iter_mut().zip(var.iter_mut()) {
+            *m /= self.divisor;
+            *s = (*s / self.divisor - *m * *m).max(0.0);
+        }
+    }
+
+    /// [`GatherForest::predict_genomes_into`], with the AVX2 kernel
+    /// allowed (`simd`) or every row on the scalar walker.
+    fn predict(&self, genes: &[u16], out: &mut Vec<f64>, simd: bool) {
+        self.check_genes(genes);
+        out.clear();
+        out.resize(genes.len() / self.stride, 0.0);
+        // SAFETY: `check_genes` above bounded every gene by its slot's
+        // baked table.
+        let done = if simd {
+            unsafe { self.predict_avx2(genes, out) }
+        } else {
+            0
+        };
+        // the scalar walker takes the rows that do not fill a lane group
+        self.walk(&genes[done * self.stride..], |k, v| out[done + k] += v);
+        for v in out.iter_mut() {
+            *v /= self.divisor;
         }
     }
 
     /// Validates the slab shape and that every gene indexes inside its
-    /// slot's baked table, so the kernels can gather unchecked.
+    /// slot's baked table, so the kernels can load unchecked.
     fn check_genes(&self, genes: &[u16]) {
         assert_eq!(genes.len() % self.stride, 0, "ragged genome slab");
         if genes.is_empty() {
@@ -706,39 +528,57 @@ impl GatherForest {
                 max = max.max(g);
             }
             assert!(
-                (max as u32) < self.slot_members[s],
+                (max as usize) < self.slot_members[s],
                 "gene {max} out of range for slot {s} ({} members)",
                 self.slot_members[s]
             );
         }
     }
 
-    fn predict_scalar(&self, genes: &[u16], out: &mut Vec<f64>) {
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        // Batch-major: the depth loop is OUTER, the rows inner. Every
-        // node step of the inner loop is independent across the block's
-        // rows, so the out-of-order window keeps ~BLOCK dependency
-        // chains in flight instead of serializing one row's walk — the
-        // same shape (and early exit) as `predict_matrix_into`.
+    /// Runs the scalar walker with the baked encoding's step.
+    fn walk(&self, genes: &[u16], visit: impl FnMut(usize, f64)) {
+        match &self.nodes {
+            Nodes::Mask32(nodes) => self.walk_with(genes, visit, |row, at, root| {
+                let nd = nodes[at as usize];
+                let bit = (nd.mask >> row[(nd.meta >> 26) as usize]) & 1;
+                // shift 13 selects the left field when the bit is set, 0
+                // the right field otherwise
+                root + ((nd.meta >> (13 & bit.wrapping_neg())) & 0x1FFF)
+            }),
+            Nodes::Quant { nodes, ranks } => self.walk_with(genes, visit, |row, at, _| {
+                let nd = nodes[at as usize];
+                let g = row[(nd.key >> 48) as usize] as u64;
+                let rank = ranks[((nd.key & 0xFFFF_FFFF) + g) as usize] as u64;
+                let left = (rank < ((nd.key >> 32) & 0xFFFF)) as u64;
+                // arithmetic select: left in the low half, right in the high
+                (nd.children >> (32 & left.wrapping_sub(1))) as u32
+            }),
+        }
+    }
+
+    /// The scalar walker. Batch-major: per `BLOCK`-row block and tree the
+    /// depth loop is outer and the rows inner, so every step level keeps
+    /// ~`BLOCK` independent dependency chains in flight instead of
+    /// serializing one row's walk; the block stops early once every row
+    /// sits on its leaf (leaves self-loop, so stopping cannot change a
+    /// bit). `step(row, at, root)` advances one genome from node `at` of
+    /// the tree rooted at `root`; `visit(k, v)` receives row `k`'s leaf
+    /// value, tree by tree in tree order.
+    #[inline(always)]
+    fn walk_with<V, S>(&self, genes: &[u16], mut visit: V, step: S)
+    where
+        V: FnMut(usize, f64),
+        S: Fn(&[u16], u32, u32) -> u32,
+    {
         let mut idx = [0u32; BLOCK];
-        for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.depths[ti] {
+        for (b, rows) in genes.chunks(BLOCK * self.stride).enumerate() {
+            let idx = &mut idx[..rows.len() / self.stride];
+            for (&root, &depth) in self.roots.iter().zip(&self.depths) {
+                idx.fill(root);
+                for _ in 0..depth {
                     let mut changed = 0u32;
-                    for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.nodes[*at as usize];
-                        let g = rows[k * self.stride + (nd.slot_off >> 32) as usize] as u64;
-                        let xv = self.values[((nd.slot_off & 0xFFFF_FFFF) + g) as usize];
-                        // arithmetic select: left in the low half, right
-                        // in the high; `xv <= NaN` is false, so leaves
-                        // always step to themselves
-                        let b = (xv <= nd.threshold) as u64;
-                        let next = (nd.children >> (32 & b.wrapping_sub(1))) as u32;
+                    for (at, row) in idx.iter_mut().zip(rows.chunks_exact(self.stride)) {
+                        let next = step(row, *at, root);
                         changed |= next ^ *at;
                         *at = next;
                     }
@@ -746,405 +586,74 @@ impl GatherForest {
                         break; // whole block settled on leaves
                     }
                 }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    *acc += self.leaf[idx[k] as usize];
+                for (k, &at) in idx.iter().enumerate() {
+                    visit(b * BLOCK + k, self.leaf[at as usize]);
                 }
             }
         }
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
     }
 
-    /// The mask-mode portable kernel: a step is `(mask >> gene) & 1` plus
-    /// the arithmetic child select — no value load, no float compare.
-    /// Bitwise identical to [`GatherForest::predict_scalar`] because the
-    /// masks ARE the precomputed comparisons.
-    fn predict_mask_scalar(&self, genes: &[u16], out: &mut Vec<f64>) {
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        let mut idx = [0u32; BLOCK];
-        for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.depths[ti] {
-                    let mut changed = 0u32;
-                    for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.masks[*at as usize];
-                        let g = rows[k * self.stride + (nd.meta >> 48) as usize];
-                        let b = (nd.mask >> g) & 1;
-                        let next = ((nd.meta >> (24 & b.wrapping_sub(1))) & 0xFF_FFFF) as u32;
-                        changed |= next ^ *at;
-                        *at = next;
-                    }
-                    if changed == 0 {
-                        break; // whole block settled on leaves
-                    }
-                }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    *acc += self.leaf[idx[k] as usize];
-                }
-            }
-        }
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
-    }
-
-    /// The 32-bit mask-mode portable kernel: identical step semantics to
-    /// [`GatherForest::predict_mask_scalar`] on records half the size —
-    /// `(mask >> gene) & 1`, then `next = root + rel` where the 13-bit
-    /// relative child is selected arithmetically out of `meta`. Bitwise
-    /// identical because the masks encode the same precomputed
-    /// comparisons and the relative children resolve to the same nodes.
-    fn predict_mask32_scalar(&self, genes: &[u16], out: &mut Vec<f64>) {
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        let mut idx = [0u32; BLOCK];
-        for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.depths[ti] {
-                    let mut changed = 0u32;
-                    for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.masks32[*at as usize];
-                        let g = rows[k * self.stride + (nd.meta >> 26) as usize];
-                        let b = (nd.mask >> g) & 1;
-                        // shift 13 selects the left field when the bit
-                        // is set, 0 the right field otherwise
-                        let next = root + ((nd.meta >> (13 & b.wrapping_neg())) & 0x1FFF);
-                        changed |= next ^ *at;
-                        *at = next;
-                    }
-                    if changed == 0 {
-                        break; // whole block settled on leaves
-                    }
-                }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    *acc += self.leaf[idx[k] as usize];
-                }
-            }
-        }
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
-    }
-
-    /// The quantized-rank portable kernel: a step gathers one `u16` rank
-    /// and compares it against the node's 16-bit threshold rank — no
-    /// float load, no float compare. Bitwise identical to
-    /// [`GatherForest::predict_scalar`] because the rank order IS the
-    /// value order (see [`QuantNode`]).
-    fn predict_quant_scalar(&self, genes: &[u16], out: &mut Vec<f64>) {
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        let mut idx = [0u32; BLOCK];
-        for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.depths[ti] {
-                    let mut changed = 0u32;
-                    for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.quants[*at as usize];
-                        let g = rows[k * self.stride + (nd.key >> 48) as usize] as u64;
-                        let r = self.ranks[((nd.key & 0xFFFF_FFFF) + g) as usize];
-                        let b = ((r as u64) < ((nd.key >> 32) & 0xFFFF)) as u64;
-                        let next = (nd.children >> (32 & b.wrapping_sub(1))) as u32;
-                        changed |= next ^ *at;
-                        *at = next;
-                    }
-                    if changed == 0 {
-                        break; // whole block settled on leaves
-                    }
-                }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    *acc += self.leaf[idx[k] as usize];
-                }
-            }
-        }
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
-    }
-
-    /// Quantized-rank AVX2 kernel: two 16-byte record gathers
-    /// (`key`/`children`), the gene gather, and one 32-bit rank gather per
-    /// step; the compare is an integer `vpcmpgtq` against the threshold
-    /// rank, so — like the mask kernel — the float unit stays idle and no
-    /// 8-byte value table is touched.
+    /// Runs the baked encoding's AVX2 kernel over the leading rows that
+    /// fill whole lane groups, accumulating leaf sums into `out`, and
+    /// returns how many rows it took — 0 without AVX2.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available, `genes` passed
-    /// [`GatherForest::check_genes`], and `quants` is non-empty.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn predict_quant_avx2(&self, genes: &[u16], out: &mut Vec<f64>) {
-        use std::arch::x86_64::*;
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        GENES32.with(|cell| {
-            let mut genes32 = cell.take();
-            for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-                let rows = &genes[b * BLOCK * self.stride..];
-                genes32.clear();
-                genes32.extend(rows[..chunk.len() * self.stride].iter().map(|&g| g as u32));
-                let groups = chunk.len() / 4;
-                let stride = self.stride as i64;
-                let node_base = self.quants.as_ptr() as *const i64;
-                let lo32 = _mm256_set1_epi64x(0xFFFF_FFFF);
-                let m16 = _mm256_set1_epi64x(0xFFFF);
-                for (ti, &root) in self.roots.iter().enumerate() {
-                    let mut idx = [_mm256_set1_epi64x(root as i64); BLOCK / 4];
-                    // settled groups stop gathering (self-loops only)
-                    let mut done = [false; BLOCK / 4];
-                    for _ in 0..self.depths[ti] {
-                        let mut unsettled = 0i32;
-                        for (gi, cur) in idx[..groups].iter_mut().enumerate() {
-                            if done[gi] {
-                                continue;
-                            }
-                            let base = (gi * 4) as i64 * stride;
-                            let row_base = _mm256_set_epi64x(
-                                base + 3 * stride,
-                                base + 2 * stride,
-                                base + stride,
-                                base,
-                            );
-                            // 16-byte records: field f of node i is the
-                            // 64-bit word at 2*i + f
-                            let n2 = _mm256_slli_epi64::<1>(*cur);
-                            let key = _mm256_i64gather_epi64::<8>(node_base, n2);
-                            let children = _mm256_i64gather_epi64::<8>(node_base.add(1), n2);
-                            let slot = _mm256_srli_epi64::<48>(key);
-                            let gpos = _mm256_add_epi64(row_base, slot);
-                            let gene =
-                                _mm256_i64gather_epi32::<4>(genes32.as_ptr() as *const i32, gpos);
-                            let rpos = _mm256_add_epi64(
-                                _mm256_and_si256(key, lo32),
-                                _mm256_cvtepu32_epi64(gene),
-                            );
-                            let rank = _mm256_i64gather_epi32::<4>(
-                                self.ranks32.as_ptr() as *const i32,
-                                rpos,
-                            );
-                            let thresh = _mm256_and_si256(_mm256_srli_epi64::<32>(key), m16);
-                            // both operands < 2^16, so signed compare is safe
-                            let go_left = _mm256_cmpgt_epi64(thresh, _mm256_cvtepu32_epi64(rank));
-                            let l = _mm256_and_si256(children, lo32);
-                            let r = _mm256_srli_epi64::<32>(children);
-                            let next = _mm256_castpd_si256(_mm256_blendv_pd(
-                                _mm256_castsi256_pd(r),
-                                _mm256_castsi256_pd(l),
-                                _mm256_castsi256_pd(go_left),
-                            ));
-                            let settled = _mm256_cmpeq_epi64(next, *cur);
-                            let sm = _mm256_movemask_epi8(settled);
-                            done[gi] = sm == -1;
-                            unsettled |= sm ^ -1;
-                            *cur = next;
-                        }
-                        if unsettled == 0 {
-                            break; // whole block settled on leaves
-                        }
-                    }
-                    for (gi, cur) in idx[..groups].iter().enumerate() {
-                        let leaves = _mm256_i64gather_pd::<8>(self.leaf.as_ptr(), *cur);
-                        let acc = _mm256_loadu_pd(chunk.as_ptr().add(gi * 4));
-                        _mm256_storeu_pd(
-                            chunk.as_mut_ptr().add(gi * 4),
-                            _mm256_add_pd(acc, leaves),
-                        );
-                    }
-                    // scalar tail: same ops, same bits
-                    for k in groups * 4..chunk.len() {
-                        let row = &rows[k * self.stride..(k + 1) * self.stride];
-                        let mut at = root;
-                        for _ in 0..self.depths[ti] {
-                            let nd = &self.quants[at as usize];
-                            let g = row[(nd.key >> 48) as usize] as u64;
-                            let r = self.ranks[((nd.key & 0xFFFF_FFFF) + g) as usize];
-                            let b = ((r as u64) < ((nd.key >> 32) & 0xFFFF)) as u64;
-                            let next = (nd.children >> (32 & b.wrapping_sub(1))) as u32;
-                            if next == at {
-                                break;
-                            }
-                            at = next;
-                        }
-                        chunk[k] += self.leaf[at as usize];
-                    }
+    /// `genes` must have passed [`GatherForest::check_genes`].
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    unsafe fn predict_avx2(&self, genes: &[u16], out: &mut [f64]) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 confirmed at runtime; the caller checked genes.
+            return unsafe {
+                match &self.nodes {
+                    Nodes::Mask32(nodes) => self.mask32_avx2(nodes, genes, out),
+                    Nodes::Quant { nodes, ranks } => self.quant_avx2(nodes, ranks, genes, out),
                 }
-            }
-            cell.replace(genes32);
-        });
-        for v in out.iter_mut() {
-            *v /= self.divisor;
+            };
         }
+        0
     }
 
-    /// Mask-mode AVX2 kernel: per step and 4-lane group, two record
-    /// gathers (`mask`/`meta`) plus the gene gather — the comparison is an
-    /// integer shift-and-test (`vpsrlvq`), so the float unit is idle and a
-    /// step touches 16 record bytes instead of the value-gather kernel's
-    /// 24 (plus its table load).
+    /// Mask32 AVX2 kernel: **eight** rows per vector on `epi32` lanes. A
+    /// step needs two half-width record gathers (each 8-byte node is one
+    /// 64-bit gather lane) plus the gene gather — 3 gathers per 8 rows.
+    /// The children are root-relative 13-bit fields selected with
+    /// `vpblendvb` and re-based by one `vpaddd`; every lane performs
+    /// exactly the scalar step, so bits match. Depth loop outer, lane
+    /// groups inner, like the scalar walker; a group whose lanes all
+    /// reached leaves stops gathering.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available, `genes` passed
-    /// [`GatherForest::check_genes`], and `masks` is non-empty.
+    /// Caller must ensure AVX2 is available and `genes` passed
+    /// [`GatherForest::check_genes`].
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn predict_mask_avx2(&self, genes: &[u16], out: &mut Vec<f64>) {
+    unsafe fn mask32_avx2(&self, nodes: &[Mask32Node], genes: &[u16], out: &mut [f64]) -> usize {
         use std::arch::x86_64::*;
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
+        let simd_rows = out.len() / 8 * 8;
         GENES32.with(|cell| {
             let mut genes32 = cell.take();
-            for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-                let rows = &genes[b * BLOCK * self.stride..];
+            let stride = self.stride as i32;
+            let node_base = nodes.as_ptr() as *const i64;
+            let one = _mm256_set1_epi32(1);
+            let m13 = _mm256_set1_epi32(0x1FFF);
+            let lane = _mm256_mullo_epi32(
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                _mm256_set1_epi32(stride),
+            );
+            for (b, chunk) in out[..simd_rows].chunks_mut(BLOCK).enumerate() {
+                let rows = &genes[b * BLOCK * self.stride..][..chunk.len() * self.stride];
                 genes32.clear();
-                genes32.extend(rows[..chunk.len() * self.stride].iter().map(|&g| g as u32));
-                let groups = chunk.len() / 4;
-                let stride = self.stride as i64;
-                let node_base = self.masks.as_ptr() as *const i64;
-                let one = _mm256_set1_epi64x(1);
-                let m24 = _mm256_set1_epi64x(0xFF_FFFF);
-                for (ti, &root) in self.roots.iter().enumerate() {
-                    let mut idx = [_mm256_set1_epi64x(root as i64); BLOCK / 4];
-                    // settled groups stop gathering (self-loops only)
-                    let mut done = [false; BLOCK / 4];
-                    for _ in 0..self.depths[ti] {
-                        let mut unsettled = 0i32;
-                        for (gi, cur) in idx[..groups].iter_mut().enumerate() {
-                            if done[gi] {
-                                continue;
-                            }
-                            let base = (gi * 4) as i64 * stride;
-                            let row_base = _mm256_set_epi64x(
-                                base + 3 * stride,
-                                base + 2 * stride,
-                                base + stride,
-                                base,
-                            );
-                            // 16-byte records: field f of node i is the
-                            // 64-bit word at 2*i + f
-                            let n2 = _mm256_slli_epi64::<1>(*cur);
-                            let mask = _mm256_i64gather_epi64::<8>(node_base, n2);
-                            let meta = _mm256_i64gather_epi64::<8>(node_base.add(1), n2);
-                            let slot = _mm256_srli_epi64::<48>(meta);
-                            let gpos = _mm256_add_epi64(row_base, slot);
-                            let gene =
-                                _mm256_i64gather_epi32::<4>(genes32.as_ptr() as *const i32, gpos);
-                            let bit = _mm256_and_si256(
-                                _mm256_srlv_epi64(mask, _mm256_cvtepu32_epi64(gene)),
-                                one,
-                            );
-                            let go_left = _mm256_cmpeq_epi64(bit, one);
-                            let l = _mm256_and_si256(meta, m24);
-                            let r = _mm256_and_si256(_mm256_srli_epi64::<24>(meta), m24);
-                            let next = _mm256_castpd_si256(_mm256_blendv_pd(
-                                _mm256_castsi256_pd(r),
-                                _mm256_castsi256_pd(l),
-                                _mm256_castsi256_pd(go_left),
-                            ));
-                            let settled = _mm256_cmpeq_epi64(next, *cur);
-                            let sm = _mm256_movemask_epi8(settled);
-                            done[gi] = sm == -1;
-                            unsettled |= sm ^ -1;
-                            *cur = next;
-                        }
-                        if unsettled == 0 {
-                            break; // whole block settled on leaves
-                        }
-                    }
-                    for (gi, cur) in idx[..groups].iter().enumerate() {
-                        let leaves = _mm256_i64gather_pd::<8>(self.leaf.as_ptr(), *cur);
-                        let acc = _mm256_loadu_pd(chunk.as_ptr().add(gi * 4));
-                        _mm256_storeu_pd(
-                            chunk.as_mut_ptr().add(gi * 4),
-                            _mm256_add_pd(acc, leaves),
-                        );
-                    }
-                    // scalar tail: same ops, same bits
-                    for k in groups * 4..chunk.len() {
-                        let row = &rows[k * self.stride..(k + 1) * self.stride];
-                        let mut at = root;
-                        for _ in 0..self.depths[ti] {
-                            let nd = &self.masks[at as usize];
-                            let g = row[(nd.meta >> 48) as usize];
-                            let b = (nd.mask >> g) & 1;
-                            let next = ((nd.meta >> (24 & b.wrapping_sub(1))) & 0xFF_FFFF) as u32;
-                            if next == at {
-                                break;
-                            }
-                            at = next;
-                        }
-                        chunk[k] += self.leaf[at as usize];
-                    }
-                }
-            }
-            cell.replace(genes32);
-        });
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
-    }
-
-    /// 32-bit mask-mode AVX2 kernel: **eight** rows per vector on
-    /// `epi32` lanes. A step needs two half-width record gathers (each
-    /// 8-byte node is one 64-bit gather lane) plus the gene gather — 3
-    /// gathers per 8 rows, where the 16-byte mask kernel spends 3 per 4
-    /// rows, halving gather issue (the binding resource of traversal on
-    /// gather-weak cores). The children are root-relative 13-bit fields
-    /// selected with `vpblendvb` and re-based by one `vpaddd`; every
-    /// lane performs exactly the scalar step, so bits match.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available, `genes` passed
-    /// [`GatherForest::check_genes`], and `masks32` is non-empty.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn predict_mask32_avx2(&self, genes: &[u16], out: &mut Vec<f64>) {
-        use std::arch::x86_64::*;
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        GENES32.with(|cell| {
-            let mut genes32 = cell.take();
-            for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-                let rows = &genes[b * BLOCK * self.stride..];
-                genes32.clear();
-                genes32.extend(rows[..chunk.len() * self.stride].iter().map(|&g| g as u32));
+                genes32.extend(rows.iter().map(|&g| g as u32));
                 let groups = chunk.len() / 8;
-                let stride = self.stride as i32;
-                let node_base = self.masks32.as_ptr() as *const i64;
-                let one = _mm256_set1_epi32(1);
-                let m13 = _mm256_set1_epi32(0x1FFF);
-                let lane = _mm256_mullo_epi32(
-                    _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                    _mm256_set1_epi32(stride),
-                );
-                for (ti, &root) in self.roots.iter().enumerate() {
+                for (&root, &depth) in self.roots.iter().zip(&self.depths) {
                     let root8 = _mm256_set1_epi32(root as i32);
                     let mut idx = [root8; BLOCK / 8];
-                    // Per-group settle tracking: a group whose eight lanes
-                    // all reached leaves stops gathering while straggler
-                    // groups keep walking — settled lanes only self-loop,
-                    // so skipping them cannot change any bit.
-                    let mut done = [false; BLOCK / 8];
-                    for _ in 0..self.depths[ti] {
+                    let mut settled = [false; BLOCK / 8];
+                    for _ in 0..depth {
                         let mut unsettled = 0i32;
                         for (gi, cur) in idx[..groups].iter_mut().enumerate() {
-                            if done[gi] {
+                            if settled[gi] {
                                 continue;
                             }
                             let row_base =
@@ -1188,9 +697,8 @@ impl GatherForest {
                             // is a 32-bit select
                             let rel = _mm256_blendv_epi8(r, l, go_left);
                             let next = _mm256_add_epi32(root8, rel);
-                            let settled = _mm256_cmpeq_epi32(next, *cur);
-                            let sm = _mm256_movemask_epi8(settled);
-                            done[gi] = sm == -1;
+                            let sm = _mm256_movemask_epi8(_mm256_cmpeq_epi32(next, *cur));
+                            settled[gi] = sm == -1;
                             unsettled |= sm ^ -1;
                             *cur = next;
                         }
@@ -1212,70 +720,51 @@ impl GatherForest {
                         let p = p.add(4);
                         _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), leaves_hi));
                     }
-                    // scalar tail: same ops, same bits
-                    for k in groups * 8..chunk.len() {
-                        let row = &rows[k * self.stride..(k + 1) * self.stride];
-                        let mut at = root;
-                        for _ in 0..self.depths[ti] {
-                            let nd = &self.masks32[at as usize];
-                            let g = row[(nd.meta >> 26) as usize];
-                            let b = (nd.mask >> g) & 1;
-                            let next = root + ((nd.meta >> (13 & b.wrapping_neg())) & 0x1FFF);
-                            if next == at {
-                                break;
-                            }
-                            at = next;
-                        }
-                        chunk[k] += self.leaf[at as usize];
-                    }
                 }
             }
             cell.replace(genes32);
         });
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
+        simd_rows
     }
 
-    /// Four rows per instruction stream: lane indices advance through
-    /// `vgatherqpd`/`vpgatherqd` loads, the compare is `vcmppd` and the
-    /// child select `vblendvpd` — the exact operations of the scalar
-    /// kernel, so every lane is bit-identical to it.
+    /// Quant AVX2 kernel: four rows per vector on 64-bit lanes. A step
+    /// needs two gathers for the 16-byte record (`key`/`children`), the
+    /// gene gather and one 32-bit rank gather; the compare is an integer
+    /// `vpcmpgtq` against the threshold rank, so the float unit stays
+    /// idle. Same loop shape and settled-group skip as the mask32 kernel.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available and `genes` passed
     /// [`GatherForest::check_genes`].
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn predict_avx2(&self, genes: &[u16], out: &mut Vec<f64>) {
+    unsafe fn quant_avx2(
+        &self,
+        nodes: &[QuantNode],
+        ranks: &[u32],
+        genes: &[u16],
+        out: &mut [f64],
+    ) -> usize {
         use std::arch::x86_64::*;
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
+        let simd_rows = out.len() / 4 * 4;
         GENES32.with(|cell| {
             let mut genes32 = cell.take();
-            for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-                let rows = &genes[b * BLOCK * self.stride..];
-                // widen this block's genes once so lane loads are 32-bit
+            let stride = self.stride as i64;
+            let node_base = nodes.as_ptr() as *const i64;
+            let lo32 = _mm256_set1_epi64x(0xFFFF_FFFF);
+            let m16 = _mm256_set1_epi64x(0xFFFF);
+            for (b, chunk) in out[..simd_rows].chunks_mut(BLOCK).enumerate() {
+                let rows = &genes[b * BLOCK * self.stride..][..chunk.len() * self.stride];
                 genes32.clear();
-                genes32.extend(rows[..chunk.len() * self.stride].iter().map(|&g| g as u32));
+                genes32.extend(rows.iter().map(|&g| g as u32));
                 let groups = chunk.len() / 4;
-                let stride = self.stride as i64;
-                for (ti, &root) in self.roots.iter().enumerate() {
-                    // Batch-major like the scalar kernel: the depth loop
-                    // is outer and every step level walks ALL lane groups
-                    // of the block, so the per-step gather chains of the
-                    // groups are independent and overlap in flight
-                    // (gather latency is hidden by breadth, not lanes).
+                for (&root, &depth) in self.roots.iter().zip(&self.depths) {
                     let mut idx = [_mm256_set1_epi64x(root as i64); BLOCK / 4];
-                    // settled groups stop gathering (self-loops only)
-                    let mut done = [false; BLOCK / 4];
-                    let node_base = self.nodes.as_ptr() as *const f64;
-                    let lo32 = _mm256_set1_epi64x(0xFFFF_FFFF);
-                    for _ in 0..self.depths[ti] {
+                    let mut settled = [false; BLOCK / 4];
+                    for _ in 0..depth {
                         let mut unsettled = 0i32;
                         for (gi, cur) in idx[..groups].iter_mut().enumerate() {
-                            if done[gi] {
+                            if settled[gi] {
                                 continue;
                             }
                             let base = (gi * 4) as i64 * stride;
@@ -1285,34 +774,33 @@ impl GatherForest {
                                 base + stride,
                                 base,
                             );
-                            // packed 24-byte records: field f of node i
-                            // lives at 64-bit offset 3*i + f
-                            let n3 = _mm256_add_epi64(_mm256_add_epi64(*cur, *cur), *cur);
-                            let t = _mm256_i64gather_pd::<8>(node_base, n3);
-                            let slot_off =
-                                _mm256_i64gather_epi64::<8>((node_base as *const i64).add(1), n3);
-                            let children =
-                                _mm256_i64gather_epi64::<8>((node_base as *const i64).add(2), n3);
-                            let gpos =
-                                _mm256_add_epi64(row_base, _mm256_srli_epi64::<32>(slot_off));
+                            // 16-byte records: field f of node i is the
+                            // 64-bit word at 2*i + f
+                            let n2 = _mm256_slli_epi64::<1>(*cur);
+                            let key = _mm256_i64gather_epi64::<8>(node_base, n2);
+                            let children = _mm256_i64gather_epi64::<8>(node_base.add(1), n2);
+                            let slot = _mm256_srli_epi64::<48>(key);
+                            let gpos = _mm256_add_epi64(row_base, slot);
                             let gene =
                                 _mm256_i64gather_epi32::<4>(genes32.as_ptr() as *const i32, gpos);
-                            let vidx = _mm256_add_epi64(
-                                _mm256_and_si256(slot_off, lo32),
+                            let rpos = _mm256_add_epi64(
+                                _mm256_and_si256(key, lo32),
                                 _mm256_cvtepu32_epi64(gene),
                             );
-                            let x = _mm256_i64gather_pd::<8>(self.values.as_ptr(), vidx);
-                            let go_left = _mm256_cmp_pd::<_CMP_LE_OQ>(x, t);
+                            let rank =
+                                _mm256_i64gather_epi32::<4>(ranks.as_ptr() as *const i32, rpos);
+                            let thresh = _mm256_and_si256(_mm256_srli_epi64::<32>(key), m16);
+                            // both operands < 2^16, so signed compare is safe
+                            let go_left = _mm256_cmpgt_epi64(thresh, _mm256_cvtepu32_epi64(rank));
                             let l = _mm256_and_si256(children, lo32);
                             let r = _mm256_srli_epi64::<32>(children);
                             let next = _mm256_castpd_si256(_mm256_blendv_pd(
                                 _mm256_castsi256_pd(r),
                                 _mm256_castsi256_pd(l),
-                                go_left,
+                                _mm256_castsi256_pd(go_left),
                             ));
-                            let settled = _mm256_cmpeq_epi64(next, *cur);
-                            let sm = _mm256_movemask_epi8(settled);
-                            done[gi] = sm == -1;
+                            let sm = _mm256_movemask_epi8(_mm256_cmpeq_epi64(next, *cur));
+                            settled[gi] = sm == -1;
                             unsettled |= sm ^ -1;
                             *cur = next;
                         }
@@ -1322,88 +810,42 @@ impl GatherForest {
                     }
                     for (gi, cur) in idx[..groups].iter().enumerate() {
                         let leaves = _mm256_i64gather_pd::<8>(self.leaf.as_ptr(), *cur);
-                        let acc = _mm256_loadu_pd(chunk.as_ptr().add(gi * 4));
-                        _mm256_storeu_pd(
-                            chunk.as_mut_ptr().add(gi * 4),
-                            _mm256_add_pd(acc, leaves),
-                        );
-                    }
-                    // scalar tail: same ops, same bits
-                    for k in groups * 4..chunk.len() {
-                        let row = &rows[k * self.stride..(k + 1) * self.stride];
-                        let mut at = root;
-                        for _ in 0..self.depths[ti] {
-                            let nd = &self.nodes[at as usize];
-                            let g = row[(nd.slot_off >> 32) as usize] as u64;
-                            let xv = self.values[((nd.slot_off & 0xFFFF_FFFF) + g) as usize];
-                            let b = (xv <= nd.threshold) as u64;
-                            let next = (nd.children >> (32 & b.wrapping_sub(1))) as u32;
-                            if next == at {
-                                break;
-                            }
-                            at = next;
-                        }
-                        chunk[k] += self.leaf[at as usize];
+                        let p = chunk.as_mut_ptr().add(gi * 4);
+                        _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), leaves));
                     }
                 }
             }
             cell.replace(genes32);
         });
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
+        simd_rows
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 thread_local! {
-    /// Reusable widened-gene scratch for the AVX2 kernel (one block).
+    /// Reusable widened-gene scratch for the AVX2 kernels (one block).
     static GENES32: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Whether the SIMD gather kernel is allowed (`AUTOAX_FOREST_SIMD=0`
-/// forces the scalar kernel — a measurement/debug escape hatch; both
-/// kernels are bit-identical). Read once per process.
-#[cfg(target_arch = "x86_64")]
-fn simd_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("AUTOAX_FOREST_SIMD").map_or(true, |v| v.trim() != "0"))
-}
-
-/// Whether the quantized-rank kernels are allowed
-/// (`AUTOAX_FOREST_QUANT=0` forces the float value-gather kernels — an
-/// A/B measurement escape hatch; both paths are bit-identical). Read
-/// once per process.
-fn quant_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("AUTOAX_FOREST_QUANT").map_or(true, |v| v.trim() != "0"))
-}
-
-/// Whether the 8-byte/8-lane mask32 kernels are allowed
-/// (`AUTOAX_FOREST_MASK32=0` falls back to the 16-byte mask kernels —
-/// an A/B measurement escape hatch; both paths are bit-identical).
-/// Read once per process.
-fn mask32_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("AUTOAX_FOREST_MASK32").map_or(true, |v| v.trim() != "0"))
 }
 
 /// FNV-1a 64 running hash.
 struct Fnv(u64);
 
 impl Fnv {
+    const PRIME: u64 = 0x100_0000_01B3;
+
     fn new() -> Self {
         Fnv(0xCBF2_9CE4_8422_2325)
     }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1_0000_0000_01B3);
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
         }
     }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
     fn u32(&mut self, v: u32) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1_0000_0000_01B3);
-        }
+        self.bytes(&v.to_le_bytes());
     }
 }
 
@@ -1411,6 +853,7 @@ impl Fnv {
 mod tests {
     use super::*;
     use crate::engine::Regressor;
+    use crate::linalg::Matrix;
     use crate::tree::TreeConfig;
     use proptest::prelude::*;
 
@@ -1435,37 +878,100 @@ mod tests {
         f
     }
 
-    #[test]
-    fn matrix_kernel_matches_pointer_walk_bitwise() {
-        let f = fit_forest(120, 4, 17, 9);
-        let cf = CompiledForest::from_forest(&f).unwrap();
-        let mut st = 5u64;
-        let rows: Vec<Vec<f64>> = (0..97)
-            .map(|_| (0..4).map(|_| lcg(&mut st)).collect())
+    /// `rows` random genomes with `members` choices per slot.
+    fn genomes(rows: usize, stride: usize, members: usize, st: &mut u64) -> Vec<u16> {
+        (0..rows * stride)
+            .map(|_| (lcg(st) * members as f64) as u16 % members as u16)
+            .collect()
+    }
+
+    /// A random gather layout: `members` choices per slot, one feature
+    /// per (slot, lane) pair like the estimator's hw table.
+    fn random_layout(stride: usize, lanes: usize, members: usize, st: &mut u64) -> GatherLayout {
+        let n_feats = stride * lanes;
+        GatherLayout {
+            stride,
+            slot_of: (0..n_feats).map(|f| (f / lanes) as u32).collect(),
+            values: (0..n_feats)
+                .map(|_| (0..members).map(|_| lcg(st)).collect())
+                .collect(),
+        }
+    }
+
+    /// Materializes the feature matrix a layout + genome slab implies —
+    /// the rows the pointer-walk oracle predicts.
+    fn materialize(layout: &GatherLayout, genes: &[u16]) -> Matrix {
+        let rows: Vec<Vec<f64>> = genes
+            .chunks_exact(layout.stride)
+            .map(|row| {
+                (0..layout.values.len())
+                    .map(|f| layout.values[f][row[layout.slot_of[f] as usize] as usize])
+                    .collect()
+            })
             .collect();
-        let x = Matrix::from_rows(&rows);
-        let mut out = Vec::new();
-        cf.predict_matrix_into(&x, &mut out);
-        assert_eq!(out.len(), 97);
-        for (row, got) in rows.iter().zip(&out) {
-            assert_eq!(got.to_bits(), f.predict_row(row).to_bits());
+        Matrix::from_rows(&rows)
+    }
+
+    /// Fits a forest on `rows` random genomes of `layout` (target: a
+    /// weighted feature sum, so every feature matters) and bakes it.
+    fn fit_and_bake(
+        layout: &GatherLayout,
+        members: usize,
+        rows: usize,
+        (seed, trees, depth): (u64, usize, usize),
+        st: &mut u64,
+    ) -> (RandomForest, GatherForest) {
+        let xt = materialize(layout, &genomes(rows, layout.stride, members, st));
+        let y: Vec<f64> = xt
+            .rows_iter()
+            .map(|r| {
+                r.iter()
+                    .enumerate()
+                    .map(|(j, v)| v * ((j % 3) as f64 + 1.0))
+                    .sum()
+            })
+            .collect();
+        let mut f = RandomForest::new(seed).with_trees(trees);
+        f.tree_config.max_depth = depth;
+        f.fit(&xt, &y).unwrap();
+        let gf = CompiledForest::from_forest(&f)
+            .unwrap()
+            .bake_gather(layout)
+            .unwrap();
+        (f, gf)
+    }
+
+    /// Asserts the dispatched kernel (AVX2 where available) and the
+    /// scalar walker both reproduce `model`'s pointer walk bit for bit.
+    fn assert_pointer_walk(
+        model: &dyn Regressor,
+        gf: &GatherForest,
+        layout: &GatherLayout,
+        genes: &[u16],
+    ) {
+        let (mut fused, mut scalar) = (Vec::new(), Vec::new());
+        gf.predict_genomes_into(genes, &mut fused);
+        gf.predict(genes, &mut scalar, false);
+        let x = materialize(layout, genes);
+        assert_eq!(fused.len(), x.nrows());
+        for (i, row) in x.rows_iter().enumerate() {
+            let want = model.predict_row(row).to_bits();
+            assert_eq!(fused[i].to_bits(), want, "dispatched row {i}");
+            assert_eq!(scalar[i].to_bits(), want, "scalar row {i}");
         }
     }
 
     #[test]
     fn single_tree_compiles_with_exact_division() {
-        let f = fit_forest(60, 3, 1, 30);
-        let tree = &f.fitted_trees()[0];
-        let cf = CompiledForest::from_tree(tree).unwrap();
         let mut st = 9u64;
-        let rows: Vec<Vec<f64>> = (0..33)
-            .map(|_| (0..3).map(|_| lcg(&mut st)).collect())
-            .collect();
-        let mut out = Vec::new();
-        cf.predict_matrix_into(&Matrix::from_rows(&rows), &mut out);
-        for (row, got) in rows.iter().zip(&out) {
-            assert_eq!(got.to_bits(), tree.predict_row(row).to_bits());
-        }
+        let layout = random_layout(3, 1, 6, &mut st);
+        let (f, _) = fit_and_bake(&layout, 6, 60, (4, 1, 30), &mut st);
+        let tree = &f.fitted_trees()[0];
+        let gf = CompiledForest::from_tree(tree)
+            .unwrap()
+            .bake_gather(&layout)
+            .unwrap();
+        assert_pointer_walk(tree, &gf, &layout, &genomes(33, 3, 6, &mut st));
     }
 
     #[test]
@@ -1516,137 +1022,31 @@ mod tests {
         );
     }
 
-    /// A random gather layout: `members` choices per slot, one feature
-    /// per (slot, lane) pair like the estimator's hw table.
-    fn random_layout(stride: usize, lanes: usize, members: usize, st: &mut u64) -> GatherLayout {
-        let n_feats = stride * lanes;
-        GatherLayout {
-            stride,
-            slot_of: (0..n_feats).map(|f| (f / lanes) as u32).collect(),
-            values: (0..n_feats)
-                .map(|_| (0..members).map(|_| lcg(st)).collect())
-                .collect(),
-        }
-    }
-
-    /// Materializes the feature matrix a layout + genome slab implies —
-    /// the oracle the fused kernel must match bitwise.
-    fn materialize(layout: &GatherLayout, genes: &[u16]) -> Matrix {
-        let rows: Vec<Vec<f64>> = genes
-            .chunks_exact(layout.stride)
-            .map(|row| {
-                (0..layout.values.len())
-                    .map(|f| layout.values[f][row[layout.slot_of[f] as usize] as usize])
-                    .collect()
-            })
-            .collect();
-        Matrix::from_rows(&rows)
+    #[test]
+    fn fnv_matches_the_fnv1a_64_known_answer() {
+        let mut h = Fnv::new();
+        h.u32(u32::from_le_bytes(*b"abcd"));
+        assert_eq!(h.0, 0xfc17_9f83_ee07_24dd);
     }
 
     #[test]
     fn fused_kernel_matches_matrix_path_bitwise() {
         let mut st = 77u64;
-        let stride = 5;
-        let lanes = 3;
-        let members = 6;
-        let layout = random_layout(stride, lanes, members, &mut st);
-        // fit on materialized features so the tree actually uses them
-        let train_genes: Vec<u16> = (0..200 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train_genes);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(3).with_trees(12);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        let genes: Vec<u16> = (0..131 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let x = materialize(&layout, &genes);
-        let mut fused = Vec::new();
-        gf.predict_genomes_into(&genes, &mut fused);
-        let mut scalar = Vec::new();
-        gf.predict_genomes_scalar_into(&genes, &mut scalar);
-        assert_eq!(fused.len(), 131);
-        for (i, row) in x.rows_iter().enumerate() {
-            let want = f.predict_row(row).to_bits();
-            assert_eq!(fused[i].to_bits(), want, "fused row {i}");
-            assert_eq!(scalar[i].to_bits(), want, "scalar row {i}");
-        }
-    }
-
-    #[test]
-    fn wide_slots_fall_back_to_the_gather_kernel_bitwise() {
-        // one slot with > 64 members: the mask encoding cannot hold it,
-        // so the value-gather kernels must carry the prediction (and
-        // still match the pointer walk exactly)
-        let mut st = 13u64;
-        let members = 70;
-        let layout = random_layout(3, 2, members, &mut st);
-        let train: Vec<u16> = (0..120 * 3)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(11).with_trees(9);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        assert!(gf.masks.is_empty(), "70-member slots must disable masks");
-        let genes: Vec<u16> = (0..77 * 3)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let x = materialize(&layout, &genes);
-        let mut fused = Vec::new();
-        gf.predict_genomes_into(&genes, &mut fused);
-        for (i, row) in x.rows_iter().enumerate() {
-            assert_eq!(fused[i].to_bits(), f.predict_row(row).to_bits(), "row {i}");
-        }
+        let layout = random_layout(5, 3, 6, &mut st);
+        let (f, gf) = fit_and_bake(&layout, 6, 200, (3, 12, 30), &mut st);
+        assert_pointer_walk(&f, &gf, &layout, &genomes(131, 5, 6, &mut st));
     }
 
     #[test]
     fn quantized_kernel_engages_for_wide_slots_and_matches_bitwise() {
-        // Slots above the 64-member mask budget must bake the quantized
-        // rank encoding and predict identically to both the float scalar
-        // oracle and the source forest's pointer walk.
-        let mut st = 29u64;
-        let members = 90;
-        let layout = random_layout(4, 2, members, &mut st);
-        let train: Vec<u16> = (0..160 * 4)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(5).with_trees(11);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        assert!(gf.masks.is_empty(), "90-member slots must disable masks");
-        assert!(!gf.quants.is_empty(), "quant encoding must engage");
-        assert_eq!(gf.engine(), "quant");
-        let genes: Vec<u16> = (0..133 * 4)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let x = materialize(&layout, &genes);
-        let mut quant = Vec::new();
-        gf.predict_genomes_into(&genes, &mut quant);
-        let mut float_oracle = Vec::new();
-        gf.predict_genomes_scalar_into(&genes, &mut float_oracle);
-        let mut quant_scalar = Vec::new();
-        gf.check_genes(&genes);
-        gf.predict_quant_scalar(&genes, &mut quant_scalar);
-        for (i, row) in x.rows_iter().enumerate() {
-            let want = f.predict_row(row).to_bits();
-            assert_eq!(quant[i].to_bits(), want, "quant row {i}");
-            assert_eq!(float_oracle[i].to_bits(), want, "float row {i}");
-            assert_eq!(quant_scalar[i].to_bits(), want, "quant scalar row {i}");
+        // Slots beyond the 32-member mask budget must bake the quant
+        // encoding, mid-width (40) and wide (90) alike.
+        for members in [40, 90] {
+            let mut st = 29u64;
+            let layout = random_layout(4, 2, members, &mut st);
+            let (f, gf) = fit_and_bake(&layout, members, 160, (5, 11, 30), &mut st);
+            assert_eq!(gf.engine(), "quant", "{members} members");
+            assert_pointer_walk(&f, &gf, &layout, &genomes(133, 4, members, &mut st));
         }
     }
 
@@ -1656,8 +1056,7 @@ mod tests {
         // split thresholds routinely land ON a duplicated value. The rank
         // compare must classify the whole duplicate run as one side.
         let mut st = 91u64;
-        let members = 80;
-        let stride = 3;
+        let (members, stride) = (80, 3);
         let n_feats = stride * 2;
         let layout = GatherLayout {
             stride,
@@ -1670,108 +1069,40 @@ mod tests {
                 })
                 .collect(),
         };
-        let train: Vec<u16> = (0..140 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
-        let y: Vec<f64> = xt
-            .rows_iter()
-            .map(|r| r.iter().enumerate().map(|(j, v)| v * (j + 1) as f64).sum())
-            .collect();
-        let mut f = RandomForest::new(17).with_trees(7);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
+        let (f, gf) = fit_and_bake(&layout, members, 140, (17, 7, 30), &mut st);
         assert_eq!(gf.engine(), "quant");
-        let genes: Vec<u16> = (0..101 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let mut quant = Vec::new();
-        gf.predict_genomes_into(&genes, &mut quant);
-        let mut float_oracle = Vec::new();
-        gf.predict_genomes_scalar_into(&genes, &mut float_oracle);
-        for i in 0..quant.len() {
-            assert_eq!(quant[i].to_bits(), float_oracle[i].to_bits(), "row {i}");
-        }
+        assert_pointer_walk(&f, &gf, &layout, &genomes(101, stride, members, &mut st));
     }
 
     #[test]
     fn mask32_kernel_engages_for_narrow_slots_and_matches_bitwise() {
-        // ≤ 32 members per slot: the 8-byte record encoding must engage
-        // and every kernel (dispatched, mask32 scalar, mask64 scalar,
-        // float scalar) must reproduce the pointer walk bit for bit.
         let mut st = 41u64;
         let members = 13; // paper-scale slot width (quick Sobel: ≤ 13)
-        let stride = 5;
-        let layout = random_layout(stride, 2, members, &mut st);
-        let train: Vec<u16> = (0..150 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(7).with_trees(13);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        assert!(!gf.masks32.is_empty(), "mask32 encoding must engage");
-        assert!(!gf.masks.is_empty(), "mask64 fallback records still built");
+        let layout = random_layout(5, 2, members, &mut st);
+        let (f, gf) = fit_and_bake(&layout, members, 150, (7, 13, 30), &mut st);
         assert_eq!(gf.engine(), "mask32");
-        let genes: Vec<u16> = (0..131 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let x = materialize(&layout, &genes);
-        let mut dispatched = Vec::new();
-        gf.predict_genomes_into(&genes, &mut dispatched);
-        let mut float_oracle = Vec::new();
-        gf.predict_genomes_scalar_into(&genes, &mut float_oracle);
-        gf.check_genes(&genes);
-        let mut m32 = Vec::new();
-        gf.predict_mask32_scalar(&genes, &mut m32);
-        let mut m64 = Vec::new();
-        gf.predict_mask_scalar(&genes, &mut m64);
-        for (i, row) in x.rows_iter().enumerate() {
-            let want = f.predict_row(row).to_bits();
-            assert_eq!(dispatched[i].to_bits(), want, "dispatched row {i}");
-            assert_eq!(float_oracle[i].to_bits(), want, "float row {i}");
-            assert_eq!(m32[i].to_bits(), want, "mask32 scalar row {i}");
-            assert_eq!(m64[i].to_bits(), want, "mask64 scalar row {i}");
-        }
+        assert_pointer_walk(&f, &gf, &layout, &genomes(131, 5, members, &mut st));
     }
 
     #[test]
-    fn mid_width_slots_use_mask64_records_bitwise() {
-        // 33..=64 members: beyond the u32 mask but within the u64 one —
-        // masks32 must stay empty and the 16-byte mask kernel carries
-        // the prediction, still matching the pointer walk exactly.
-        let mut st = 59u64;
-        let members = 40;
-        let layout = random_layout(3, 2, members, &mut st);
-        let train: Vec<u16> = (0..130 * 3)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(23).with_trees(9);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        assert!(gf.masks32.is_empty(), "40-member slots must disable mask32");
-        assert!(!gf.masks.is_empty(), "mask64 must still engage");
-        assert_eq!(gf.engine(), "mask");
-        let genes: Vec<u16> = (0..97 * 3)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let x = materialize(&layout, &genes);
-        let mut fused = Vec::new();
-        gf.predict_genomes_into(&genes, &mut fused);
-        for (i, row) in x.rows_iter().enumerate() {
-            assert_eq!(fused[i].to_bits(), f.predict_row(row).to_bits(), "row {i}");
+    fn oversized_tables_fit_no_encoding() {
+        // One slot whose table has 65,536 entries: too wide for mask32,
+        // and its ranks (and the threshold count) overflow u16 — the bake
+        // must refuse so the estimator keeps the matrix path. One entry
+        // fewer still bakes quant.
+        let f = fit_forest(40, 1, 2, 3);
+        let cf = CompiledForest::from_forest(&f).unwrap();
+        for (entries, fits) in [(65_535, true), (65_536, false)] {
+            let layout = GatherLayout {
+                stride: 1,
+                slot_of: vec![0],
+                values: vec![(0..entries).map(|g| g as f64 / entries as f64).collect()],
+            };
+            let baked = cf.bake_gather(&layout);
+            assert_eq!(baked.is_ok(), fits, "{entries} entries");
+            if let Ok(gf) = baked {
+                assert_eq!(gf.engine(), "quant");
+            }
         }
     }
 
@@ -1792,37 +1123,23 @@ mod tests {
 
     #[test]
     fn stats_kernel_matches_brute_force_mean_and_variance() {
-        let mut st = 31u64;
-        let stride = 4;
-        let members = 5;
-        let layout = random_layout(stride, 2, members, &mut st);
-        let train_genes: Vec<u16> = (0..150 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train_genes);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(9).with_trees(13);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        // 131 rows straddles the BLOCK boundary, exercising the tail
-        let genes: Vec<u16> = (0..131 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let x = materialize(&layout, &genes);
-        let (mut mean, mut var) = (Vec::new(), Vec::new());
-        gf.predict_genomes_stats_into(&genes, &mut mean, &mut var);
-        let mut scalar = Vec::new();
-        gf.predict_genomes_scalar_into(&genes, &mut scalar);
-        for (i, row) in x.rows_iter().enumerate() {
-            assert_eq!(mean[i].to_bits(), scalar[i].to_bits(), "mean row {i}");
-            assert_eq!(
-                var[i].to_bits(),
-                f.predict_variance_row(row).to_bits(),
-                "variance row {i}"
-            );
+        // 5 members bake mask32, 40 and 90 bake quant
+        for (members, engine) in [(5, "mask32"), (40, "quant"), (90, "quant")] {
+            let mut st = 31u64;
+            let stride = 4;
+            let layout = random_layout(stride, 2, members, &mut st);
+            let (f, gf) = fit_and_bake(&layout, members, 150, (9, 13, 30), &mut st);
+            assert_eq!(gf.engine(), engine, "{members} members");
+            // 131 rows straddles the BLOCK boundary, exercising the tail
+            let genes = genomes(131, stride, members, &mut st);
+            let (mut mean, mut var) = (Vec::new(), Vec::new());
+            gf.predict_genomes_stats_into(&genes, &mut mean, &mut var);
+            let x = materialize(&layout, &genes);
+            for (i, row) in x.rows_iter().enumerate() {
+                let (m, v) = (f.predict_row(row), f.predict_variance_row(row));
+                assert_eq!(mean[i].to_bits(), m.to_bits(), "{members}: mean row {i}");
+                assert_eq!(var[i].to_bits(), v.to_bits(), "{members}: variance row {i}");
+            }
         }
     }
 
@@ -1830,22 +1147,9 @@ mod tests {
     fn stats_kernel_variance_is_zero_for_a_single_tree() {
         let mut st = 8u64;
         let layout = random_layout(3, 1, 4, &mut st);
-        let train_genes: Vec<u16> = (0..60 * 3)
-            .map(|_| (lcg(&mut st) * 4.0) as u16 % 4)
-            .collect();
-        let xt = materialize(&layout, &train_genes);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(2).with_trees(1);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        let genes: Vec<u16> = (0..20 * 3)
-            .map(|_| (lcg(&mut st) * 4.0) as u16 % 4)
-            .collect();
+        let (_, gf) = fit_and_bake(&layout, 4, 60, (2, 1, 30), &mut st);
         let (mut mean, mut var) = (Vec::new(), Vec::new());
-        gf.predict_genomes_stats_into(&genes, &mut mean, &mut var);
+        gf.predict_genomes_stats_into(&genomes(20, 3, 4, &mut st), &mut mean, &mut var);
         assert!(var.iter().all(|&v| v == 0.0), "single tree has no spread");
         assert_eq!(mean.len(), 20);
     }
@@ -1853,108 +1157,54 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The compiled kernels are bitwise identical to the pointer walk
-        /// across random tree depths, widths, batch sizes and both the
-        /// matrix and the fused gather path (SIMD and scalar).
+        /// The mask32 kernels (dispatched and scalar walker) are bitwise
+        /// identical to the pointer walk across random tree depths, every
+        /// slot width inside the u32 mask budget, and batch sizes —
+        /// including batches straddling the traversal block and the
+        /// 8-lane group tails.
         #[test]
         fn compiled_paths_match_pointer_walk(
             seed in 0u64..1000,
             trees in 1usize..14,
             depth in 1usize..12,
             stride in 1usize..6,
-            members in 2usize..7,
+            members in 2usize..33,
             batch in 1usize..150,
         ) {
             let mut st = seed.wrapping_mul(2654435761).wrapping_add(1);
             let layout = random_layout(stride, 2, members, &mut st);
-            let train: Vec<u16> = (0..90 * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let xt = materialize(&layout, &train);
-            let y: Vec<f64> = xt
-                .rows_iter()
-                .map(|r| r.iter().enumerate().map(|(j, v)| v * ((j % 3) as f64 + 1.0)).sum())
-                .collect();
-            let mut f = RandomForest::new(seed).with_trees(trees);
-            f.tree_config.max_depth = depth;
-            f.fit(&xt, &y).unwrap();
-            let cf = CompiledForest::from_forest(&f).unwrap();
-            let gf = cf.bake_gather(&layout).unwrap();
-            let genes: Vec<u16> = (0..batch * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let x = materialize(&layout, &genes);
-            let mut m_out = Vec::new();
-            cf.predict_matrix_into(&x, &mut m_out);
-            let mut fused = Vec::new();
-            gf.predict_genomes_into(&genes, &mut fused);
-            let mut scalar = Vec::new();
-            gf.predict_genomes_scalar_into(&genes, &mut scalar);
-            for (i, row) in x.rows_iter().enumerate() {
-                let want = f.predict_row(row).to_bits();
-                prop_assert_eq!(m_out[i].to_bits(), want);
-                prop_assert_eq!(fused[i].to_bits(), want);
-                prop_assert_eq!(scalar[i].to_bits(), want);
-            }
+            let (f, gf) = fit_and_bake(&layout, members, 90, (seed, trees, depth), &mut st);
+            prop_assert_eq!(gf.engine(), "mask32");
+            assert_pointer_walk(&f, &gf, &layout, &genomes(batch, stride, members, &mut st));
         }
 
-        /// The quantized-rank kernels (scalar and, where available, AVX2)
-        /// are bitwise identical to the float-compare kernels and the
-        /// pointer walk across slot widths beyond the mask budget, random
-        /// forests and batch sizes — including batches straddling the
-        /// traversal block and SIMD lane-group tails.
+        /// The quant kernels (dispatched and scalar walker) are bitwise
+        /// identical to the pointer walk's float compare across slot
+        /// widths beyond the mask32 budget, random forests and batch
+        /// sizes — including batches straddling the traversal block and
+        /// 4-lane group tails.
         #[test]
         fn quantized_kernels_match_float_compare_bitwise(
             seed in 0u64..1000,
             trees in 1usize..10,
             depth in 1usize..10,
             stride in 1usize..5,
-            members in 65usize..140,
+            members in 33usize..140,
             batch in 1usize..150,
         ) {
             let mut st = seed.wrapping_mul(0x9E3779B9).wrapping_add(7);
             let layout = random_layout(stride, 2, members, &mut st);
-            let train: Vec<u16> = (0..80 * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let xt = materialize(&layout, &train);
-            let y: Vec<f64> = xt
-                .rows_iter()
-                .map(|r| r.iter().enumerate().map(|(j, v)| v * ((j % 2) as f64 + 1.0)).sum())
-                .collect();
-            let mut f = RandomForest::new(seed).with_trees(trees);
-            f.tree_config.max_depth = depth;
-            f.fit(&xt, &y).unwrap();
-            let gf = CompiledForest::from_forest(&f)
-                .unwrap()
-                .bake_gather(&layout)
-                .unwrap();
-            prop_assert!(gf.masks.is_empty());
-            prop_assert!(!gf.quants.is_empty());
-            let genes: Vec<u16> = (0..batch * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let mut dispatched = Vec::new();
-            gf.predict_genomes_into(&genes, &mut dispatched);
-            let mut float_oracle = Vec::new();
-            gf.predict_genomes_scalar_into(&genes, &mut float_oracle);
-            let mut quant_scalar = Vec::new();
-            gf.check_genes(&genes);
-            gf.predict_quant_scalar(&genes, &mut quant_scalar);
-            let x = materialize(&layout, &genes);
-            for (i, row) in x.rows_iter().enumerate() {
-                let want = f.predict_row(row).to_bits();
-                prop_assert_eq!(dispatched[i].to_bits(), want);
-                prop_assert_eq!(float_oracle[i].to_bits(), want);
-                prop_assert_eq!(quant_scalar[i].to_bits(), want);
-            }
+            let (f, gf) = fit_and_bake(&layout, members, 80, (seed, trees, depth), &mut st);
+            prop_assert_eq!(gf.engine(), "quant");
+            assert_pointer_walk(&f, &gf, &layout, &genomes(batch, stride, members, &mut st));
         }
 
-        /// The 8-byte mask32 kernels (scalar and, where available, AVX2
-        /// 8-lane) are bitwise identical to the 16-byte mask kernels and
-        /// the pointer walk across every slot width inside the u32 mask
-        /// budget, random forests and batch sizes — including batches
-        /// straddling the traversal block and the 8-lane group tails.
+        /// The mask32 kernels and a second encoding of the same forest —
+        /// the quant records, force-baked for these narrow slots — both
+        /// match the pointer walk bit for bit (dispatched and scalar
+        /// walker) across every slot width inside the u32 mask budget.
+        /// The name keeps the 16-byte mask encoding that once served as
+        /// the second encoding.
         #[test]
         fn mask32_kernels_match_mask64_and_pointer_walk(
             seed in 0u64..1000,
@@ -1966,40 +1216,14 @@ mod tests {
         ) {
             let mut st = seed.wrapping_mul(0x85EB_CA6B).wrapping_add(3);
             let layout = random_layout(stride, 2, members, &mut st);
-            let train: Vec<u16> = (0..80 * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let xt = materialize(&layout, &train);
-            let y: Vec<f64> = xt
-                .rows_iter()
-                .map(|r| r.iter().enumerate().map(|(j, v)| v * ((j % 2) as f64 + 1.0)).sum())
-                .collect();
-            let mut f = RandomForest::new(seed).with_trees(trees);
-            f.tree_config.max_depth = depth;
-            f.fit(&xt, &y).unwrap();
-            let gf = CompiledForest::from_forest(&f)
-                .unwrap()
-                .bake_gather(&layout)
-                .unwrap();
-            prop_assert!(!gf.masks32.is_empty());
-            prop_assert!(!gf.masks.is_empty());
-            let genes: Vec<u16> = (0..batch * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let mut dispatched = Vec::new();
-            gf.predict_genomes_into(&genes, &mut dispatched);
-            gf.check_genes(&genes);
-            let mut m32 = Vec::new();
-            gf.predict_mask32_scalar(&genes, &mut m32);
-            let mut m64 = Vec::new();
-            gf.predict_mask_scalar(&genes, &mut m64);
-            let x = materialize(&layout, &genes);
-            for (i, row) in x.rows_iter().enumerate() {
-                let want = f.predict_row(row).to_bits();
-                prop_assert_eq!(dispatched[i].to_bits(), want);
-                prop_assert_eq!(m32[i].to_bits(), want);
-                prop_assert_eq!(m64[i].to_bits(), want);
-            }
+            let (f, gf) = fit_and_bake(&layout, members, 80, (seed, trees, depth), &mut st);
+            prop_assert_eq!(gf.engine(), "mask32");
+            let cf = CompiledForest::from_forest(&f).unwrap();
+            let quant = GatherForest { nodes: cf.bake_quant(&layout), ..gf.clone() };
+            prop_assert_eq!(quant.engine(), "quant");
+            let genes = genomes(batch, stride, members, &mut st);
+            assert_pointer_walk(&f, &gf, &layout, &genes);
+            assert_pointer_walk(&f, &quant, &layout, &genes);
         }
     }
 }
