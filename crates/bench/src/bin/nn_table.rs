@@ -16,7 +16,7 @@
 use autoax::pareto::{joint_hypervolumes, ParetoFront, TradeoffPoint};
 use autoax::pipeline::{run_pipeline, PipelineOptions, PipelineResult};
 use autoax::search::SearchAlgo;
-use autoax::{Configuration, RefinementSchedule};
+use autoax::Configuration;
 use autoax_bench::{cache_args, pipeline_record, timings_line, write_bench_section, write_csv};
 use autoax_bench::{Json, Scale};
 use autoax_nn::NnScenario;
@@ -90,12 +90,7 @@ fn main() {
     };
 
     // Accuracy-vs-power fronts per strategy (really evaluated members).
-    type StrategyRun = (
-        SearchAlgo,
-        Vec<(f64, f64)>,
-        Vec<(String, Json)>,
-        Option<[f64; 4]>,
-    );
+    type StrategyRun = (SearchAlgo, Vec<(f64, f64)>, Vec<(String, Json)>);
     let mut fronts: Vec<StrategyRun> = Vec::new();
     for algo in SearchAlgo::ALL {
         let opts = base_opts.clone().with_strategy(algo);
@@ -109,7 +104,7 @@ fn main() {
         };
         let points = acc_power_front(&res);
         println!("    timings: {}", timings_line(&res.timings));
-        let mut record = vec![
+        let record = vec![
             (
                 "pseudo_front".to_string(),
                 Json::int(res.pseudo_front.len() as u64),
@@ -132,130 +127,46 @@ fn main() {
             ),
             ("timings".to_string(), pipeline_record(&res.timings)),
         ];
-
-        // Step 2/3 closure under the strategies that warm-start between
-        // epochs: refined run vs an unrefined baseline spending the same
-        // extra real evals on a bigger initial training set.
-        let refine = if matches!(algo, SearchAlgo::Hill | SearchAlgo::Nsga2) {
-            let sched = RefinementSchedule::quick();
-            let budget = sched.epochs * sched.per_epoch;
-            let refined_opts = PipelineOptions {
-                search: autoax::SearchOptions {
-                    refine: sched,
-                    ..opts.search
-                },
-                ..opts.clone()
-            };
-            let baseline_opts = PipelineOptions {
-                train_configs: opts.train_configs + budget,
-                ..opts.clone()
-            };
-            let refined =
-                run_pipeline(&accel, &lib, &samples, &refined_opts).expect("refined pipeline");
-            let baseline =
-                run_pipeline(&accel, &lib, &samples, &baseline_opts).expect("baseline pipeline");
-            let report = refined.refinement.expect("refined run must carry a report");
-            let (rp, bp) = (acc_power_front(&refined), acc_power_front(&baseline));
-            let to_pts = |pts: &[(f64, f64)]| -> Vec<TradeoffPoint> {
-                pts.iter().map(|&(q, p)| TradeoffPoint::new(q, p)).collect()
-            };
-            let (rt, bt) = (to_pts(&rp), to_pts(&bp));
-            let hv = joint_hypervolumes(&[rt.as_slice(), bt.as_slice()]);
-            println!(
-                "    refine: fidelity qor {:.3} -> {:.3}, hw {:.3} -> {:.3} ({} real evals); \
-                 hv {:.4} vs equal-eval baseline {:.4}",
-                report.before.qor_test,
-                report.after.qor_test,
-                report.before.hw_test,
-                report.after.hw_test,
-                report.real_evals,
-                hv[0],
-                hv[1]
-            );
-            record.push((
-                "refine".to_string(),
-                Json::Obj(vec![
-                    ("fid_qor_before".into(), Json::Num(report.before.qor_test)),
-                    ("fid_qor_after".into(), Json::Num(report.after.qor_test)),
-                    ("fid_hw_before".into(), Json::Num(report.before.hw_test)),
-                    ("fid_hw_after".into(), Json::Num(report.after.hw_test)),
-                    (
-                        "fid_qor_equal_budget_baseline".into(),
-                        Json::Num(baseline.fidelity.qor_test),
-                    ),
-                    (
-                        "fid_hw_equal_budget_baseline".into(),
-                        Json::Num(baseline.fidelity.hw_test),
-                    ),
-                    ("real_evals".into(), Json::int(report.real_evals as u64)),
-                    ("epochs_run".into(), Json::int(report.epochs_run as u64)),
-                    ("hv_refined".into(), Json::Num(hv[0])),
-                    ("hv_equal_eval_baseline".into(), Json::Num(hv[1])),
-                ]),
-            ));
-            Some([report.before.qor_test, report.after.qor_test, hv[0], hv[1]])
-        } else {
-            None
-        };
-        fronts.push((algo, points, record, refine));
+        fronts.push((algo, points, record));
     }
 
     // Hypervolumes on one shared normalization across every strategy.
     let point_sets: Vec<Vec<TradeoffPoint>> = fronts
         .iter()
-        .map(|(_, pts, _, _)| pts.iter().map(|&(q, p)| TradeoffPoint::new(q, p)).collect())
+        .map(|(_, pts, _)| pts.iter().map(|&(q, p)| TradeoffPoint::new(q, p)).collect())
         .collect();
     let refs: Vec<&[TradeoffPoint]> = point_sets.iter().map(|v| v.as_slice()).collect();
     let hv = joint_hypervolumes(&refs);
 
     println!(
         "\nNN DSE: accuracy-vs-power Pareto front per search strategy\n\
-         {:<11} {:>7} {:>10} {:>12} {:>9} {:>19} {:>17}",
-        "Algorithm", "#front", "best-acc", "min-pwr(uW)", "hv", "refine-fid", "refine-hv"
+         {:<11} {:>7} {:>10} {:>12} {:>9}",
+        "Algorithm", "#front", "best-acc", "min-pwr(uW)", "hv"
     );
     let mut rows = Vec::new();
     let mut sections = Vec::new();
-    for ((algo, points, record, refine), &front_hv) in fronts.iter().zip(hv.iter()) {
+    for ((algo, points, record), &front_hv) in fronts.iter().zip(hv.iter()) {
         let best_acc = points.iter().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max);
         let min_power = points.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-        let (fid_col, hv_col) = match refine {
-            Some([fb, fa, hr, hb]) => (format!("{fb:.3} -> {fa:.3}"), format!("{hr:.4} / {hb:.4}")),
-            None => ("-".to_string(), "-".to_string()),
-        };
         println!(
-            "{:<11} {:>7} {:>10.4} {:>12.2} {:>9.5} {:>19} {:>17}",
+            "{:<11} {:>7} {:>10.4} {:>12.2} {:>9.5}",
             algo.name(),
             points.len(),
             best_acc,
             min_power,
-            front_hv,
-            fid_col,
-            hv_col
+            front_hv
         );
         assert!(!points.is_empty(), "{algo}: empty accuracy/power front");
         assert!(
             (0.0..=1.0).contains(&best_acc),
             "{algo}: accuracy out of range"
         );
-        let refine_cols = match refine {
-            Some([fb, fa, hr, hb]) => [
-                format!("{fb:.4}"),
-                format!("{fa:.4}"),
-                format!("{hr:.5}"),
-                format!("{hb:.5}"),
-            ],
-            None => std::array::from_fn(|_| "-".to_string()),
-        };
         rows.push(vec![
             algo.name().to_string(),
             points.len().to_string(),
             format!("{best_acc:.4}"),
             format!("{min_power:.2}"),
             format!("{front_hv:.5}"),
-            refine_cols[0].clone(),
-            refine_cols[1].clone(),
-            refine_cols[2].clone(),
-            refine_cols[3].clone(),
         ]);
         let mut obj = record.clone();
         obj.push(("hypervolume".to_string(), Json::Num(front_hv)));
@@ -263,8 +174,7 @@ fn main() {
     }
     write_csv(
         "nn_table.csv",
-        "algorithm,front,best_accuracy,min_power,hypervolume,\
-         fid_qor_before,fid_qor_after,hv_refined,hv_equal_eval_baseline",
+        "algorithm,front,best_accuracy,min_power,hypervolume",
         &rows,
     );
     write_bench_section("nn_table", &Json::Obj(sections));

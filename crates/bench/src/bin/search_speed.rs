@@ -31,59 +31,12 @@ use autoax::evaluate::Evaluator;
 use autoax::model::{fit_models, EvaluatedSet, ModelEstimator};
 use autoax::preprocess::{preprocess, PreprocessOptions};
 use autoax::search::{run_search, SearchTimings};
-use autoax::{Configuration, ParetoFront, SearchAlgo, SearchOptions};
+use autoax::{SearchAlgo, SearchOptions};
 use autoax_accel::sobel::SobelEd;
-use autoax_bench::{sobel_image_suite, write_bench_section, Json, Scale};
+use autoax_bench::{front_digest, num_arg, sobel_image_suite, write_bench_section, Json, Scale};
 use autoax_circuit::charlib::build_library;
 use autoax_ml::EngineKind;
 use std::time::Instant;
-
-/// Parses `--<name> <x>` / `--<name>=<x>` into a number.
-fn num_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    let eq = format!("--{name}=");
-    let bare = format!("--{name}");
-    for (i, a) in args.iter().enumerate() {
-        let v = if let Some(rest) = a.strip_prefix(&eq) {
-            Some(rest.to_string())
-        } else if *a == bare {
-            args.get(i + 1).cloned()
-        } else {
-            None
-        };
-        if let Some(v) = v {
-            match v.parse() {
-                Ok(n) => return Some(n),
-                Err(_) => panic!("--{name} takes a number, got `{v}`"),
-            }
-        }
-    }
-    None
-}
-
-/// FNV-1a over the front's sorted points and genomes — two fronts hash
-/// equal iff they are bit-identical (same points, same payloads, same
-/// order after the canonical sort).
-fn front_digest(front: &ParetoFront<Configuration>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    let mut rows: Vec<(u64, u64, &Configuration)> = front
-        .iter()
-        .map(|(p, c)| (p.qor.to_bits(), p.cost.to_bits(), c))
-        .collect();
-    rows.sort_by_key(|&(q, c, _)| (q, c));
-    for (q, c, cfg) in rows {
-        eat(q);
-        eat(c);
-        for &g in cfg.genes() {
-            eat(g as u64);
-        }
-    }
-    h
-}
 
 /// One timed search: wall clock plus the per-phase counter delta. The
 /// evals/s denominator is the phase layer's estimate counter — the rows

@@ -15,9 +15,7 @@
 //! cargo run --release -p autoax-bench --bin table5 -- --scale default --cache-dir .axcache
 //! ```
 
-use autoax::pareto::{joint_hypervolumes, TradeoffPoint};
-use autoax::pipeline::{run_pipeline, PipelineOptions, PipelineResult};
-use autoax::RefinementSchedule;
+use autoax::pipeline::{run_pipeline, PipelineOptions};
 use autoax_accel::gaussian_fixed::FixedGaussian;
 use autoax_accel::gaussian_generic::GenericGaussian;
 use autoax_accel::sobel::SobelEd;
@@ -135,54 +133,6 @@ fn main() {
             final_n.to_string(),
         ]);
         println!("    timings: {}", timings_line(&res.timings));
-
-        // Step 2/3 closure: refined run vs an unrefined baseline that
-        // spends the same extra real evals on a bigger initial training
-        // set — fidelity before/after and hypervolume at equal evals.
-        let sched = RefinementSchedule::quick();
-        let budget = sched.epochs * sched.per_epoch;
-        let refined_opts = PipelineOptions {
-            search: autoax::SearchOptions {
-                refine: sched,
-                ..opts.search
-            },
-            ..opts.clone()
-        };
-        let baseline_opts = PipelineOptions {
-            train_configs: opts.train_configs + budget,
-            ..opts.clone()
-        };
-        let refined =
-            run_pipeline(accel.as_ref(), &lib, &images, &refined_opts).expect("refined pipeline");
-        let baseline =
-            run_pipeline(accel.as_ref(), &lib, &images, &baseline_opts).expect("baseline pipeline");
-        let report = refined.refinement.expect("refined run must carry a report");
-        let front_pts = |r: &PipelineResult| -> Vec<TradeoffPoint> {
-            r.final_front
-                .iter()
-                .map(|m| TradeoffPoint::new(m.qor, m.area))
-                .collect()
-        };
-        let rf = front_pts(&refined);
-        let bf = front_pts(&baseline);
-        let hv = joint_hypervolumes(&[rf.as_slice(), bf.as_slice()]);
-        println!(
-            "    refine: fidelity qor {:.3} -> {:.3}, hw {:.3} -> {:.3} ({} real evals); \
-             hv {:.4} vs equal-eval baseline {:.4}",
-            report.before.qor_test,
-            report.after.qor_test,
-            report.before.hw_test,
-            report.after.hw_test,
-            report.real_evals,
-            hv[0],
-            hv[1]
-        );
-        rows.last_mut().expect("row just pushed").extend([
-            format!("{:.4}", report.before.qor_test),
-            format!("{:.4}", report.after.qor_test),
-            format!("{:.5}", hv[0]),
-            format!("{:.5}", hv[1]),
-        ]);
         sections.push((
             accel.name().to_string(),
             Json::Obj(vec![
@@ -191,34 +141,12 @@ fn main() {
                 ("pseudo_pareto".into(), Json::int(pseudo as u64)),
                 ("final_pareto".into(), Json::int(final_n as u64)),
                 ("timings".into(), pipeline_record(&res.timings)),
-                (
-                    "refine".into(),
-                    Json::Obj(vec![
-                        ("fid_qor_before".into(), Json::Num(report.before.qor_test)),
-                        ("fid_qor_after".into(), Json::Num(report.after.qor_test)),
-                        ("fid_hw_before".into(), Json::Num(report.before.hw_test)),
-                        ("fid_hw_after".into(), Json::Num(report.after.hw_test)),
-                        (
-                            "fid_qor_equal_budget_baseline".into(),
-                            Json::Num(baseline.fidelity.qor_test),
-                        ),
-                        (
-                            "fid_hw_equal_budget_baseline".into(),
-                            Json::Num(baseline.fidelity.hw_test),
-                        ),
-                        ("real_evals".into(), Json::int(report.real_evals as u64)),
-                        ("epochs_run".into(), Json::int(report.epochs_run as u64)),
-                        ("hv_refined".into(), Json::Num(hv[0])),
-                        ("hv_equal_eval_baseline".into(), Json::Num(hv[1])),
-                    ]),
-                ),
             ]),
         ));
     }
     write_csv(
         "table5.csv",
-        "application,all_possible,after_preprocessing,pseudo_pareto,final_pareto,\
-         fid_qor_before,fid_qor_after,hv_refined,hv_baseline",
+        "application,all_possible,after_preprocessing,pseudo_pareto,final_pareto",
         &rows,
     );
     write_bench_section("table5", &Json::Obj(sections));

@@ -35,6 +35,7 @@ pub mod bench_json;
 pub use bench_json::{pipeline_record, upsert_section, write_bench_section, Json};
 
 use autoax::pipeline::PipelineTimings;
+use autoax::{Configuration, ParetoFront};
 use autoax_circuit::charlib::{ClassCounts, LibraryConfig};
 use autoax_image::synthetic::benchmark_suite;
 use autoax_image::GrayImage;
@@ -56,28 +57,15 @@ pub enum Scale {
 impl Scale {
     /// Parses `--scale <s>` / `--scale=<s>` from `std::env::args`.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for (i, a) in args.iter().enumerate() {
-            let v = if let Some(rest) = a.strip_prefix("--scale=") {
-                Some(rest.to_string())
-            } else if a == "--scale" {
-                args.get(i + 1).cloned()
-            } else {
-                None
-            };
-            if let Some(v) = v {
-                return match v.as_str() {
-                    "quick" => Scale::Quick,
-                    "paper" => Scale::Paper,
-                    "default" => Scale::Default,
-                    other => {
-                        autoax_telemetry::ax_warn!("unknown scale `{other}`, using default");
-                        Scale::Default
-                    }
-                };
+        match flag_value(&std::env::args().collect::<Vec<_>>(), "scale").as_deref() {
+            None | Some("default") => Scale::Default,
+            Some("quick") => Scale::Quick,
+            Some("paper") => Scale::Paper,
+            Some(other) => {
+                autoax_telemetry::ax_warn!("unknown scale `{other}`, using default");
+                Scale::Default
             }
         }
-        Scale::Default
     }
 
     /// The library configuration for this scale.
@@ -131,6 +119,57 @@ impl Scale {
             Scale::Paper => "paper",
         }
     }
+}
+
+/// The value of the first `--<name> <v>` / `--<name>=<v>` in `args`; a
+/// bare `--<name>` with nothing after it is skipped.
+fn flag_value(args: &[String], name: &str) -> Option<String> {
+    let eq = format!("--{name}=");
+    let bare = format!("--{name}");
+    args.iter()
+        .enumerate()
+        .find_map(|(i, a)| match a.strip_prefix(&eq) {
+            Some(rest) => Some(rest.to_string()),
+            None if *a == bare => args.get(i + 1).cloned(),
+            None => None,
+        })
+}
+
+/// Parses `--<name> <x>` / `--<name>=<x>` from `std::env::args` into a
+/// number.
+///
+/// # Panics
+/// Panics when the value does not parse.
+pub fn num_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let v = flag_value(&std::env::args().collect::<Vec<_>>(), name)?;
+    match v.parse() {
+        Ok(n) => Some(n),
+        Err(_) => panic!("--{name} takes a number, got `{v}`"),
+    }
+}
+
+/// FNV-1a over the front's sorted points and genomes — two fronts hash
+/// equal iff they are bit-identical (same points, same payloads, same
+/// order after the canonical sort).
+pub fn front_digest(front: &ParetoFront<Configuration>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    let mut rows: Vec<(u64, u64, &Configuration)> = front
+        .iter()
+        .map(|(p, c)| (p.qor.to_bits(), p.cost.to_bits(), c))
+        .collect();
+    rows.sort_by_key(|&(q, c, _)| (q, c));
+    for (q, c, cfg) in rows {
+        eat(q);
+        eat(c);
+        for &g in cfg.genes() {
+            eat(g as u64);
+        }
+    }
+    h
 }
 
 /// The standard benchmark image suite for a scale.
@@ -289,6 +328,19 @@ mod tests {
         let m = ascii_heatmap(&grid, 4);
         assert_eq!(m.lines().count(), 4);
         assert!(m.lines().all(|l| l.chars().count() == 8));
+    }
+
+    #[test]
+    fn flag_value_reads_both_spellings_and_skips_a_dangling_flag() {
+        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        let a = args(&["prog", "--train", "80", "--scale=quick"]);
+        assert_eq!(flag_value(&a, "train").as_deref(), Some("80"));
+        assert_eq!(flag_value(&a, "scale").as_deref(), Some("quick"));
+        assert_eq!(flag_value(&a, "seed"), None);
+        let a = args(&["prog", "--scale=paper", "--scale", "quick"]);
+        assert_eq!(flag_value(&a, "scale").as_deref(), Some("paper"));
+        let a = args(&["prog", "--scale"]);
+        assert_eq!(flag_value(&a, "scale"), None);
     }
 
     #[test]

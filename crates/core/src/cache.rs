@@ -26,12 +26,9 @@
 //! library/model pair serves any search strategy and budget — the reuse
 //! pattern the paper itself argues for.
 
-use crate::config::Configuration;
 use crate::model::{FidelityReport, FittedModels};
-use crate::pareto::ParetoFront;
 use crate::pipeline::PipelineOptions;
 use crate::preprocess::Preprocessed;
-use crate::refine::RefinementReport;
 use autoax_accel::{Pmf, Workload};
 use autoax_circuit::charlib::{CircuitId, ComponentLibrary};
 use autoax_store::cache::{CacheKey, KeyHasher};
@@ -45,12 +42,6 @@ pub const STEP12_TAG: [u8; 4] = *b"AST2";
 
 /// Cache entry kind (file-name prefix) of Step-1/2 blobs.
 pub const STEP12_KIND: &str = "pipeline-step12";
-
-/// Container tag of refined-model blobs (the refinement loop's output).
-pub const REFINED_TAG: [u8; 4] = *b"AXRF";
-
-/// Cache entry kind (file-name prefix) of refined-model blobs.
-pub const REFINED_KIND: &str = "pipeline-refined";
 
 /// True when every slot of a decoded space resolves inside the live
 /// library — the invariant `ConfigSpace::entries` indexes by.
@@ -132,40 +123,6 @@ pub fn pipeline_cache_key<W: Workload + ?Sized>(
     h.write_u64(opts.test_configs as u64);
     h.write_u64(opts.seed);
 
-    h.finish()
-}
-
-/// Digest of everything that determines the refinement loop's output:
-/// the full Step-1/2 key (workload, library, samples, engine, training
-/// budget, master seed) **plus** the semantic Step-3 knobs the loop now
-/// consumes — strategy, eval budget, stagnation limit, islands, uniform
-/// levels — and every [`crate::refine::RefinementSchedule`] field.
-///
-/// Throughput knobs (`batch_size`, `threads`) stay excluded: the loop is
-/// bit-identical under them, so including them would only fragment the
-/// cache. Unlike Step 1–2 entries, a refined entry is bound to one
-/// search configuration — refined models are a function of *where* the
-/// search looked.
-pub fn refined_cache_key<W: Workload + ?Sized>(
-    work: &W,
-    lib: &ComponentLibrary,
-    samples: &[W::Sample],
-    opts: &PipelineOptions,
-) -> CacheKey {
-    let step12 = pipeline_cache_key(work, lib, samples, opts);
-    let mut h = KeyHasher::new(REFINED_KIND);
-    h.write_u64(step12.hi);
-    h.write_u64(step12.lo);
-    let s = &opts.search;
-    h.write_str(s.strategy.name());
-    h.write_u64(s.max_evals as u64);
-    h.write_u64(s.stagnation_limit as u64);
-    h.write_u64(s.islands as u64);
-    h.write_u64(s.uniform_levels as u64);
-    h.write_u64(s.refine.epochs as u64);
-    h.write_u64(s.refine.per_epoch as u64);
-    h.write_f64(s.refine.novelty_weight);
-    h.write_u64(s.refine.replace_trees as u64);
     h.finish()
 }
 
@@ -263,79 +220,6 @@ fn take_fidelity(d: &mut Decoder<'_>) -> Result<FidelityReport, StoreError> {
     })
 }
 
-/// Encodes the refinement loop's output — the refined models, the
-/// before/after [`RefinementReport`] and the pseudo-Pareto front in
-/// insertion order — so a warm refined run replays byte-identically
-/// without spending a single real evaluation.
-///
-/// # Errors
-/// [`StoreError::Unsupported`] when the refined models have no
-/// serialization support — the caller simply skips caching.
-pub fn encode_refined(
-    models: &FittedModels,
-    report: &RefinementReport,
-    front: &ParetoFront<Configuration>,
-) -> Result<Vec<u8>, StoreError> {
-    let mut e = Encoder::new();
-    put_regressor(&mut e, models.qor.as_ref())?;
-    put_regressor(&mut e, models.hw.as_ref())?;
-    put_fidelity(&mut e, &report.before);
-    put_fidelity(&mut e, &report.after);
-    e.put_u64(report.real_evals as u64);
-    e.put_u64(report.epochs_run as u64);
-    e.put_len(front.len());
-    for (p, c) in front.iter() {
-        e.put_f64(p.qor);
-        e.put_f64(p.cost);
-        e.put_len(c.genes().len());
-        for &g in c.genes() {
-            e.put_u16(g);
-        }
-    }
-    Ok(e.into_bytes())
-}
-
-/// Decodes a refined-model payload written by [`encode_refined`]. The
-/// front is rebuilt by re-inserting members in their stored (insertion)
-/// order, reproducing the exact [`ParetoFront`] the loop returned.
-pub fn decode_refined(
-    payload: &[u8],
-) -> Result<(FittedModels, RefinementReport, ParetoFront<Configuration>), StoreError> {
-    let mut d = Decoder::new(payload);
-    let qor = take_regressor(&mut d)?;
-    let hw = take_regressor(&mut d)?;
-    let before = take_fidelity(&mut d)?;
-    let after = take_fidelity(&mut d)?;
-    let real_evals = d.take_u64()? as usize;
-    let epochs_run = d.take_u64()? as usize;
-    let n = d.take_len()?;
-    let mut front = ParetoFront::new();
-    for _ in 0..n {
-        let qor_v = d.take_f64()?;
-        let cost = d.take_f64()?;
-        let n_genes = d.take_len()?;
-        let mut genes = Vec::with_capacity(n_genes);
-        for _ in 0..n_genes {
-            genes.push(d.take_u16()?);
-        }
-        front.try_insert(
-            crate::pareto::TradeoffPoint::new(qor_v, cost),
-            Configuration::from_genes(genes),
-        );
-    }
-    d.finish()?;
-    Ok((
-        FittedModels { qor, hw },
-        RefinementReport {
-            before,
-            after,
-            real_evals,
-            epochs_run,
-        },
-        front,
-    ))
-}
-
 /// Encodes the Step-1/2 artifacts into an unsealed payload.
 ///
 /// # Errors
@@ -348,10 +232,7 @@ pub fn encode_step12(
 ) -> Result<Vec<u8>, StoreError> {
     let mut e = Encoder::new();
     put_preprocessed(&mut e, pre);
-    e.put_f64(fidelity.qor_train);
-    e.put_f64(fidelity.qor_test);
-    e.put_f64(fidelity.hw_train);
-    e.put_f64(fidelity.hw_test);
+    put_fidelity(&mut e, fidelity);
     put_regressor(&mut e, models.qor.as_ref())?;
     put_regressor(&mut e, models.hw.as_ref())?;
     Ok(e.into_bytes())
@@ -363,12 +244,7 @@ pub fn decode_step12(
 ) -> Result<(Preprocessed, FidelityReport, FittedModels), StoreError> {
     let mut d = Decoder::new(payload);
     let pre = take_preprocessed(&mut d)?;
-    let fidelity = FidelityReport {
-        qor_train: d.take_f64()?,
-        qor_test: d.take_f64()?,
-        hw_train: d.take_f64()?,
-        hw_test: d.take_f64()?,
-    };
+    let fidelity = take_fidelity(&mut d)?;
     let qor = take_regressor(&mut d)?;
     let hw = take_regressor(&mut d)?;
     d.finish()?;

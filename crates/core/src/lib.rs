@@ -74,7 +74,6 @@ pub mod model;
 pub mod pareto;
 pub mod pipeline;
 pub mod preprocess;
-pub mod refine;
 pub mod search;
 pub mod wmed;
 
@@ -83,5 +82,4 @@ pub use config::{ConfigSpace, Configuration};
 pub use error::AutoAxError;
 pub use job::{CancelToken, JobLimits, JobSpec};
 pub use pareto::{ParetoFront, TradeoffPoint};
-pub use refine::{RefinementReport, RefinementSchedule};
 pub use search::{SearchAlgo, SearchOptions};

@@ -303,55 +303,6 @@ impl<'a> ModelEstimator<'a> {
             |g: &Option<autoax_ml::GatherForest>| g.as_ref().map_or("matrix", |g| g.engine());
         (name(&self.qor_fused), name(&self.hw_fused))
     }
-
-    /// Per-tree prediction variance of the QoR and hardware models over a
-    /// genome slab — the refinement loop's epistemic-uncertainty signal.
-    /// Runs the compiled arena's stats kernel when the model is fused;
-    /// otherwise falls back to brute force over a downcast forest's
-    /// trees (bitwise identical), and fills zeros for engines without an
-    /// ensemble (a single tree has no spread either way).
-    ///
-    /// `qvar` and `hvar` are cleared and resized to the row count.
-    pub fn variance_slice(
-        &self,
-        rows: crate::search::ConfigSlice<'_>,
-        qvar: &mut Vec<f64>,
-        hvar: &mut Vec<f64>,
-    ) {
-        let n = rows.len();
-        let mut mean = Vec::new();
-        let brute = |model: &dyn Regressor, which_qor: bool, out: &mut Vec<f64>| {
-            out.clear();
-            let forest = model
-                .as_any()
-                .and_then(|a| a.downcast_ref::<autoax_ml::forest::RandomForest>());
-            match forest {
-                Some(f) => {
-                    let mut feats = Vec::new();
-                    for genome in rows.rows() {
-                        feats.clear();
-                        for (slot, &g) in genome.iter().enumerate() {
-                            if which_qor {
-                                feats.push(self.qor_table[slot][g as usize]);
-                            } else {
-                                feats.extend_from_slice(&self.hw_table[slot][g as usize]);
-                            }
-                        }
-                        out.push(f.predict_variance_row(&feats));
-                    }
-                }
-                None => out.resize(n, 0.0),
-            }
-        };
-        match &self.qor_fused {
-            Some(g) => g.predict_genomes_stats_into(rows.genes(), &mut mean, qvar),
-            None => brute(self.models.qor.as_ref(), true, qvar),
-        }
-        match &self.hw_fused {
-            Some(g) => g.predict_genomes_stats_into(rows.genes(), &mut mean, hvar),
-            None => brute(self.models.hw.as_ref(), false, hvar),
-        }
-    }
 }
 
 /// Compiles a regressor into a [`autoax_ml::CompiledForest`] when its

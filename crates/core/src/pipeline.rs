@@ -8,8 +8,8 @@
 //! of `autoax-nn` (top-1-accuracy QoR) run through identical code.
 
 use crate::cache::{
-    decode_refined, decode_step12, encode_refined, encode_step12, pipeline_cache_key,
-    refined_cache_key, step12_matches_library, REFINED_KIND, REFINED_TAG, STEP12_KIND, STEP12_TAG,
+    decode_step12, encode_step12, pipeline_cache_key, step12_matches_library, STEP12_KIND,
+    STEP12_TAG,
 };
 use crate::config::Configuration;
 use crate::error::AutoAxError;
@@ -20,7 +20,6 @@ use crate::model::{
 };
 use crate::pareto::{ParetoFront, ParetoFront3, TradeoffPoint};
 use crate::preprocess::{preprocess_with_pmfs, PreprocessOptions, Preprocessed};
-use crate::refine::{refined_search, RefinementReport};
 use crate::search::{run_search_cancellable, SearchAlgo, SearchOptions};
 use autoax_accel::Workload;
 use autoax_circuit::charlib::ComponentLibrary;
@@ -186,10 +185,10 @@ pub struct PipelineTimings {
     pub search_strategy: &'static str,
     /// Search estimate throughput: model evaluations per second of wall
     /// clock, with the numerator counted at the estimator
-    /// ([`crate::search::SearchTimings::estimates`]) — honest for every
-    /// strategy, including the ones that ignore the eval budget
-    /// (`uniform` estimates its level grid, `exhaustive` the whole
-    /// space).
+    /// ([`crate::search::SearchTimings::estimates`]): the
+    /// [`SearchOptions::max_evals`] budget for the budgeted strategies,
+    /// and the real row count for the ones that ignore it (`uniform`
+    /// estimates its level grid, `exhaustive` the whole space).
     pub search_evals_per_sec: f64,
     /// Candidate rows actually sent through the estimator during Step 3
     /// (the [`PipelineTimings::search_evals_per_sec`] numerator).
@@ -238,11 +237,6 @@ pub struct PipelineResult {
     pub evaluated: Vec<(Configuration, RealEval)>,
     /// Final Pareto front over real (QoR, area, energy).
     pub final_front: Vec<FinalMember>,
-    /// What the active-learning refinement loop did to the models
-    /// (fidelity before/after, real-eval cost). `None` when
-    /// [`crate::refine::RefinementSchedule::is_off`] — the plain
-    /// single-shot Step 3 ran.
-    pub refinement: Option<RefinementReport>,
     /// Human-readable name of the workload's QoR measure (`"SSIM"`,
     /// `"top-1 accuracy"`), for report headers.
     pub qor_metric: &'static str,
@@ -346,7 +340,7 @@ pub fn run_pipeline<W: Workload + ?Sized>(
         }
     }
     let cache_enabled = cache.is_some() && opts.cache_mode.reads();
-    let (mut cache_hits, mut cache_misses) = match (&warm, cache_enabled) {
+    let (cache_hits, cache_misses) = match (&warm, cache_enabled) {
         (Some(_), _) => (1u32, 0u32),
         (None, true) => (0, 1),
         (None, false) => (0, 0),
@@ -368,14 +362,10 @@ pub fn run_pipeline<W: Workload + ?Sized>(
         }
     };
 
-    let (pre, mut fidelity, mut models, t_profile, t_pre, t_train_data, t_fit);
+    let (pre, fidelity, models, t_profile, t_pre, t_train_data, t_fit);
     // The Step-2 evaluator (golden outputs + compiled-op cache) is reused
-    // by the refinement loop and the final real evaluation of Step 3b
-    // when it exists.
+    // by the final real evaluation of Step 3b when it exists.
     let mut step2_evaluator: Option<Evaluator<'_, W>> = None;
-    // The Step-2 train/test sets survive the cold branch so a refined
-    // run can grow the training set without regenerating it.
-    let mut step2_sets: Option<(EvaluatedSet, EvaluatedSet)> = None;
     match warm {
         Some((p, f, m)) => {
             // Warm start: Steps 1–2 skipped entirely.
@@ -430,7 +420,6 @@ pub fn run_pipeline<W: Workload + ?Sized>(
                     }
                 }
             }
-            step2_sets = Some((train, test));
         }
     }
 
@@ -442,123 +431,17 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     if opts.cancel.is_cancelled() {
         return Err(AutoAxError::Cancelled);
     }
-    // Refined-model cache: a separate entry domain from Step 1–2 —
-    // refined models depend on the semantic search + refinement knobs
-    // ([`refined_cache_key`]) — consulted only when refinement is on, so
-    // the plain path's cache ledger stays exactly as before.
-    let refine_on = !opts.search.refine.is_off();
-    let mut refined_warm: Option<(FittedModels, RefinementReport, ParetoFront<Configuration>)> =
-        None;
-    let refined_cache = if refine_on {
-        cache.as_ref().map(|(store, _)| {
-            (
-                Arc::clone(store),
-                refined_cache_key(work, lib, samples, opts),
-            )
-        })
-    } else {
-        None
-    };
-    if let Some((store, rkey)) = &refined_cache {
-        if opts.cache_mode.reads() {
-            let sp = telemetry::span("pipeline.cache.load_refined");
-            if let Loaded::Hit(payload) = store.load_blob(REFINED_KIND, *rkey, REFINED_TAG) {
-                // genomes of a (pathologically colliding) entry must
-                // still index inside the live reduced space
-                refined_warm = decode_refined(&payload).ok().filter(|(_, _, front)| {
-                    let sizes = pre.space.sizes();
-                    front.iter().all(|(_, c)| {
-                        c.genes().len() == sizes.len()
-                            && c.genes()
-                                .iter()
-                                .zip(&sizes)
-                                .all(|(&g, &n)| (g as usize) < n)
-                    })
-                });
-            }
-            t_cache_load += sp.finish();
-            if refined_warm.is_some() {
-                cache_hits += 1;
-            } else {
-                cache_misses += 1;
-            }
-        }
-    }
-
     let mut sp_search = telemetry::span("pipeline.step3.search");
     sp_search.field("strategy", opts.search.strategy.name());
-    sp_search.field("refine", refine_on);
     let phases_at_t3 = crate::search::SearchTimings::snapshot();
     let search_opts = SearchOptions {
         seed: opts.seed.wrapping_add(2),
         ..opts.search
     };
-    let (pseudo_front, refinement, search_engines) = if refine_on {
-        let (front, report) = match refined_warm {
-            Some((m, report, front)) => {
-                // Warm refined start: models, report and front replay
-                // bit-identically without a single real evaluation.
-                models = m;
-                fidelity = report.after;
-                (front, report)
-            }
-            None => {
-                if step2_evaluator.is_none() {
-                    step2_evaluator = Some(Evaluator::new(work, lib, &pre.space, samples));
-                }
-                let evaluator = step2_evaluator.as_ref().expect("just built");
-                // A warm Step-1/2 start skipped data generation; the
-                // loop regenerates the same sets from the same seeds
-                // (bit-identical to the cold run's).
-                let (mut train, test) = match step2_sets.take() {
-                    Some(sets) => sets,
-                    None => (
-                        EvaluatedSet::try_generate(
-                            evaluator,
-                            &pre.space,
-                            opts.train_configs,
-                            opts.seed,
-                        )?,
-                        EvaluatedSet::try_generate(
-                            evaluator,
-                            &pre.space,
-                            opts.test_configs,
-                            opts.seed.wrapping_add(1),
-                        )?,
-                    ),
-                };
-                let (front, report) = refined_search(
-                    evaluator,
-                    opts.engine,
-                    &pre.space,
-                    lib,
-                    &mut train,
-                    &test,
-                    &mut models,
-                    &search_opts,
-                    opts.seed,
-                    &opts.cancel,
-                )?;
-                // The result carries the models that produced the front.
-                fidelity = report.after;
-                if let Some((store, rkey)) = &refined_cache {
-                    if opts.cache_mode.writes() && !opts.cancel.is_cancelled() {
-                        if let Ok(payload) = encode_refined(&models, &report, &front) {
-                            let _ = store.save_blob(REFINED_KIND, *rkey, REFINED_TAG, payload);
-                        }
-                    }
-                }
-                (front, report)
-            }
-        };
-        // The refined models are not the ones Step 2 fitted: bake them
-        // once more to read which kernel encodings they run.
-        let engines = ModelEstimator::new(&models, &pre.space, lib).engines();
-        (front, Some(report), engines)
-    } else {
+    let (pseudo_front, search_engines) = {
         let estimator = ModelEstimator::new(&models, &pre.space, lib);
         let front = run_search_cancellable(&pre.space, &estimator, &search_opts, &opts.cancel);
-        (front, None, estimator.engines())
+        (front, estimator.engines())
     };
     let t_search = sp_search.finish();
     let phases = crate::search::SearchTimings::snapshot().since(&phases_at_t3);
@@ -568,9 +451,9 @@ pub fn run_pipeline<W: Workload + ?Sized>(
         return Err(AutoAxError::Cancelled);
     }
     // Throughput over the rows the estimator actually saw — for budgeted
-    // strategies this equals max_evals (plus warm re-estimates under
-    // refinement); uniform and exhaustive get their real denominators
-    // (level grid / space size) instead of the historical hardcoded 0.
+    // strategies this equals max_evals; uniform and exhaustive get their
+    // real denominators (level grid / space size) instead of the
+    // historical hardcoded 0.
     let search_evals_per_sec = phases.estimates as f64 / t_search.as_secs_f64().max(1e-12);
 
     // Step 3b: real evaluation of the pseudo-Pareto set (capped), final
@@ -637,7 +520,6 @@ pub fn run_pipeline<W: Workload + ?Sized>(
         pseudo_front,
         evaluated,
         final_front,
-        refinement,
         qor_metric: work.qor_metric(),
         timings: PipelineTimings {
             profiling: t_profile,

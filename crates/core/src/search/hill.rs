@@ -48,10 +48,6 @@
 //!   never changes the result — a round's candidates are fixed before
 //!   estimation, and batch estimates are bitwise equal to per-row
 //!   estimates.
-//!
-//! The pre-island sequential loop is kept as
-//! [`heuristic_pareto_scalar`] — the baseline the `search_throughput`
-//! bench compares against.
 
 use super::{ConfigBatch, Estimator, SearchAlgo, SearchStrategy};
 use crate::config::{ConfigSpace, Configuration};
@@ -97,10 +93,6 @@ pub struct SearchOptions {
     /// default ([`autoax_exec::thread_count`]). Pure throughput knob —
     /// any value produces identical results.
     pub threads: usize,
-    /// Active-learning surrogate refinement between search epochs
-    /// ([`crate::refine`]). [`crate::refine::RefinementSchedule::off`]
-    /// (the default) runs the plain single-shot search.
-    pub refine: crate::refine::RefinementSchedule,
 }
 
 impl Default for SearchOptions {
@@ -114,7 +106,6 @@ impl Default for SearchOptions {
             uniform_levels: 25,
             batch_size: ROUND,
             threads: 0,
-            refine: crate::refine::RefinementSchedule::off(),
         }
     }
 }
@@ -225,21 +216,20 @@ impl Island {
 /// pre-engine `heuristic_pareto` implementation.
 pub struct HillClimb;
 
-impl HillClimb {
-    /// The island search body, warm-started from `initial`: the global
-    /// front, the duplicate-offer filter and every island's front are
-    /// seeded with the initial members (in stored front order) before the
-    /// first epoch, so stagnation restarts can jump to warm discoveries
-    /// immediately. An empty `initial` reduces to exactly the plain
-    /// search — the seeding loops are no-ops.
-    fn run_islands(
+impl SearchStrategy for HillClimb {
+    fn name(&self) -> &'static str {
+        "hill"
+    }
+
+    fn search_cancellable(
         &self,
         space: &ConfigSpace,
         estimator: &dyn Estimator,
         opts: &SearchOptions,
         cancel: &CancelToken,
-        initial: &ParetoFront<Configuration>,
     ) -> ParetoFront<Configuration> {
+        let mut sp = autoax_telemetry::span("search.hill");
+        sp.field("max_evals", opts.max_evals);
         let islands = opts.islands.max(1);
         let threads = if opts.threads == 0 {
             autoax_exec::thread_count()
@@ -265,16 +255,6 @@ impl HillClimb {
         // O(1) instead of replaying an O(|front|) scan per member per
         // epoch.
         let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-        for (p, c) in initial.iter() {
-            if seen.insert((p.qor.to_bits(), p.cost.to_bits())) {
-                global.try_insert(*p, c.clone());
-            }
-        }
-        if !global.is_empty() {
-            for st in &mut states {
-                st.front = global.clone();
-            }
-        }
         for epoch in 0..SYNC_EPOCHS {
             if cancel.is_cancelled() {
                 break;
@@ -313,38 +293,6 @@ impl HillClimb {
     }
 }
 
-impl SearchStrategy for HillClimb {
-    fn name(&self) -> &'static str {
-        "hill"
-    }
-
-    fn search_cancellable(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &SearchOptions,
-        cancel: &CancelToken,
-    ) -> ParetoFront<Configuration> {
-        let mut sp = autoax_telemetry::span("search.hill");
-        sp.field("max_evals", opts.max_evals);
-        self.run_islands(space, estimator, opts, cancel, &ParetoFront::new())
-    }
-
-    fn search_epoch(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &SearchOptions,
-        cancel: &CancelToken,
-        warm: &ParetoFront<Configuration>,
-    ) -> ParetoFront<Configuration> {
-        let mut sp = autoax_telemetry::span("search.hill.epoch");
-        sp.field("warm", warm.len());
-        let warm = super::reestimate_front(estimator, warm);
-        self.run_islands(space, estimator, opts, cancel, &warm)
-    }
-}
-
 /// Runs the island [`HillClimb`] strategy — kept as the historical free-
 /// function entry point; new code selects strategies through
 /// [`super::run_search`] / [`SearchAlgo`].
@@ -354,40 +302,6 @@ pub fn heuristic_pareto(
     opts: &SearchOptions,
 ) -> ParetoFront<Configuration> {
     HillClimb.search(space, estimator, opts)
-}
-
-/// The original single-threaded, one-estimate-per-iteration Algorithm 1 —
-/// the scalar baseline for the island search (kept for the
-/// `search_throughput` bench and as the paper-literal reference).
-pub fn heuristic_pareto_scalar(
-    space: &ConfigSpace,
-    estimator: &impl Estimator,
-    opts: &SearchOptions,
-) -> ParetoFront<Configuration> {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut parent = space.random(&mut rng);
-    let mut front: ParetoFront<Configuration> = ParetoFront::new();
-    let mut stagnation = 0usize;
-    for _ in 0..opts.max_evals {
-        let candidate = space.neighbor(&parent, &mut rng);
-        let est = estimator.estimate(&candidate);
-        if front.try_insert(est, candidate.clone()) {
-            parent = candidate;
-            stagnation = 0;
-        } else {
-            stagnation += 1;
-            if stagnation >= opts.stagnation_limit && !front.is_empty() {
-                let pick = rng.gen_range(0..front.len());
-                parent = front
-                    .iter()
-                    .nth(pick)
-                    .map(|(_, c)| c.clone())
-                    .expect("front member");
-                stagnation = 0;
-            }
-        }
-    }
-    front
 }
 
 #[cfg(test)]
@@ -499,22 +413,6 @@ mod tests {
                 "islands={islands} not deterministic"
             );
         }
-    }
-
-    #[test]
-    fn scalar_baseline_matches_historical_behavior() {
-        // The scalar path is the pre-island sequential loop; it must stay
-        // deterministic and produce a sane front.
-        let space = toy_space(4, 6);
-        let opts = SearchOptions {
-            max_evals: 10_000,
-            seed: 3,
-            ..SearchOptions::default()
-        };
-        let a = heuristic_pareto_scalar(&space, &toy_estimator, &opts);
-        let b = heuristic_pareto_scalar(&space, &toy_estimator, &opts);
-        assert_eq!(snapshot(&a), snapshot(&b));
-        assert!(a.len() >= 15, "scalar found only {} levels", a.len());
     }
 
     #[test]

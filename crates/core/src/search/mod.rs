@@ -40,7 +40,7 @@ pub mod uniform;
 
 pub use batch::{ConfigBatch, ConfigSlice};
 pub use exhaustive::{exhaustive_front, ExhaustiveEnumeration};
-pub use hill::{heuristic_pareto, heuristic_pareto_scalar, HillClimb, SearchOptions};
+pub use hill::{heuristic_pareto, HillClimb, SearchOptions};
 pub use nsga2::Nsga2;
 pub use phase::SearchTimings;
 pub use random::{random_sampling, RandomSampling};
@@ -133,60 +133,6 @@ pub trait SearchStrategy: Sync {
         opts: &SearchOptions,
         cancel: &CancelToken,
     ) -> ParetoFront<Configuration>;
-
-    /// One epoch of the refinement loop ([`crate::refine`]): like
-    /// [`SearchStrategy::search_cancellable`], but warm-started from the
-    /// front of the previous epoch. The warm points are re-estimated
-    /// under the *current* estimator (the models were refitted between
-    /// epochs, so stored points are stale) before they participate.
-    ///
-    /// The default runs a fresh search and merges the re-estimated warm
-    /// members afterwards; trajectory strategies (hill, NSGA-II)
-    /// override it to seed their islands/population so the epoch
-    /// genuinely continues the search. Every implementation must be
-    /// byte-identical to [`SearchStrategy::search_cancellable`] when
-    /// `warm` is empty, and remain invariant to the throughput knobs.
-    fn search_epoch(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &SearchOptions,
-        cancel: &CancelToken,
-        warm: &ParetoFront<Configuration>,
-    ) -> ParetoFront<Configuration> {
-        let mut front = self.search_cancellable(space, estimator, opts, cancel);
-        for (p, c) in reestimate_front(estimator, warm).iter() {
-            front.try_insert(*p, c.clone());
-        }
-        front
-    }
-}
-
-/// Re-estimates a front's configurations under the current estimator and
-/// rebuilds the non-dominated set, offering members in stored front
-/// order. The warm-start glue of [`SearchStrategy::search_epoch`]:
-/// points stored by a previous epoch came from a previous model
-/// generation and cannot be compared against fresh estimates directly.
-/// Deterministic at any thread count because batch estimation is bitwise
-/// identical to per-row estimation.
-pub fn reestimate_front(
-    estimator: &dyn Estimator,
-    front: &ParetoFront<Configuration>,
-) -> ParetoFront<Configuration> {
-    if front.is_empty() {
-        return ParetoFront::new();
-    }
-    let configs: Vec<Configuration> = front.iter().map(|(_, c)| c.clone()).collect();
-    let points = {
-        let _t = phase::PhaseTimer::start(phase::Phase::Estimate);
-        phase::count_estimates(configs.len());
-        estimator.estimate_batch(&configs)
-    };
-    let mut out = ParetoFront::new();
-    for (p, c) in points.into_iter().zip(configs) {
-        out.try_insert(p, c);
-    }
-    out
 }
 
 /// The registry of built-in strategies — the `search_strategy` scenario

@@ -169,32 +169,28 @@ fn better(s: &Scratch, a: usize, b: usize) -> bool {
     s.crowd[a] > s.crowd[b]
 }
 
-impl Nsga2 {
-    /// The generation loop, warm-started from `warm` (already re-estimated
-    /// under the current estimator): warm genomes seed the initial
-    /// population (front order, capped at the population size, random
-    /// fill after) and the global front starts as the warm front. An
-    /// empty `warm` reduces to exactly the plain search.
-    fn run(
+impl SearchStrategy for Nsga2 {
+    fn name(&self) -> &'static str {
+        "nsga2"
+    }
+
+    fn search_cancellable(
         &self,
         space: &ConfigSpace,
         estimator: &dyn Estimator,
         opts: &super::SearchOptions,
         cancel: &CancelToken,
-        warm: &ParetoFront<Configuration>,
     ) -> ParetoFront<Configuration> {
+        let mut sp = autoax_telemetry::span("search.nsga2");
+        sp.field("max_evals", opts.max_evals);
         let mut rng = StdRng::seed_from_u64(opts.seed);
         let stride = space.slot_count();
         let chunk = opts.batch_size.max(1);
         let pop = POP.min(opts.max_evals.max(2));
-        let mut global: ParetoFront<Configuration> = warm.clone();
+        let mut global: ParetoFront<Configuration> = ParetoFront::new();
 
-        // Initial population: warm genomes first, random fill after.
         let mut parents = ConfigBatch::with_capacity(stride, pop);
-        for (_, c) in warm.iter().take(pop) {
-            parents.push_genes(c.genes());
-        }
-        for _ in parents.len()..pop {
+        for _ in 0..pop {
             space.random_into(parents.push_row(), &mut rng);
         }
         let mut par_pts: Vec<TradeoffPoint> = Vec::with_capacity(pop);
@@ -284,38 +280,6 @@ impl Nsga2 {
             std::mem::swap(&mut par_pts, &mut next_pts);
         }
         global
-    }
-}
-
-impl SearchStrategy for Nsga2 {
-    fn name(&self) -> &'static str {
-        "nsga2"
-    }
-
-    fn search_cancellable(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &super::SearchOptions,
-        cancel: &CancelToken,
-    ) -> ParetoFront<Configuration> {
-        let mut sp = autoax_telemetry::span("search.nsga2");
-        sp.field("max_evals", opts.max_evals);
-        self.run(space, estimator, opts, cancel, &ParetoFront::new())
-    }
-
-    fn search_epoch(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &super::SearchOptions,
-        cancel: &CancelToken,
-        warm: &ParetoFront<Configuration>,
-    ) -> ParetoFront<Configuration> {
-        let mut sp = autoax_telemetry::span("search.nsga2.epoch");
-        sp.field("warm", warm.len());
-        let warm = super::reestimate_front(estimator, warm);
-        self.run(space, estimator, opts, cancel, &warm)
     }
 }
 

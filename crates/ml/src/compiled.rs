@@ -464,37 +464,6 @@ impl GatherForest {
         self.predict(genes, out, true);
     }
 
-    /// Per-row mean and per-tree prediction variance — the refinement
-    /// loop's acquisition signal, computed without materializing
-    /// per-tree prediction vectors. Sum and sum-of-squares accumulate per
-    /// tree, in tree order, through the scalar walker, so `mean` is
-    /// bitwise identical to [`GatherForest::predict_genomes_into`] and
-    /// `var` to brute force over the source forest's fitted trees.
-    ///
-    /// # Panics
-    /// Panics on a ragged slab or an out-of-range gene.
-    pub fn predict_genomes_stats_into(
-        &self,
-        genes: &[u16],
-        mean: &mut Vec<f64>,
-        var: &mut Vec<f64>,
-    ) {
-        self.check_genes(genes);
-        let n = genes.len() / self.stride;
-        for v in [&mut *mean, &mut *var] {
-            v.clear();
-            v.resize(n, 0.0);
-        }
-        self.walk(genes, |k, v| {
-            mean[k] += v;
-            var[k] += v * v;
-        });
-        for (m, s) in mean.iter_mut().zip(var.iter_mut()) {
-            *m /= self.divisor;
-            *s = (*s / self.divisor - *m * *m).max(0.0);
-        }
-    }
-
     /// [`GatherForest::predict_genomes_into`], with the AVX2 kernel
     /// allowed (`simd`) or every row on the scalar walker.
     fn predict(&self, genes: &[u16], out: &mut Vec<f64>, simd: bool) {
@@ -509,7 +478,7 @@ impl GatherForest {
             0
         };
         // the scalar walker takes the rows that do not fill a lane group
-        self.walk(&genes[done * self.stride..], |k, v| out[done + k] += v);
+        self.walk(&genes[done * self.stride..], &mut out[done..]);
         for v in out.iter_mut() {
             *v /= self.divisor;
         }
@@ -536,16 +505,16 @@ impl GatherForest {
     }
 
     /// Runs the scalar walker with the baked encoding's step.
-    fn walk(&self, genes: &[u16], visit: impl FnMut(usize, f64)) {
+    fn walk(&self, genes: &[u16], out: &mut [f64]) {
         match &self.nodes {
-            Nodes::Mask32(nodes) => self.walk_with(genes, visit, |row, at, root| {
+            Nodes::Mask32(nodes) => self.walk_with(genes, out, |row, at, root| {
                 let nd = nodes[at as usize];
                 let bit = (nd.mask >> row[(nd.meta >> 26) as usize]) & 1;
                 // shift 13 selects the left field when the bit is set, 0
                 // the right field otherwise
                 root + ((nd.meta >> (13 & bit.wrapping_neg())) & 0x1FFF)
             }),
-            Nodes::Quant { nodes, ranks } => self.walk_with(genes, visit, |row, at, _| {
+            Nodes::Quant { nodes, ranks } => self.walk_with(genes, out, |row, at, _| {
                 let nd = nodes[at as usize];
                 let g = row[(nd.key >> 48) as usize] as u64;
                 let rank = ranks[((nd.key & 0xFFFF_FFFF) + g) as usize] as u64;
@@ -562,12 +531,11 @@ impl GatherForest {
     /// serializing one row's walk; the block stops early once every row
     /// sits on its leaf (leaves self-loop, so stopping cannot change a
     /// bit). `step(row, at, root)` advances one genome from node `at` of
-    /// the tree rooted at `root`; `visit(k, v)` receives row `k`'s leaf
-    /// value, tree by tree in tree order.
+    /// the tree rooted at `root`; row `k`'s leaf values are added to
+    /// `out[k]` tree by tree, in tree order.
     #[inline(always)]
-    fn walk_with<V, S>(&self, genes: &[u16], mut visit: V, step: S)
+    fn walk_with<S>(&self, genes: &[u16], out: &mut [f64], step: S)
     where
-        V: FnMut(usize, f64),
         S: Fn(&[u16], u32, u32) -> u32,
     {
         let mut idx = [0u32; BLOCK];
@@ -586,8 +554,8 @@ impl GatherForest {
                         break; // whole block settled on leaves
                     }
                 }
-                for (k, &at) in idx.iter().enumerate() {
-                    visit(b * BLOCK + k, self.leaf[at as usize]);
+                for (o, &at) in out[b * BLOCK..].iter_mut().zip(idx.iter()) {
+                    *o += self.leaf[at as usize];
                 }
             }
         }
@@ -1119,39 +1087,6 @@ mod tests {
             .bake_gather(&layout)
             .unwrap();
         gf.predict_genomes_into(&[0, 3], &mut Vec::new());
-    }
-
-    #[test]
-    fn stats_kernel_matches_brute_force_mean_and_variance() {
-        // 5 members bake mask32, 40 and 90 bake quant
-        for (members, engine) in [(5, "mask32"), (40, "quant"), (90, "quant")] {
-            let mut st = 31u64;
-            let stride = 4;
-            let layout = random_layout(stride, 2, members, &mut st);
-            let (f, gf) = fit_and_bake(&layout, members, 150, (9, 13, 30), &mut st);
-            assert_eq!(gf.engine(), engine, "{members} members");
-            // 131 rows straddles the BLOCK boundary, exercising the tail
-            let genes = genomes(131, stride, members, &mut st);
-            let (mut mean, mut var) = (Vec::new(), Vec::new());
-            gf.predict_genomes_stats_into(&genes, &mut mean, &mut var);
-            let x = materialize(&layout, &genes);
-            for (i, row) in x.rows_iter().enumerate() {
-                let (m, v) = (f.predict_row(row), f.predict_variance_row(row));
-                assert_eq!(mean[i].to_bits(), m.to_bits(), "{members}: mean row {i}");
-                assert_eq!(var[i].to_bits(), v.to_bits(), "{members}: variance row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn stats_kernel_variance_is_zero_for_a_single_tree() {
-        let mut st = 8u64;
-        let layout = random_layout(3, 1, 4, &mut st);
-        let (_, gf) = fit_and_bake(&layout, 4, 60, (2, 1, 30), &mut st);
-        let (mut mean, mut var) = (Vec::new(), Vec::new());
-        gf.predict_genomes_stats_into(&genomes(20, 3, 4, &mut st), &mut mean, &mut var);
-        assert!(var.iter().all(|&v| v == 0.0), "single tree has no spread");
-        assert_eq!(mean.len(), 20);
     }
 
     proptest! {

@@ -74,15 +74,6 @@ pub trait Regressor: Send + Sync {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }
-
-    /// Mutable concrete-type view for in-place model surgery (the
-    /// refinement loop downcasts through this to replace a subset of a
-    /// fitted forest's trees instead of refitting from scratch). Engines
-    /// without an incremental path keep the default `None`, and callers
-    /// fall back to a full refit.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 }
 
 /// The engines compared in the paper's Table 3 (naïve models are built

@@ -53,93 +53,6 @@ impl RandomForest {
             trees,
         }
     }
-
-    /// Population variance of the per-tree predictions for one row — the
-    /// forest's epistemic-uncertainty signal, used by the refinement
-    /// loop's acquisition function. Sum and sum-of-squares accumulate in
-    /// tree order, so the result is bitwise reproducible and matches the
-    /// compiled arena's stats kernel exactly. Returns 0.0 for an unfitted
-    /// forest (and exactly 0.0 for a single tree).
-    pub fn predict_variance_row(&self, row: &[f64]) -> f64 {
-        if self.trees.is_empty() {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        let mut sumsq = 0.0;
-        for tree in &self.trees {
-            let v = tree.predict_row(row);
-            sum += v;
-            sumsq += v * v;
-        }
-        let n = self.trees.len() as f64;
-        let mean = sum / n;
-        (sumsq / n - mean * mean).max(0.0)
-    }
-
-    /// Replaces a rotating subset of the fitted trees with trees trained
-    /// on the (grown) training set — the refinement loop's incremental
-    /// refit. Round `r` replaces slots `(r * replace + k) % n_trees` for
-    /// `k` in `0..replace`, so successive rounds cycle through the whole
-    /// forest while the untouched trees keep their exact node layout.
-    ///
-    /// Replacement trees draw bootstrap samples and tree seeds from a
-    /// SplitMix64 stream keyed on `(seed, round, slot)` — the same mixing
-    /// recipe as [`Regressor::fit`] — so the result is a pure function of
-    /// the inputs, independent of thread count or call batching.
-    ///
-    /// # Errors
-    /// Returns [`TrainError`] on an unfitted forest, an empty training
-    /// set, or a row/target count mismatch.
-    pub fn refit_trees(
-        &mut self,
-        x: &Matrix,
-        y: &[f64],
-        round: usize,
-        replace: usize,
-    ) -> Result<(), TrainError> {
-        if self.trees.is_empty() {
-            return Err(TrainError::new("refit on an unfitted forest"));
-        }
-        if x.nrows() == 0 {
-            return Err(TrainError::new("empty training set"));
-        }
-        if x.nrows() != y.len() {
-            return Err(TrainError::new("row/target count mismatch"));
-        }
-        let n = x.nrows();
-        let n_trees = self.trees.len();
-        let replace = replace.min(n_trees);
-        for k in 0..replace {
-            let slot = (round * replace + k) % n_trees;
-            let stream = {
-                let mut z = self.seed
-                    ^ (round as u64)
-                        .wrapping_add(1)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ (slot as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            let mut st = stream ^ 0xF0E5_7000_0000_0001;
-            let idx: Vec<usize> = (0..n)
-                .map(|_| {
-                    st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let mut z = st;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                    ((z ^ (z >> 31)) % n as u64) as usize
-                })
-                .collect();
-            let mut tree = DecisionTree::new(TreeConfig {
-                seed: stream,
-                ..self.tree_config
-            });
-            tree.fit_subset(x, y, &idx, None)?;
-            self.trees[slot] = tree;
-        }
-        Ok(())
-    }
 }
 
 impl Regressor for RandomForest {
@@ -230,10 +143,6 @@ impl Regressor for RandomForest {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
@@ -319,71 +228,6 @@ mod tests {
         f.predict_into(&x, &mut out);
         assert_eq!(out.capacity(), cap, "refill must not reallocate");
         assert_eq!(out.as_ptr(), ptr);
-    }
-
-    #[test]
-    fn variance_matches_brute_force_over_trees() {
-        let (x, y) = nonlinear_data(120);
-        let mut f = RandomForest::new(11).with_trees(15);
-        f.fit(&x, &y).unwrap();
-        for row in x.rows_iter().take(10) {
-            let preds: Vec<f64> = f
-                .fitted_trees()
-                .iter()
-                .map(|t| t.predict_row(row))
-                .collect();
-            let mut sum = 0.0;
-            let mut sumsq = 0.0;
-            for &v in &preds {
-                sum += v;
-                sumsq += v * v;
-            }
-            let n = preds.len() as f64;
-            let mean = sum / n;
-            let want = (sumsq / n - mean * mean).max(0.0);
-            assert_eq!(f.predict_variance_row(row).to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    fn variance_is_zero_for_empty_and_single_tree_forests() {
-        assert_eq!(RandomForest::new(0).predict_variance_row(&[0.5]), 0.0);
-        let (x, y) = nonlinear_data(60);
-        let mut f = RandomForest::new(4).with_trees(1);
-        f.fit(&x, &y).unwrap();
-        assert_eq!(f.predict_variance_row(x.row(3)), 0.0);
-    }
-
-    #[test]
-    fn refit_is_deterministic_and_only_touches_the_rotating_slots() {
-        let (x, y) = nonlinear_data(100);
-        let mut a = RandomForest::new(7).with_trees(10);
-        let mut b = RandomForest::new(7).with_trees(10);
-        a.fit(&x, &y).unwrap();
-        b.fit(&x, &y).unwrap();
-        a.refit_trees(&x, &y, 0, 3).unwrap();
-        b.refit_trees(&x, &y, 0, 3).unwrap();
-        for (ta, tb) in a.fitted_trees().iter().zip(b.fitted_trees()) {
-            assert_eq!(format!("{ta:?}"), format!("{tb:?}"));
-        }
-        // round 1 replaces slots 3..6, leaving 0..3 as refit round 0 left
-        // them and 6..10 as the original fit built them
-        let after_r0: Vec<_> = a.fitted_trees().to_vec();
-        a.refit_trees(&x, &y, 1, 3).unwrap();
-        for s in [0usize, 1, 2, 6, 7, 8, 9] {
-            assert_eq!(
-                format!("{:?}", a.fitted_trees()[s]),
-                format!("{:?}", after_r0[s]),
-                "slot {s} must be untouched by round 1"
-            );
-        }
-    }
-
-    #[test]
-    fn refit_on_unfitted_forest_is_error() {
-        let (x, y) = nonlinear_data(30);
-        let mut f = RandomForest::new(0).with_trees(5);
-        assert!(f.refit_trees(&x, &y, 0, 2).is_err());
     }
 
     #[test]

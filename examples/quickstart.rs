@@ -23,11 +23,6 @@
 //! cargo run --release --example quickstart -- --strategy random
 //! ```
 //!
-//! `--refine` turns on epoch-interleaved active-learning refinement
-//! (the paper's Step 2/3 loop): between search epochs the most
-//! informative candidates are real-evaluated and folded back into the
-//! surrogate training set, and the run reports fidelity before/after.
-//!
 //! The run is observable without changing its result (the front digest
 //! is byte-identical either way):
 //!
@@ -39,7 +34,7 @@
 //! Perfetto) plus a folded-stacks profile next to it (`trace.folded`).
 
 use autoax::pipeline::{run_pipeline, PipelineOptions};
-use autoax::{RefinementSchedule, SearchAlgo};
+use autoax::SearchAlgo;
 use autoax_accel::sobel::SobelEd;
 use autoax_circuit::charlib::LibraryConfig;
 use autoax_image::synthetic::benchmark_suite;
@@ -51,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     let (cache_dir, cache_mode) = parse_cache_flags(&args);
     let strategy = SearchAlgo::from_args(&args).unwrap_or(SearchAlgo::Hill);
-    let refine = args.iter().any(|a| a == "--refine");
 
     // 1. Generate and characterize a small approximate-component library
     //    (the stand-in for downloading EvoApprox8b), warm-starting from
@@ -76,9 +70,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut opts = PipelineOptions::quick().with_strategy(strategy);
     opts.cache_dir = cache_dir;
     opts.cache_mode = cache_mode;
-    if refine {
-        opts.search.refine = RefinementSchedule::quick();
-    }
     let result = run_pipeline(&accel, &lib, &images, &opts)?;
     println!("strategy: {}", result.timings.search_strategy);
     if result.final_front.is_empty() {
@@ -105,17 +96,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.fidelity.qor_test * 100.0,
         result.fidelity.hw_test * 100.0
     );
-    if let Some(r) = &result.refinement {
-        println!(
-            "refinement: fidelity qor {:.4} -> {:.4}, hw {:.4} -> {:.4} ({} real evals, {} epochs)",
-            r.before.qor_test,
-            r.after.qor_test,
-            r.before.hw_test,
-            r.after.hw_test,
-            r.real_evals,
-            r.epochs_run
-        );
-    }
     println!("pseudo-Pareto set: {pseudo} configurations, final front: {final_n}");
     println!("\n  SSIM    area(um2)  energy(fJ)");
     for m in &result.final_front {

@@ -337,78 +337,6 @@ proptest! {
     }
 
     #[test]
-    fn refinement_selection_is_permutation_invariant_and_exclusive(
-        seed in any::<u64>(),
-        rotate in 0usize..64,
-        k in 1usize..12,
-    ) {
-        // Property: the refinement loop's acquisition function is a pure
-        // function of the candidate *set* — input order and multiplicity
-        // never change the picks — and it never selects a duplicate or a
-        // genome that already carries a real label.
-        let (space, lib, mut fitted) = fitted_engine_zoo();
-        let (_, models) = fitted
-            .find(|(kind, _)| *kind == EngineKind::RandomForest)
-            .expect("forest in zoo");
-        let est = autoax::model::ModelEstimator::new(models, space, lib);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let n = 4 + (seed % 30) as usize;
-        let pool: Vec<Configuration> = (0..n).map(|_| space.random(&mut rng)).collect();
-        let exclude: std::collections::HashSet<Vec<u16>> = pool
-            .iter()
-            .take(n / 3)
-            .map(|c| c.genes().to_vec())
-            .collect();
-        let picks = autoax::refine::select_informative(&est, &pool, &exclude, k, 0.5);
-        // permuted + duplicated pool → identical picks
-        let mut permuted = pool.clone();
-        permuted.rotate_left(rotate % n);
-        permuted.reverse();
-        permuted.extend(pool.iter().cloned());
-        let picks2 = autoax::refine::select_informative(&est, &permuted, &exclude, k, 0.5);
-        prop_assert_eq!(&picks, &picks2, "selection depends on pool order");
-        prop_assert!(picks.len() <= k);
-        let mut seen = std::collections::HashSet::new();
-        for c in &picks {
-            prop_assert!(!exclude.contains(c.genes()), "picked an evaluated genome");
-            prop_assert!(seen.insert(c.genes().to_vec()), "picked a duplicate");
-        }
-    }
-
-    #[test]
-    fn estimator_variance_matches_brute_force_over_forest_trees(seed in any::<u64>()) {
-        // Property: the fused arena's per-tree variance kernel
-        // (ModelEstimator::variance_slice) agrees bitwise with brute
-        // force over the downcast forest's trees on live feature tables.
-        use autoax_ml::forest::RandomForest;
-        let (space, lib, mut fitted) = fitted_engine_zoo();
-        let (_, models) = fitted
-            .find(|(kind, _)| *kind == EngineKind::RandomForest)
-            .expect("forest in zoo");
-        let est = autoax::model::ModelEstimator::new(models, space, lib);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let n = 1 + (seed % 70) as usize;
-        let configs: Vec<Configuration> = (0..n).map(|_| space.random(&mut rng)).collect();
-        let mut batch = autoax::search::ConfigBatch::with_capacity(space.slot_count(), n);
-        for c in &configs {
-            batch.push_genes(c.genes());
-        }
-        let (mut qvar, mut hvar) = (Vec::new(), Vec::new());
-        est.variance_slice(batch.slice(0..n), &mut qvar, &mut hvar);
-        prop_assert_eq!(qvar.len(), n);
-        prop_assert_eq!(hvar.len(), n);
-        let qf = models.qor.as_any().and_then(|a| a.downcast_ref::<RandomForest>()).unwrap();
-        let hf = models.hw.as_any().and_then(|a| a.downcast_ref::<RandomForest>()).unwrap();
-        for (i, c) in configs.iter().enumerate() {
-            let qref = qf.predict_variance_row(&autoax::model::qor_features(space, c));
-            let href = hf.predict_variance_row(&autoax::model::hw_features(space, lib, c));
-            prop_assert_eq!(qvar[i].to_bits(), qref.to_bits(), "qor variance row {}", i);
-            prop_assert_eq!(hvar[i].to_bits(), href.to_bits(), "hw variance row {}", i);
-            prop_assert!(qvar[i] >= 0.0 && hvar[i] >= 0.0);
-        }
-    }
-
-    #[test]
     fn characterization_invariants_hold(count in 6usize..14) {
         let cfg = LibraryConfig::tiny();
         let entries = build_class(OpSignature::SUB10, count, &cfg, count as u64);

@@ -214,133 +214,6 @@ fn different_search_budgets_share_one_step12_entry() {
     assert!(!warm2.final_front.is_empty());
 }
 
-/// A quick refinement schedule for the cache tests (small budgets — the
-/// cache semantics, not the fidelity gain, are under test here).
-fn refine_opts(dir: &PathBuf) -> PipelineOptions {
-    let mut opts = PipelineOptions::quick().with_cache(dir, CacheMode::ReadWrite);
-    opts.search.refine = autoax::RefinementSchedule {
-        epochs: 1,
-        per_epoch: 8,
-        novelty_weight: 0.5,
-        replace_trees: 10,
-    };
-    opts
-}
-
-#[test]
-fn refined_runs_warm_start_byte_identically() {
-    let dir = temp_cache_dir("refined");
-    let (accel, lib, images) = setup();
-    let opts = refine_opts(&dir);
-
-    // cold: the Step-1/2 entry and the refined-model entry both miss
-    let cold = run_pipeline(&accel, &lib, &images, &opts).unwrap();
-    assert_eq!(cold.timings.cache_hits, 0);
-    assert_eq!(cold.timings.cache_misses, 2);
-    let cold_rep = cold.refinement.expect("refinement ran");
-    assert_eq!(cold_rep.epochs_run, 1);
-    assert_eq!(cold_rep.real_evals, 8);
-
-    // warm: both entries hit; not a single real evaluation is respent on
-    // refinement and every deterministic field replays bit-identically
-    let warm = run_pipeline(&accel, &lib, &images, &opts).unwrap();
-    assert_eq!(warm.timings.cache_hits, 2);
-    assert_eq!(warm.timings.cache_misses, 0);
-    assert_eq!(warm.timings.training_data, std::time::Duration::ZERO);
-    assert_results_byte_identical(&cold, &warm);
-    assert_eq!(
-        Some(cold_rep),
-        warm.refinement,
-        "refinement report diverged"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn refined_entry_misses_when_refinement_knobs_change() {
-    let dir = temp_cache_dir("refined-knobs");
-    let (accel, lib, images) = setup();
-    let base = refine_opts(&dir);
-    let _ = run_pipeline(&accel, &lib, &images, &base).unwrap();
-
-    // every semantic refinement/search knob must miss the refined entry
-    // while still reusing the Step-1/2 entry (1 hit + 1 miss)
-    let variants: Vec<PipelineOptions> = vec![
-        {
-            let mut o = base.clone();
-            o.search.refine.per_epoch = 9;
-            o
-        },
-        {
-            let mut o = base.clone();
-            o.search.refine.epochs = 2;
-            o
-        },
-        {
-            let mut o = base.clone();
-            o.search.refine.novelty_weight = 0.25;
-            o
-        },
-        {
-            let mut o = base.clone();
-            o.search.refine.replace_trees = 5;
-            o
-        },
-        {
-            let mut o = base.clone();
-            o.search.max_evals /= 2;
-            o
-        },
-        {
-            let mut o = base.clone();
-            o.search.islands = 2;
-            o
-        },
-    ];
-    for (i, o) in variants.iter().enumerate() {
-        let res = run_pipeline(&accel, &lib, &images, o).unwrap();
-        assert_eq!(res.timings.cache_hits, 1, "variant {i}: step12 must hit");
-        assert_eq!(
-            res.timings.cache_misses, 1,
-            "variant {i}: refined entry must miss"
-        );
-    }
-    // a master-seed change misses both domains (the step12 key carries
-    // the seed, and the refined key embeds the step12 key)
-    let mut reseeded = base.clone();
-    reseeded.seed = 43;
-    let res = run_pipeline(&accel, &lib, &images, &reseeded).unwrap();
-    assert_eq!(res.timings.cache_hits, 0);
-    assert_eq!(res.timings.cache_misses, 2);
-
-    // throughput knobs alias (pure-throughput contract): batch size and
-    // threads reuse both entries
-    let mut throughput = base.clone();
-    throughput.search.batch_size = 7;
-    throughput.search.threads = 3;
-    let res = run_pipeline(&accel, &lib, &images, &throughput).unwrap();
-    assert_eq!(res.timings.cache_hits, 2, "throughput knobs must not miss");
-    assert_eq!(res.timings.cache_misses, 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn refined_cache_key_is_inert_for_plain_runs() {
-    // with refinement off, the refined domain must never be consulted:
-    // the exact hit/miss ledger of the plain tests above depends on it
-    let dir = temp_cache_dir("refined-inert");
-    let (accel, lib, images) = setup();
-    let opts = PipelineOptions::quick().with_cache(&dir, CacheMode::ReadWrite);
-    let cold = run_pipeline(&accel, &lib, &images, &opts).unwrap();
-    assert!(cold.refinement.is_none());
-    assert_eq!(cold.timings.cache_misses, 1, "plain cold run: step12 only");
-    let warm = run_pipeline(&accel, &lib, &images, &opts).unwrap();
-    assert_eq!(warm.timings.cache_hits, 1, "plain warm run: step12 only");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn nn_workload_warm_start_is_byte_identical_too() {
     // the cache layer is domain-generic: the NN workload's Steps 1–2

@@ -1,7 +1,7 @@
 //! Tests of the Step-3 search engine: golden parity of the trait-based
 //! hill strategy against the pre-refactor `heuristic_pareto`, strategy
-//! selection through the pipeline, and the NSGA-II hypervolume guarantee
-//! on the quick pipeline configuration.
+//! selection through the pipeline, the pinned NSGA-II pipeline front and
+//! the NSGA-II hypervolume guarantee on the quick pipeline configuration.
 
 use autoax::config::{ConfigSpace, SlotChoices, SlotMember};
 use autoax::model::{fit_models, EvaluatedSet, ModelEstimator};
@@ -202,6 +202,15 @@ fn nsga2_pipeline_is_deterministic_and_thread_invariant() {
         run_pipeline(&accel, &lib, &images, &opts).expect("nsga2 pipeline")
     };
     let reference = run(1, 1);
+    // Pinned plain NSGA-II output on this setup; the loop below holds
+    // every other threads/batch setting to the same fronts.
+    assert_eq!(reference.pseudo_front.len(), 109, "nsga2 pseudo front size");
+    assert_eq!(reference.final_front.len(), 18, "nsga2 final front size");
+    assert_eq!(
+        reference.front_digest(),
+        0x6c83_a789_3da5_033a,
+        "nsga2 final front digest drifted"
+    );
     let ref_pseudo: Vec<(u64, u64, Configuration)> = reference
         .pseudo_front
         .iter()

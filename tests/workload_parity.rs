@@ -42,6 +42,33 @@ fn sobel_quickstart_front_is_bit_identical_to_pre_workload_refactor() {
 }
 
 #[test]
+fn pinned_quickstart_digest_is_stable_across_worker_pool_widths() {
+    // The persistent worker pool, the fused forest kernels and the
+    // batched Pareto insertion are pure throughput machinery: the pinned
+    // quickstart pins above must not move at any pool width. Widths are
+    // set through `SearchOptions::threads` (not the env var) so the runs
+    // cannot race each other's configuration.
+    let lib = build_library(&LibraryConfig::tiny());
+    let images = benchmark_suite(4, 96, 64, 7);
+    let accel = SobelEd::new();
+    for threads in [1usize, 2, 8] {
+        let mut opts = PipelineOptions::quick();
+        opts.search.threads = threads;
+        let res = run_pipeline(&accel, &lib, &images, &opts).expect("pipeline");
+        assert_eq!(
+            (res.pseudo_front.len(), res.final_front.len()),
+            (65, 14),
+            "front sizes drifted at threads={threads}"
+        );
+        assert_eq!(
+            res.front_digest(),
+            0x252e_0c00_c843_33a4,
+            "quickstart digest moved at threads={threads}"
+        );
+    }
+}
+
+#[test]
 fn nn_pipeline_runs_all_three_steps_end_to_end() {
     // the same generic pipeline on the NN workload: profiling → models
     // with reported fidelity → search → non-empty accuracy/area/energy
