@@ -1,14 +1,22 @@
 //! Generation and characterization of approximate-component libraries.
 //!
 //! This module replaces the paper's downloaded libraries (EvoApprox8b,
-//! QuAd adders, BAM multipliers). [`build_library`] generates a
-//! configurable number of circuits per operation class from the
-//! parameterized families in [`crate::approx`], characterizes every
-//! circuit exhaustively (operand spaces up to 2^20) or with a large
-//! deterministic sample, deduplicates functionally identical candidates
-//! and filters out garbage — producing exactly the artifact the autoAx
-//! methodology consumes: a set of *fully characterized* black-box circuits
-//! per operation.
+//! QuAd adders, BAM multipliers). [`build_library`] fills each operation
+//! class with a configurable number of circuits drawn from the
+//! parameterized families in [`crate::approx`] — producing exactly the
+//! artifact the autoAx methodology consumes: a set of *fully
+//! characterized* black-box circuits per operation.
+//!
+//! Characterization is demand-driven. Each class walks its candidate list
+//! in a fixed order, characterizes the next few candidates in parallel
+//! (synthesis-lite plus simulation: exhaustive up to
+//! [`LibraryConfig::max_exhaustive_bits`] input bits, a large
+//! deterministic sample above), passes them in order through the
+//! functional dedupe and the garbage filter, and stops as soon as the
+//! class is full. Only what the library keeps, plus at most one chunk of
+//! overshoot, is ever characterized. The kept entries are the in-order
+//! prefix of the accepted candidates, so the library is byte-identical
+//! at every thread count.
 //!
 //! [`ClassCounts::paper`] reproduces the library sizes of Table 2.
 
@@ -24,7 +32,8 @@ use crate::sim;
 use crate::synth::{self, HwReport};
 use crate::util::{mask, splitmix64, stimulus_pairs};
 use crate::{OpKind, OpSignature};
-use autoax_exec::par_map;
+use autoax_exec::par_map_coarse;
+use autoax_telemetry as telemetry;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -227,6 +236,7 @@ impl ComponentLibrary {
 
 /// Builds the full six-class library of the paper.
 pub fn build_library(cfg: &LibraryConfig) -> ComponentLibrary {
+    let _span = telemetry::span("charlib.build");
     let mut lib = ComponentLibrary::default();
     for (i, sig) in OpSignature::PAPER_CLASSES.into_iter().enumerate() {
         let count = cfg.counts.for_signature(sig);
@@ -239,21 +249,56 @@ pub fn build_library(cfg: &LibraryConfig) -> ComponentLibrary {
     lib
 }
 
+/// Candidates characterized per parallel chunk, per worker thread: small,
+/// so a class stops soon after it is full, but enough to keep every
+/// worker busy between selection steps.
+const CHUNK_PER_THREAD: usize = 4;
+
 /// Builds and characterizes one class to (up to) `target` circuits.
 ///
-/// The exact circuit is always entry 0. If the family generators plus the
-/// seeded fill cannot produce `target` distinct, non-garbage behaviours in
-/// eight rounds, the class is returned smaller (never happens at the
-/// paper's scales).
+/// Candidates are generated in rounds — the structured families plus a
+/// seeded fill first, then seeded fill only — and characterized on demand,
+/// in order, a few per worker thread at a time. After each chunk the
+/// candidates pass, in order, through the functional dedupe and the
+/// garbage filter, and the class stops as soon as it holds `target`
+/// entries; the rest of the round is never characterized. The kept
+/// entries are therefore the in-order prefix of the accepted candidates,
+/// the same library at every thread count.
+///
+/// The exact circuit is always entry 0, and `target == 0` yields an empty
+/// class. If the family generators plus the seeded fill cannot produce
+/// `target` distinct, non-garbage behaviours in eight rounds, the class is
+/// returned smaller (never happens at the paper's scales).
 pub fn build_class(
     sig: OpSignature,
     target: usize,
     cfg: &LibraryConfig,
     seed: u64,
 ) -> Vec<CircuitEntry> {
+    let mut span = telemetry::span("charlib.class");
+    span.field("class", sig);
+    span.field("target", target);
+    let chunk = CHUNK_PER_THREAD * autoax_exec::thread_count();
+    let (entries, characterized) = build_class_chunked(sig, target, cfg, seed, chunk);
+    span.field("characterized", characterized);
+    span.field("kept", entries.len());
+    entries
+}
+
+/// [`build_class`] with an explicit characterization chunk size; also
+/// returns how many candidates were characterized. The entries do not
+/// depend on `chunk`.
+fn build_class_chunked(
+    sig: OpSignature,
+    target: usize,
+    cfg: &LibraryConfig,
+    seed: u64,
+    chunk: usize,
+) -> (Vec<CircuitEntry>, usize) {
     let mut entries: Vec<CircuitEntry> = Vec::with_capacity(target);
     let mut seen: HashSet<u64> = HashSet::new();
     let mut round_seed = seed;
+    let mut characterized = 0;
 
     // Round 0 uses the structured families; later rounds only random fill.
     for round in 0..8 {
@@ -271,30 +316,38 @@ pub fn build_class(
         };
         round_seed = round_seed.wrapping_add(0xABCD_EF01);
 
-        let characterized = par_map(&candidates, |b| characterize(sig, b, cfg));
-        for (behavior, (err, hw, fingerprint)) in candidates.into_iter().zip(characterized) {
+        for part in candidates.chunks(chunk) {
             if entries.len() >= target {
                 break;
             }
-            if !seen.insert(fingerprint) {
-                continue; // functional duplicate
+            let results = par_map_coarse(part, |b| characterize(sig, b, cfg));
+            characterized += part.len();
+            for (behavior, (err, hw, fingerprint)) in part.iter().zip(results) {
+                if entries.len() >= target {
+                    break;
+                }
+                if !seen.insert(fingerprint) {
+                    continue; // functional duplicate
+                }
+                let is_exact_slot = entries.is_empty();
+                if !is_exact_slot && err.wce as f64 > cfg.max_wce_frac * sig.output_range() {
+                    continue; // garbage
+                }
+                entries.push(CircuitEntry {
+                    id: CircuitId(entries.len() as u32),
+                    behavior: behavior.clone(),
+                    label: behavior.label(),
+                    hw,
+                    err,
+                });
             }
-            let is_exact_slot = entries.is_empty();
-            if !is_exact_slot && err.wce as f64 > cfg.max_wce_frac * sig.output_range() {
-                continue; // garbage
-            }
-            let label = behavior.label();
-            entries.push(CircuitEntry {
-                id: CircuitId(entries.len() as u32),
-                behavior,
-                label,
-                hw,
-                err,
-            });
         }
     }
-    debug_assert!(entries[0].is_exact(), "entry 0 must be the exact circuit");
-    entries
+    debug_assert!(
+        entries.first().is_none_or(CircuitEntry::is_exact),
+        "entry 0 must be the exact circuit"
+    );
+    (entries, characterized)
 }
 
 /// Characterizes one behaviour: error metrics, hardware report and a
@@ -653,9 +706,145 @@ fn fill_candidates(sig: OpSignature, n: usize, cfg: &LibraryConfig, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autoax_exec::par_map;
 
     fn tiny_cfg() -> LibraryConfig {
         LibraryConfig::tiny()
+    }
+
+    /// The characterize-everything selection `build_class` replaced, kept
+    /// as the oracle: characterize a whole round, then keep candidates in
+    /// order until the class is full.
+    fn build_class_whole_rounds(
+        sig: OpSignature,
+        target: usize,
+        cfg: &LibraryConfig,
+        seed: u64,
+    ) -> Vec<CircuitEntry> {
+        let mut entries: Vec<CircuitEntry> = Vec::with_capacity(target);
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut round_seed = seed;
+        for round in 0..8 {
+            if entries.len() >= target {
+                break;
+            }
+            let need = target - entries.len();
+            let candidates = if round == 0 {
+                let mut c = structured_candidates(sig);
+                let fill_n = need.saturating_sub(c.len()) + need / 4;
+                c.extend(fill_candidates(sig, fill_n, cfg, round_seed));
+                c
+            } else {
+                fill_candidates(sig, need + need / 3 + 8, cfg, round_seed)
+            };
+            round_seed = round_seed.wrapping_add(0xABCD_EF01);
+
+            let characterized = par_map(&candidates, |b| characterize(sig, b, cfg));
+            for (behavior, (err, hw, fingerprint)) in candidates.into_iter().zip(characterized) {
+                if entries.len() >= target {
+                    break;
+                }
+                if !seen.insert(fingerprint) {
+                    continue;
+                }
+                let is_exact_slot = entries.is_empty();
+                if !is_exact_slot && err.wce as f64 > cfg.max_wce_frac * sig.output_range() {
+                    continue;
+                }
+                let label = behavior.label();
+                entries.push(CircuitEntry {
+                    id: CircuitId(entries.len() as u32),
+                    behavior,
+                    label,
+                    hw,
+                    err,
+                });
+            }
+        }
+        entries
+    }
+
+    /// Every stored bit of an entry except its behaviour and label.
+    fn entry_bits(e: &CircuitEntry) -> [u64; 13] {
+        let (hw, err) = (&e.hw, &e.err);
+        [
+            e.id.0 as u64,
+            hw.area.to_bits(),
+            hw.delay.to_bits(),
+            hw.power.to_bits(),
+            hw.energy.to_bits(),
+            hw.cells as u64,
+            err.mae.to_bits(),
+            err.wce,
+            err.er.to_bits(),
+            err.mse.to_bits(),
+            err.var_ed.to_bits(),
+            err.mre.to_bits(),
+            err.samples,
+        ]
+    }
+
+    /// Asserts that demand-driven selection at chunk sizes 1, 7 and a
+    /// whole round keeps exactly the oracle's entries.
+    fn assert_matches_whole_rounds(
+        cfg: &LibraryConfig,
+        sig: OpSignature,
+        target: usize,
+        seed: u64,
+    ) {
+        let want = build_class_whole_rounds(sig, target, cfg, seed);
+        assert_eq!(want.len(), target, "{sig}: oracle fell short");
+        for chunk in [1, 7, usize::MAX] {
+            let (got, characterized) = build_class_chunked(sig, target, cfg, seed, chunk);
+            assert_eq!(got.len(), want.len(), "{sig} chunk {chunk}: size");
+            assert!(characterized >= target, "{sig} chunk {chunk}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.behavior, w.behavior,
+                    "{sig} chunk {chunk}: behaviour of {i}"
+                );
+                assert_eq!(g.label, w.label, "{sig} chunk {chunk}: label of {i}");
+                assert_eq!(
+                    entry_bits(g),
+                    entry_bits(w),
+                    "{sig} chunk {chunk}: bits of {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn demand_driven_selection_equals_whole_round_selection_for_every_class() {
+        // The tiny library's targets and per-class seeds.
+        let cfg = tiny_cfg();
+        for (i, sig) in OpSignature::PAPER_CLASSES.into_iter().enumerate() {
+            let seed = cfg.seed.wrapping_add(i as u64 * 0x9E37);
+            assert_matches_whole_rounds(&cfg, sig, cfg.counts.for_signature(sig), seed);
+        }
+    }
+
+    #[test]
+    fn demand_driven_selection_equals_whole_round_selection_past_round_zero() {
+        // Round 0 grows with the target (SUB10 at 120: 73 structured
+        // candidates plus 77 fill) and fills the class under the default
+        // garbage bound. A 1% bound rejects most of it, so rounds >= 1 run.
+        let cfg = LibraryConfig {
+            max_wce_frac: 0.01,
+            ..tiny_cfg()
+        };
+        let sig = OpSignature::SUB10;
+        let round0 = structured_candidates(sig).len().max(120) + 120 / 4;
+        let (_, characterized) = build_class_chunked(sig, 120, &cfg, 11, 1);
+        assert!(characterized > round0, "round 1 never ran");
+        assert_matches_whole_rounds(&cfg, sig, 120, 11);
+    }
+
+    #[test]
+    fn zero_target_builds_an_empty_class() {
+        let cfg = tiny_cfg();
+        for sig in OpSignature::PAPER_CLASSES {
+            assert!(build_class(sig, 0, &cfg, 1).is_empty(), "{sig}");
+        }
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! word belongs to the `i`-th of 64 independent input assignments. This is
 //! the classic EDA trick that makes exhaustive characterization of 16-bit
 //! operand spaces (65 536 assignments = 1024 words) cheap.
+//!
+//! The batch entry points, [`exhaustive_outputs`] and [`eval_binop_batch`],
+//! reuse one net-value buffer for all of their 64-lane passes and turn each
+//! pass's output words into per-assignment integers with one in-place
+//! 64×64 bit-matrix transpose, so a pass allocates nothing.
 
 use crate::netlist::Netlist;
 use crate::util::mask;
@@ -14,14 +19,12 @@ use crate::util::mask;
 /// # Panics
 /// Panics if `inputs.len()` differs from the netlist's input count.
 pub fn sim_lanes(netlist: &Netlist, inputs: &[u64]) -> Vec<u64> {
-    let mut values = sim_all_nets(netlist, inputs);
-    let outs: Vec<u64> = netlist
+    let values = sim_all_nets(netlist, inputs);
+    netlist
         .outputs()
         .iter()
         .map(|o| values[o.index()])
-        .collect();
-    values.clear();
-    outs
+        .collect()
 }
 
 /// Like [`sim_lanes`] but returns the word of *every* net (used by power
@@ -33,15 +36,63 @@ pub fn sim_all_nets(netlist: &Netlist, inputs: &[u64]) -> Vec<u64> {
         "input word count mismatch for `{}`",
         netlist.name()
     );
-    let mut values: Vec<u64> = Vec::with_capacity(netlist.net_count());
-    values.extend_from_slice(inputs);
-    for gate in netlist.gates() {
+    let mut values = vec![0u64; netlist.net_count()];
+    values[..inputs.len()].copy_from_slice(inputs);
+    eval_gates(netlist, &mut values);
+    values
+}
+
+/// Evaluates every gate of `netlist` into `values` (one word per net),
+/// whose first `input_count()` words already hold the input lanes.
+fn eval_gates(netlist: &Netlist, values: &mut [u64]) {
+    let base = netlist.input_count();
+    for (g, gate) in netlist.gates().iter().enumerate() {
         let a = values[gate.ins[0].index()];
         let b = values[gate.ins[1].index()];
         let c = values[gate.ins[2].index()];
-        values.push(gate.kind.eval(a, b, c));
+        values[base + g] = gate.kind.eval(a, b, c);
     }
-    values
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `j` of `m[i]`
+/// is what bit `i` of `m[j]` was. Six rounds swap the off-diagonal blocks
+/// of every diagonal block, from 32×32 down to 1×1.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut low: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        for block in m.chunks_exact_mut(2 * width) {
+            let (top, bottom) = block.split_at_mut(width);
+            for (x, y) in top.iter_mut().zip(bottom) {
+                let t = ((*x >> width) ^ *y) & low;
+                *x ^= t << width;
+                *y ^= t;
+            }
+        }
+        width /= 2;
+        low ^= low << width;
+    }
+}
+
+/// Panics unless every lane's outputs fit one `u64` result.
+fn assert_outputs_fit(netlist: &Netlist) {
+    assert!(
+        netlist.outputs().len() <= 64,
+        "`{}` has {} outputs; a u64 result holds at most 64",
+        netlist.name(),
+        netlist.outputs().len()
+    );
+}
+
+/// Writes lane `l`'s outputs, assembled LSB-first into one integer, to
+/// `out[l]` for the first `out.len()` lanes.
+fn lanes_to_results(netlist: &Netlist, values: &[u64], out: &mut [u64]) {
+    let mut m = [0u64; 64];
+    for (row, o) in m.iter_mut().zip(netlist.outputs()) {
+        *row = values[o.index()];
+    }
+    transpose64(&mut m);
+    out.copy_from_slice(&m[..out.len()]);
 }
 
 /// Evaluates a netlist as a two-operand arithmetic circuit on a single
@@ -72,29 +123,30 @@ pub fn eval_binop(netlist: &Netlist, wa: u32, wb: u32, a: u64, b: u64) -> u64 {
 
 /// Evaluates a netlist as a two-operand arithmetic circuit on a batch of
 /// operand pairs, 64 pairs per simulation pass.
+///
+/// # Panics
+/// Panics if the netlist does not have exactly `wa + wb` inputs, or has
+/// more than 64 outputs.
 pub fn eval_binop_batch(netlist: &Netlist, wa: u32, wb: u32, pairs: &[(u64, u64)]) -> Vec<u64> {
     assert_eq!(netlist.input_count() as u32, wa + wb);
-    let n_in = (wa + wb) as usize;
-    let mut results = Vec::with_capacity(pairs.len());
-    let mut words = vec![0u64; n_in];
-    for chunk in pairs.chunks(64) {
-        words.iter_mut().for_each(|w| *w = 0);
+    assert_outputs_fit(netlist);
+    let (wa, n_in) = (wa as usize, (wa + wb) as usize);
+    let mut results = vec![0u64; pairs.len()];
+    let mut values = vec![0u64; netlist.net_count()];
+    for (chunk, out) in pairs.chunks(64).zip(results.chunks_mut(64)) {
+        let (a_words, b_words) = values[..n_in].split_at_mut(wa);
+        a_words.fill(0);
+        b_words.fill(0);
         for (lane, &(a, b)) in chunk.iter().enumerate() {
-            for (i, w) in words.iter_mut().enumerate().take(wa as usize) {
+            for (i, w) in a_words.iter_mut().enumerate() {
                 *w |= ((a >> i) & 1) << lane;
             }
-            for i in 0..wb as usize {
-                words[wa as usize + i] |= ((b >> i) & 1) << lane;
+            for (i, w) in b_words.iter_mut().enumerate() {
+                *w |= ((b >> i) & 1) << lane;
             }
         }
-        let outs = sim_lanes(netlist, &words);
-        for lane in 0..chunk.len() {
-            let mut r = 0u64;
-            for (i, w) in outs.iter().enumerate() {
-                r |= ((w >> lane) & 1) << i;
-            }
-            results.push(r);
-        }
+        eval_gates(netlist, &mut values);
+        lanes_to_results(netlist, &values, out);
     }
     results
 }
@@ -118,33 +170,21 @@ const LOW_PATTERNS: [u64; 6] = [
 ///
 /// # Panics
 /// Panics if the netlist has more than 26 inputs (the result vector would
-/// exceed 64 M entries).
+/// exceed 64 M entries) or more than 64 outputs.
 pub fn exhaustive_outputs(netlist: &Netlist) -> Vec<u64> {
     let k = netlist.input_count();
     assert!(k <= 26, "exhaustive evaluation limited to 26 inputs");
-    let total = 1usize << k;
-    let blocks = total.div_ceil(64);
-    let mut results = vec![0u64; total];
-    let mut words = vec![0u64; k];
-    for block in 0..blocks {
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = if i < 6 {
-                LOW_PATTERNS[i]
-            } else if (block >> (i - 6)) & 1 != 0 {
-                u64::MAX
-            } else {
-                0
-            };
+    assert_outputs_fit(netlist);
+    let mut results = vec![0u64; 1 << k];
+    let mut values = vec![0u64; netlist.net_count()];
+    let low = k.min(6);
+    values[..low].copy_from_slice(&LOW_PATTERNS[..low]);
+    for (block, out) in results.chunks_mut(64).enumerate() {
+        for (i, w) in values[low..k].iter_mut().enumerate() {
+            *w = if (block >> i) & 1 != 0 { u64::MAX } else { 0 };
         }
-        let outs = sim_lanes(netlist, &words);
-        let lanes = (total - block * 64).min(64);
-        for lane in 0..lanes {
-            let mut r = 0u64;
-            for (oi, w) in outs.iter().enumerate() {
-                r |= ((w >> lane) & 1) << oi;
-            }
-            results[block * 64 + lane] = r;
-        }
+        eval_gates(netlist, &mut values);
+        lanes_to_results(netlist, &values, out);
     }
     results
 }
@@ -188,7 +228,37 @@ pub fn check_equivalence(a: &Netlist, b: &Netlist, n_samples: usize, seed: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::Netlist;
+    use crate::cell::CellKind;
+    use crate::netlist::{NetId, Netlist};
+    use crate::util::splitmix64;
+    use proptest::prelude::*;
+
+    /// A seeded random netlist: `n_gates` gates of any cell kind over any
+    /// earlier nets, and `n_out` outputs drawn from all nets (repeats and
+    /// bare inputs allowed).
+    fn random_netlist(n_in: usize, n_gates: usize, n_out: usize, seed: u64) -> Netlist {
+        let mut st = seed;
+        let mut n = Netlist::new("random");
+        for _ in 0..n_in {
+            n.input();
+        }
+        let pick = |st: &mut u64, nets: usize| NetId((splitmix64(st) % nets as u64) as u32);
+        for _ in 0..n_gates {
+            let kind = CellKind::ALL[(splitmix64(&mut st) % CellKind::ALL.len() as u64) as usize];
+            let nets = n.net_count();
+            let ins = [
+                pick(&mut st, nets),
+                pick(&mut st, nets),
+                pick(&mut st, nets),
+            ];
+            n.push(kind, ins);
+        }
+        for _ in 0..n_out {
+            let o = pick(&mut st, n.net_count());
+            n.push_output(o);
+        }
+        n
+    }
 
     fn xor_netlist() -> Netlist {
         let mut n = Netlist::new("xor");
@@ -268,5 +338,67 @@ mod tests {
         b.push_output(o);
         assert!(check_equivalence(&a, &a.clone(), 100, 1).is_none());
         assert!(check_equivalence(&a, &b, 100, 1).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn more_than_64_outputs_are_rejected() {
+        let n = random_netlist(2, 3, 65, 1);
+        let _ = exhaustive_outputs(&n);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The block-swap transpose equals the definition, bit by bit.
+        #[test]
+        fn transpose64_matches_the_naive_bit_loop(
+            rows in proptest::collection::vec(any::<u64>(), 64),
+        ) {
+            let mut m = [0u64; 64];
+            m.copy_from_slice(&rows);
+            transpose64(&mut m);
+            for (j, &col) in m.iter().enumerate() {
+                let mut want = 0u64;
+                for (i, &row) in rows.iter().enumerate() {
+                    want |= ((row >> j) & 1) << i;
+                }
+                prop_assert_eq!(col, want, "column {}", j);
+            }
+        }
+
+        /// Exhaustive and batched simulation agree with the single-pair
+        /// reference on random netlists: 1-12 inputs (below six, one
+        /// partial 64-lane block), 1-64 outputs, and batch lengths that
+        /// leave a partial last pass.
+        #[test]
+        fn batch_simulators_match_eval_binop(
+            n_in in 1usize..13,
+            n_gates in 0usize..60,
+            n_out in 1usize..65,
+            seed in any::<u64>(),
+            len in 1usize..300,
+        ) {
+            let n = random_netlist(n_in, n_gates, n_out, seed);
+            let k = n_in as u32;
+            let all = exhaustive_outputs(&n);
+            prop_assert_eq!(all.len(), 1 << n_in);
+            for (v, &r) in all.iter().enumerate() {
+                prop_assert_eq!(r, eval_binop(&n, k, 0, v as u64, 0), "assignment {}", v);
+            }
+
+            let len = if len % 64 == 0 { len + 1 } else { len };
+            let (wa, wb) = (k / 2, k - k / 2);
+            let mut st = seed ^ 0x5EED;
+            // Unmasked operands: bits above each width must be ignored.
+            let pairs: Vec<(u64, u64)> = (0..len)
+                .map(|_| (splitmix64(&mut st), splitmix64(&mut st)))
+                .collect();
+            let batch = eval_binop_batch(&n, wa, wb, &pairs);
+            prop_assert_eq!(batch.len(), len);
+            for (&(a, b), &r) in pairs.iter().zip(&batch) {
+                prop_assert_eq!(r, eval_binop(&n, wa, wb, a, b));
+            }
+        }
     }
 }

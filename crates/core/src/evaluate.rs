@@ -13,7 +13,7 @@ use autoax_circuit::charlib::{CircuitId, ComponentLibrary};
 use autoax_circuit::synth::{analyze, optimize, AnalyzeOptions};
 use autoax_circuit::{HwReport, Netlist, OpSignature};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The outcome of fully analyzing one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,17 +59,26 @@ impl<'a, W: Workload + ?Sized> Evaluator<'a, W> {
     }
 
     /// Compiles (with caching) the op set of a configuration.
+    ///
+    /// A missing op is compiled outside the cache lock, so parallel
+    /// evaluations never wait on another worker's compile, and inserted
+    /// first-writer-wins; compilation is deterministic, so a lost race
+    /// costs time, never a different result. The lock only guards single
+    /// lookups and inserts of whole ops, which leave the map valid, so a
+    /// cache poisoned by a panic elsewhere is still used.
     pub fn opset(&self, c: &Configuration) -> OpSet {
+        let cache = || self.op_cache.lock().unwrap_or_else(PoisonError::into_inner);
         let entries = self.space.entries(self.lib, c);
-        let mut cache = self.op_cache.lock().expect("op cache poisoned");
         let ops = entries
             .iter()
             .zip(self.space.slots().iter())
             .map(|(e, s)| {
-                cache
-                    .entry((s.signature, e.id))
-                    .or_insert_with(|| CompiledOp::compile(e))
-                    .clone()
+                let key = (s.signature, e.id);
+                if let Some(op) = cache().get(&key) {
+                    return op.clone();
+                }
+                let op = CompiledOp::compile(e);
+                cache().entry(key).or_insert(op).clone()
             })
             .collect();
         OpSet::new(ops)
@@ -181,6 +190,37 @@ mod tests {
             assert_eq!(single.qor, b.qor);
             assert_eq!(single.hw.area, b.hw.area);
         }
+    }
+
+    #[test]
+    fn evaluation_survives_a_poisoned_op_cache() {
+        let (accel, lib, images, pre) = setup();
+        let ev = Evaluator::new(&accel, &lib, &pre.space, &images);
+        let exact = pre.space.exact();
+        let before = ev.evaluate(&exact);
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = ev.op_cache.lock().unwrap();
+            panic!("deliberate panic while holding the op cache");
+        }));
+        assert!(poison.is_err() && ev.op_cache.is_poisoned());
+        let cached = |ev: &Evaluator<'_, SobelEd>| {
+            ev.op_cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len()
+        };
+        let n_exact = cached(&ev);
+        // Cached ops are still served...
+        assert_eq!(ev.evaluate(&exact), before);
+        // ...and missing ones still compile and are inserted.
+        let aggressive =
+            Configuration::from_genes(pre.space.sizes().iter().map(|&n| (n - 1) as u16).collect());
+        let fresh = Evaluator::new(&accel, &lib, &pre.space, &images);
+        assert_eq!(ev.evaluate(&aggressive), fresh.evaluate(&aggressive));
+        assert!(
+            cached(&ev) > n_exact,
+            "no op was compiled after the poisoning"
+        );
     }
 
     #[test]

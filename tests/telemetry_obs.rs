@@ -5,6 +5,8 @@
 //!   byte-identically with metrics *and* span collection fully enabled
 //!   (the digest value is pinned in `workload_parity.rs`; this file
 //!   re-asserts it under observation);
+//! * a traced library build records one span per class under one build
+//!   span, with the class's demand-driven characterization count;
 //! * interleaved spans on multiple threads must always drain to a
 //!   well-formed forest (property test);
 //! * the service must expose `/healthz` and Prometheus `/metrics`, echo
@@ -66,6 +68,45 @@ fn quickstart_digest_is_byte_identical_with_telemetry_fully_enabled() {
         0x252e_0c00_c843_33a4,
         "enabling telemetry changed the front digest"
     );
+}
+
+#[test]
+fn traced_library_build_records_one_span_per_class() {
+    let _g = guard();
+    let _ = telemetry::take_spans();
+    let cfg = LibraryConfig::tiny();
+    telemetry::set_tracing(true);
+    let lib = build_library(&cfg);
+    telemetry::set_tracing(false);
+    let spans = telemetry::take_spans();
+
+    let builds: Vec<_> = spans.iter().filter(|s| s.name == "charlib.build").collect();
+    assert_eq!(builds.len(), 1, "one charlib.build span");
+    let classes: Vec<_> = spans.iter().filter(|s| s.name == "charlib.class").collect();
+    assert_eq!(classes.len(), 6, "one charlib.class span per paper class");
+    let field = |s: &telemetry::SpanRecord, key: &str| -> String {
+        let (_, v) = s.fields.iter().find(|(k, _)| *k == key).expect("field");
+        v.clone()
+    };
+    for s in &classes {
+        assert_eq!(s.parent, builds[0].id, "class span outside the build span");
+        let sig = autoax_circuit::OpSignature::PAPER_CLASSES
+            .into_iter()
+            .find(|sig| sig.to_string() == field(s, "class"))
+            .expect("class field names a paper class");
+        let target = cfg.counts.for_signature(sig);
+        assert_eq!(field(s, "target"), target.to_string());
+        assert_eq!(field(s, "kept"), lib.class_size(sig).to_string());
+        let characterized: usize = field(s, "characterized").parse().unwrap();
+        assert!(characterized >= target, "{sig}: {characterized} < {target}");
+    }
+    // add9's round 0 holds 642 candidates; the class fills long before.
+    let add9 = classes
+        .iter()
+        .find(|s| field(s, "class") == "add9")
+        .unwrap();
+    let characterized: usize = field(add9, "characterized").parse().unwrap();
+    assert!(characterized < 642, "add9 characterized {characterized}");
 }
 
 /// Per-thread static span names, indexed `[thread][depth]`.
