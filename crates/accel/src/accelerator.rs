@@ -6,7 +6,7 @@
 use autoax_circuit::approx::Behavior;
 use autoax_circuit::sim::exhaustive_outputs;
 use autoax_circuit::{CircuitEntry, Netlist, OpSignature};
-use autoax_image::ssim::ssim;
+use autoax_image::ssim::SsimReference;
 use autoax_image::GrayImage;
 use std::sync::Arc;
 
@@ -243,12 +243,12 @@ pub trait Accelerator: Send + Sync {
     /// Deliberately sequential: on the hot path this runs *under* the
     /// parallel `evaluate_batch` (one task per configuration), so nesting
     /// another fan-out here would oversubscribe the workers.
-    fn qor(&self, images: &[GrayImage], golden: &[Vec<GrayImage>], ops: &OpSet) -> f64 {
+    fn qor(&self, images: &[GrayImage], golden: &[Vec<SsimReference>], ops: &OpSet) -> f64 {
         let mut sum = 0.0;
         let mut n = 0usize;
         for (img, gold) in images.iter().zip(golden.iter()) {
             for (mode, g) in gold.iter().enumerate() {
-                sum += ssim(&self.run(img, ops, mode), g);
+                sum += g.ssim(&self.run(img, ops, mode));
                 n += 1;
             }
         }
@@ -256,11 +256,13 @@ pub trait Accelerator: Send + Sync {
         sum / n as f64
     }
 
-    /// Precomputes the golden outputs for [`Accelerator::qor`], one
-    /// parallel task per image (coarse-grained: a task renders every mode
-    /// of a whole image).
-    fn golden(&self, images: &[GrayImage]) -> Vec<Vec<GrayImage>> {
-        autoax_exec::par_map_coarse(images, |img| self.run_exact(img))
+    /// Precomputes the golden side of [`Accelerator::qor`]: the SSIM
+    /// reference of every mode's exact output, one parallel task per
+    /// image (coarse-grained: a task renders every mode of a whole image).
+    fn golden(&self, images: &[GrayImage]) -> Vec<Vec<SsimReference>> {
+        autoax_exec::par_map_coarse(images, |img| {
+            self.run_exact(img).iter().map(SsimReference::new).collect()
+        })
     }
 }
 

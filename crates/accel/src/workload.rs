@@ -10,14 +10,15 @@
 //!
 //! Every [`Accelerator`] — the paper's image-filter contract over 3×3
 //! pixel neighbourhoods — is a `Workload` through the blanket
-//! implementation below, with `Sample = GrayImage`, per-mode golden
-//! outputs and mean-SSIM QoR. The generic pipeline
+//! implementation below, with `Sample = GrayImage`, a per-mode SSIM
+//! reference of the golden outputs and mean-SSIM QoR. The generic pipeline
 //! (`autoax::pipeline::run_pipeline`) is written against `Workload` only,
 //! so the image path and any new domain run through identical code.
 
 use crate::accelerator::{Accelerator, OpSet, OpSlot};
 use crate::profile::Pmf;
 use autoax_circuit::Netlist;
+use autoax_image::ssim::SsimReference;
 use autoax_image::GrayImage;
 
 /// An application workload: benchmark data, a software model over
@@ -32,8 +33,9 @@ pub trait Workload: Send + Sync {
     type Sample: Send + Sync;
 
     /// The precomputed exact-run result of one sample that
-    /// [`Workload::qor`] compares approximate runs against (rendered
-    /// images per mode, a predicted class label, …).
+    /// [`Workload::qor`] compares approximate runs against (an SSIM
+    /// reference of the rendered image per mode, a predicted class
+    /// label, …).
     type Golden: Send + Sync;
 
     /// Workload name (reports, cache keys).
@@ -81,11 +83,11 @@ pub trait Workload: Send + Sync {
 }
 
 /// Every image-filter [`Accelerator`] is a [`Workload`] over grayscale
-/// images: golden results are the exact outputs of every behavioural
-/// mode, and QoR is the paper's mean SSIM.
+/// images: golden results are SSIM references of the exact outputs of
+/// every behavioural mode, and QoR is the paper's mean SSIM.
 impl<A: Accelerator + ?Sized> Workload for A {
     type Sample = GrayImage;
-    type Golden = Vec<GrayImage>;
+    type Golden = Vec<SsimReference>;
 
     fn name(&self) -> &str {
         Accelerator::name(self)
@@ -103,11 +105,11 @@ impl<A: Accelerator + ?Sized> Workload for A {
         crate::profile::profile(self, samples)
     }
 
-    fn golden(&self, samples: &[GrayImage]) -> Vec<Vec<GrayImage>> {
+    fn golden(&self, samples: &[GrayImage]) -> Vec<Vec<SsimReference>> {
         Accelerator::golden(self, samples)
     }
 
-    fn qor(&self, samples: &[GrayImage], golden: &[Vec<GrayImage>], ops: &OpSet) -> f64 {
+    fn qor(&self, samples: &[GrayImage], golden: &[Vec<SsimReference>], ops: &OpSet) -> f64 {
         Accelerator::qor(self, samples, golden, ops)
     }
 

@@ -25,7 +25,7 @@ use crate::StoreError;
 use autoax_telemetry as telemetry;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Snapshot of a store's hit/miss counters (monotonic since creation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,19 +113,32 @@ impl ShardedStore {
         }
     }
 
+    /// Locks shard `index`. A panic under a shard lock poisons it; since
+    /// the shard's LRU is only a cache over the disk store, recovery drops
+    /// that LRU, clears the poison and carries on, so one panic never
+    /// turns every later request on the shard into a panic.
+    fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
+        let shard = &self.shards[index];
+        shard.lock().unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            guard.lru.clear();
+            shard.clear_poison();
+            guard
+        })
+    }
+
     /// On-disk path an entry would occupy (for tests and diagnostics).
     pub fn entry_path(&self, kind: &str, key: CacheKey) -> PathBuf {
-        let shard = self.shards[self.shard_index(key)]
-            .lock()
-            .expect("shard lock poisoned");
-        shard.store.entry_path(kind, key)
+        self.lock_shard(self.shard_index(key))
+            .store
+            .entry_path(kind, key)
     }
 
     /// Drops every in-memory LRU entry; disk contents are untouched.
     /// Lets tests distinguish LRU hits from disk hits.
     pub fn flush_memory(&self) {
-        for s in &self.shards {
-            s.lock().expect("shard lock poisoned").lru.clear();
+        for i in 0..self.shards.len() {
+            self.lock_shard(i).lru.clear();
         }
     }
 
@@ -147,9 +160,7 @@ impl ShardedStore {
 impl BlobStore for ShardedStore {
     fn load_blob(&self, kind: &str, key: CacheKey, tag: [u8; 4]) -> Loaded {
         let lkey = Self::lru_key(kind, key, tag);
-        let mut shard = self.shards[self.shard_index(key)]
-            .lock()
-            .expect("shard lock poisoned");
+        let mut shard = self.lock_shard(self.shard_index(key));
         if let Some(bytes) = shard.lru.get(&lkey) {
             let payload = bytes.to_vec();
             self.lru_hits.fetch_add(1, Ordering::Relaxed);
@@ -182,9 +193,7 @@ impl BlobStore for ShardedStore {
         payload: Vec<u8>,
     ) -> Result<(), StoreError> {
         let lkey = Self::lru_key(kind, key, tag);
-        let mut shard = self.shards[self.shard_index(key)]
-            .lock()
-            .expect("shard lock poisoned");
+        let mut shard = self.lock_shard(self.shard_index(key));
         shard.store.save(kind, key, tag, payload.clone())?;
         // Updated under the same lock that wrote the file: a load after
         // this save (on any thread) sees the new bytes, never stale ones.
@@ -288,6 +297,27 @@ mod tests {
             s.load_blob("unit", k, *b"UNIT"),
             Loaded::Rejected(StoreError::Checksum)
         ));
+    }
+
+    #[test]
+    fn a_poisoned_shard_drops_its_lru_and_keeps_serving() {
+        let s = ShardedStore::new(temp_dir("poison"), 2, 1 << 16);
+        let k = key(7);
+        s.save_blob("unit", k, *b"UNIT", vec![4; 16]).unwrap();
+        let idx = s.shard_index(k);
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = s.shards[idx].lock().unwrap();
+            panic!("deliberate panic while holding a shard lock");
+        }));
+        assert!(poison.is_err() && s.shards[idx].is_poisoned());
+        // The saved payload sat in the LRU; recovery dropped it, so the
+        // load is answered from disk.
+        let before = s.stats();
+        assert!(matches!(s.load_blob("unit", k, *b"UNIT"), Loaded::Hit(p) if p == vec![4; 16]));
+        assert_eq!(s.stats().disk_hits, before.disk_hits + 1);
+        assert!(!s.shards[idx].is_poisoned());
+        s.save_blob("unit", k, *b"UNIT", vec![5; 8]).unwrap();
+        assert!(matches!(s.load_blob("unit", k, *b"UNIT"), Loaded::Hit(p) if p == vec![5; 8]));
     }
 
     #[test]
