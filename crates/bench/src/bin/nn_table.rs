@@ -17,8 +17,7 @@ use autoax::pareto::{joint_hypervolumes, ParetoFront, TradeoffPoint};
 use autoax::pipeline::{run_pipeline, PipelineOptions, PipelineResult};
 use autoax::search::SearchAlgo;
 use autoax::Configuration;
-use autoax_bench::{cache_args, pipeline_record, timings_line, write_bench_section, write_csv};
-use autoax_bench::{Json, Scale};
+use autoax_bench::{cache_args, timings_line, write_csv, Scale};
 use autoax_nn::NnScenario;
 use autoax_store::load_or_build_library;
 
@@ -89,8 +88,9 @@ fn main() {
             .collect()
     };
 
-    // Accuracy-vs-power fronts per strategy (really evaluated members).
-    type StrategyRun = (SearchAlgo, Vec<(f64, f64)>, Vec<(String, Json)>);
+    // Accuracy-vs-power fronts per strategy (really evaluated members),
+    // plus the pseudo-front size and test fidelities as CSV cells.
+    type StrategyRun = (SearchAlgo, Vec<(f64, f64)>, [String; 3]);
     let mut fronts: Vec<StrategyRun> = Vec::new();
     for algo in SearchAlgo::ALL {
         let opts = base_opts.clone().with_strategy(algo);
@@ -104,30 +104,12 @@ fn main() {
         };
         let points = acc_power_front(&res);
         println!("    timings: {}", timings_line(&res.timings));
-        let record = vec![
-            (
-                "pseudo_front".to_string(),
-                Json::int(res.pseudo_front.len() as u64),
-            ),
-            (
-                "acc_power_front".to_string(),
-                Json::int(points.len() as u64),
-            ),
-            (
-                "best_accuracy".to_string(),
-                Json::Num(points.iter().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max)),
-            ),
-            (
-                "qor_fidelity_test".to_string(),
-                Json::Num(res.fidelity.qor_test),
-            ),
-            (
-                "hw_fidelity_test".to_string(),
-                Json::Num(res.fidelity.hw_test),
-            ),
-            ("timings".to_string(), pipeline_record(&res.timings)),
+        let cells = [
+            res.pseudo_front.len().to_string(),
+            format!("{:.4}", res.fidelity.qor_test),
+            format!("{:.4}", res.fidelity.hw_test),
         ];
-        fronts.push((algo, points, record));
+        fronts.push((algo, points, cells));
     }
 
     // Hypervolumes on one shared normalization across every strategy.
@@ -144,8 +126,7 @@ fn main() {
         "Algorithm", "#front", "best-acc", "min-pwr(uW)", "hv"
     );
     let mut rows = Vec::new();
-    let mut sections = Vec::new();
-    for ((algo, points, record), &front_hv) in fronts.iter().zip(hv.iter()) {
+    for ((algo, points, cells), &front_hv) in fronts.iter().zip(hv.iter()) {
         let best_acc = points.iter().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max);
         let min_power = points.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
         println!(
@@ -161,21 +142,20 @@ fn main() {
             (0.0..=1.0).contains(&best_acc),
             "{algo}: accuracy out of range"
         );
-        rows.push(vec![
+        let mut row = vec![
             algo.name().to_string(),
             points.len().to_string(),
             format!("{best_acc:.4}"),
             format!("{min_power:.2}"),
             format!("{front_hv:.5}"),
-        ]);
-        let mut obj = record.clone();
-        obj.push(("hypervolume".to_string(), Json::Num(front_hv)));
-        sections.push((algo.name().to_string(), Json::Obj(obj)));
+        ];
+        row.extend_from_slice(cells);
+        rows.push(row);
     }
     write_csv(
         "nn_table.csv",
-        "algorithm,front,best_accuracy,min_power,hypervolume",
+        "algorithm,front,best_accuracy,min_power,hypervolume,\
+         pseudo_front,qor_fidelity_test,hw_fidelity_test",
         &rows,
     );
-    write_bench_section("nn_table", &Json::Obj(sections));
 }

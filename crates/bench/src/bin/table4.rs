@@ -22,7 +22,7 @@ use autoax::pareto::{front_distances, joint_hypervolumes, TradeoffPoint};
 use autoax::preprocess::{preprocess, PreprocessOptions};
 use autoax::search::{exhaustive_front, run_search, uniform_selection, SearchAlgo, SearchOptions};
 use autoax_accel::sobel::SobelEd;
-use autoax_bench::{sobel_image_suite, write_bench_section, write_csv, Json, Scale};
+use autoax_bench::{sobel_image_suite, write_csv, Scale};
 use autoax_circuit::charlib::build_library;
 use autoax_ml::EngineKind;
 use std::time::Instant;
@@ -76,13 +76,8 @@ fn main() {
     // selection once (its size is set by its level grid, not the budget).
     let budgets = [1_000usize, 10_000, 100_000];
     let strategies = [SearchAlgo::Hill, SearchAlgo::Nsga2, SearchAlgo::Random];
-    // (name, budget, front, model-estimate throughput of this run)
-    type StrategyRun = (
-        String,
-        usize,
-        autoax::ParetoFront<autoax::Configuration>,
-        f64,
-    );
+    // (name, budget, front)
+    type StrategyRun = (String, usize, autoax::ParetoFront<autoax::Configuration>);
     let mut fronts: Vec<StrategyRun> = Vec::new();
     for &budget in &budgets {
         for algo in strategies {
@@ -93,10 +88,8 @@ fn main() {
                 seed: 7,
                 ..SearchOptions::default()
             };
-            let t = Instant::now();
             let front = run_search(&pre.space, &estimator, &opts);
-            let dt = t.elapsed().as_secs_f64().max(1e-12);
-            fronts.push((algo.name().to_string(), budget, front, budget as f64 / dt));
+            fronts.push((algo.name().to_string(), budget, front));
         }
     }
     let uniform_opts = SearchOptions {
@@ -109,14 +102,12 @@ fn main() {
     // The uniform baseline's real cost is the deduplicated level-grid
     // size, not the nominal level count.
     let uniform_evals = uniform_selection(&pre.space, uniform_opts.uniform_levels).len();
-    // budget-derived throughput is not meaningful for the level-grid-sized
-    // uniform baseline (same convention as the pipeline: report 0)
-    fronts.push(("uniform".to_string(), uniform_evals, uniform, 0.0));
+    fronts.push(("uniform".to_string(), uniform_evals, uniform));
 
     // Hypervolumes on one shared normalization (all fronts + optimal).
     let point_sets: Vec<Vec<TradeoffPoint>> = fronts
         .iter()
-        .map(|(_, _, f, _)| f.points())
+        .map(|(_, _, f)| f.points())
         .chain(std::iter::once(optimal.points()))
         .collect();
     let refs: Vec<&[TradeoffPoint]> = point_sets.iter().map(|v| v.as_slice()).collect();
@@ -151,7 +142,7 @@ fn main() {
         format!("{hv_optimal:.5}"),
     ]];
     let mut last: Option<(f64, f64)> = None; // (hill avg, rs avg) at max budget
-    for ((name, budget, front, _), &front_hv) in fronts.iter().zip(hv.iter()) {
+    for ((name, budget, front), &front_hv) in fronts.iter().zip(hv.iter()) {
         let d = front_distances(&front.points(), &optimal.points());
         println!(
             "{:<10} {:>7} {:>8} | {:>9.5} {:>9.5} | {:>9.5} {:>9.5} | {:>8.5}",
@@ -189,27 +180,6 @@ fn main() {
         "algorithm,evals,pareto,to_avg,to_max,from_avg,from_max,hypervolume",
         &rows,
     );
-    // machine-readable perf record: per strategy@budget, the front size,
-    // hypervolume and model-estimate throughput of this run
-    let mut sections: Vec<(String, Json)> = vec![(
-        "optimal".into(),
-        Json::Obj(vec![
-            ("evals".into(), Json::Num(pre.space.size())),
-            ("pareto".into(), Json::int(optimal.len() as u64)),
-            ("hypervolume".into(), Json::Num(hv_optimal)),
-        ]),
-    )];
-    for ((name, budget, front, eps), &front_hv) in fronts.iter().zip(hv.iter()) {
-        sections.push((
-            format!("{name}@{budget}"),
-            Json::Obj(vec![
-                ("pareto".into(), Json::int(front.len() as u64)),
-                ("hypervolume".into(), Json::Num(front_hv)),
-                ("evals_per_sec".into(), Json::Num(*eps)),
-            ]),
-        ));
-    }
-    write_bench_section("table4", &Json::Obj(sections));
     if let Some((hill, rs)) = last {
         println!(
             "\nshape check: at 10^5 evaluations the proposed algorithm covers the optimal \

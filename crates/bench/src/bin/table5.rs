@@ -20,10 +20,7 @@ use autoax_accel::gaussian_fixed::FixedGaussian;
 use autoax_accel::gaussian_generic::GenericGaussian;
 use autoax_accel::sobel::SobelEd;
 use autoax_accel::Accelerator;
-use autoax_bench::{
-    cache_args, pipeline_record, sobel_image_suite, timings_line, write_bench_section, write_csv,
-    Json, Scale,
-};
+use autoax_bench::{cache_args, sobel_image_suite, timings_line, write_csv, Scale};
 use autoax_image::synthetic::benchmark_suite;
 use autoax_store::load_or_build_library;
 
@@ -100,7 +97,6 @@ fn main() {
             opts_gf,
         ),
     ];
-    let mut sections: Vec<(String, Json)> = Vec::new();
     for (accel, images, opts) in runs {
         let res = run_pipeline(accel.as_ref(), &lib, &images, &opts).expect("pipeline");
         let (full, reduced, pseudo, final_n) = res.space_sizes_log10();
@@ -133,21 +129,10 @@ fn main() {
             final_n.to_string(),
         ]);
         println!("    timings: {}", timings_line(&res.timings));
-        sections.push((
-            accel.name().to_string(),
-            Json::Obj(vec![
-                ("all_possible_log10".into(), Json::Num(full)),
-                ("after_preprocess_log10".into(), Json::Num(reduced)),
-                ("pseudo_pareto".into(), Json::int(pseudo as u64)),
-                ("final_pareto".into(), Json::int(final_n as u64)),
-                ("timings".into(), pipeline_record(&res.timings)),
-            ]),
-        ));
     }
     write_csv(
         "table5.csv",
         "application,all_possible,after_preprocessing,pseudo_pareto,final_pareto",
         &rows,
     );
-    write_bench_section("table5", &Json::Obj(sections));
 }

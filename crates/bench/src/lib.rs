@@ -10,12 +10,7 @@
 //! flags `--cache-dir <path>` and `--cache off|read|rw` (parsed by
 //! [`cache_args`]); see `docs/ARCHITECTURE.md` for the cache design.
 //!
-//! Results are printed and also written as CSV under `bench_out/`; the
-//! pipeline-driving binaries (table4, table5, nn_table) additionally
-//! maintain their sections of the machine-readable
-//! `bench_out/BENCH_pipeline.json` ([`bench_json`]) so evals/s,
-//! hypervolume, cache hit/miss counts and per-step timings are trackable
-//! across PRs.
+//! Results are printed and also written as CSV under `bench_out/`.
 //!
 //! # Example
 //!
@@ -30,12 +25,7 @@
 //! assert!((spearman(&a, &b) - 1.0).abs() < 1e-12);
 //! ```
 
-pub mod bench_json;
-
-pub use bench_json::{pipeline_record, upsert_section, write_bench_section, Json};
-
 use autoax::pipeline::PipelineTimings;
-use autoax::{Configuration, ParetoFront};
 use autoax_circuit::charlib::{ClassCounts, LibraryConfig};
 use autoax_image::synthetic::benchmark_suite;
 use autoax_image::GrayImage;
@@ -133,43 +123,6 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
             None if *a == bare => args.get(i + 1).cloned(),
             None => None,
         })
-}
-
-/// Parses `--<name> <x>` / `--<name>=<x>` from `std::env::args` into a
-/// number.
-///
-/// # Panics
-/// Panics when the value does not parse.
-pub fn num_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let v = flag_value(&std::env::args().collect::<Vec<_>>(), name)?;
-    match v.parse() {
-        Ok(n) => Some(n),
-        Err(_) => panic!("--{name} takes a number, got `{v}`"),
-    }
-}
-
-/// FNV-1a over the front's sorted points and genomes — two fronts hash
-/// equal iff they are bit-identical (same points, same payloads, same
-/// order after the canonical sort).
-pub fn front_digest(front: &ParetoFront<Configuration>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    let mut rows: Vec<(u64, u64, &Configuration)> = front
-        .iter()
-        .map(|(p, c)| (p.qor.to_bits(), p.cost.to_bits(), c))
-        .collect();
-    rows.sort_by_key(|&(q, c, _)| (q, c));
-    for (q, c, cfg) in rows {
-        eat(q);
-        eat(c);
-        for &g in cfg.genes() {
-            eat(g as u64);
-        }
-    }
-    h
 }
 
 /// The standard benchmark image suite for a scale.

@@ -41,7 +41,6 @@ pub mod netlist;
 pub mod sim;
 pub mod synth;
 pub mod util;
-pub mod verilog;
 
 pub use cell::CellKind;
 pub use charlib::{CircuitEntry, CircuitId, ClassCounts, ComponentLibrary, LibraryConfig};

@@ -1,7 +1,7 @@
 //! # autoax-image
 //!
 //! Grayscale images, a deterministic synthetic benchmark suite, and the
-//! quality-of-result metrics used by the autoAx (DAC 2019) reproduction.
+//! quality-of-result metric used by the autoAx (DAC 2019) reproduction.
 //!
 //! The paper profiles and evaluates its accelerators on 384×256 grayscale
 //! images from the Berkeley Segmentation Dataset. That dataset is not
@@ -12,7 +12,7 @@
 //! operand distributions of the paper's Fig. 3.
 //!
 //! QoR is measured with the structural similarity index ([`ssim::ssim`],
-//! Wang et al. 2004), exactly as in the paper; [`metrics`] adds PSNR/MSE.
+//! Wang et al. 2004), exactly as in the paper.
 //!
 //! # Example
 //!
@@ -28,8 +28,6 @@
 
 pub mod convolve;
 pub mod image;
-pub mod metrics;
-pub mod pgm;
 pub mod ssim;
 pub mod synthetic;
 

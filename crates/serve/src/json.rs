@@ -8,6 +8,7 @@
 //! serialize→parse cycle bit-exactly; values that must stay exact past
 //! 2^53 (cache keys, digests) travel as hex strings instead.
 
+use autoax_telemetry::write_json_str;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -319,7 +320,7 @@ impl fmt::Display for Json {
                     f.write_str("null")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => write_json_str(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -336,29 +337,13 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_json_str(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
         }
     }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for ch in s.chars() {
-        match ch {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
-        }
-    }
-    f.write_str("\"")
 }
 
 /// Builds a `Json::Obj` from `(key, value)` pairs.
@@ -428,10 +413,17 @@ mod tests {
     #[test]
     fn display_escapes_and_round_trips() {
         let doc = obj([
-            ("text", Json::Str("line\nbreak \"q\" \\ \u{0007}".into())),
+            (
+                "text",
+                Json::Str("line\nbreak \"q\" \\ \u{0007}\r\t\u{0001} é".into()),
+            ),
             ("n", Json::Num(2.5)),
         ]);
         let text = doc.to_string();
+        assert_eq!(
+            text,
+            r#"{"text":"line\nbreak \"q\" \\ \u0007\r\t\u0001 é","n":2.5}"#
+        );
         assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 }

@@ -38,8 +38,8 @@ pub mod span;
 pub use metrics::{counter, counter_with, gauge, gauge_with, histogram, histogram_with};
 pub use metrics::{render_prometheus, Counter, Gauge, Histogram};
 pub use span::{
-    dropped_spans, export_chrome_trace, export_folded, snapshot_spans, span, take_spans, Span,
-    SpanRecord,
+    dropped_spans, export_chrome_trace, export_folded, snapshot_spans, span, take_spans,
+    write_json_str, Span, SpanRecord,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -16,7 +16,7 @@
 //! counted in [`dropped_spans`] instead of growing without limit.
 
 use std::cell::{Cell, RefCell};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -191,22 +191,36 @@ pub fn dropped_spans() -> u64 {
     collector().dropped.load(Ordering::Relaxed)
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as a quoted JSON string literal: `"` and `\` behind a
+/// backslash, `\n`/`\r`/`\t` by name, every other control character below
+/// U+0020 as `\u00XX`, everything else verbatim. The one string escaper of the
+/// workspace — the Chrome-trace exporter and `autoax-serve`'s wire format
+/// both render through it, straight into their sinks.
+pub fn write_json_str<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // Every escaped character is ASCII, so byte offsets of escapes are
+    // char boundaries and the runs between them are copied as slices.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if named.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(named)?;
         }
+        run = i + 1;
     }
-    out
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// Renders spans as Chrome-trace JSON: one `ph:"X"` complete event per
@@ -218,10 +232,11 @@ pub fn export_chrome_trace(spans: &[SpanRecord]) -> String {
         if i > 0 {
             out.push(',');
         }
+        out.push_str("{\"name\":");
+        let _ = write_json_str(&mut out, s.name);
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"cat\":\"autoax\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}",
-            escape_json(s.name),
+            ",\"cat\":\"autoax\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}",
             s.start_ns / 1_000,
             s.start_ns % 1_000,
             s.dur_ns / 1_000,
@@ -231,7 +246,10 @@ pub fn export_chrome_trace(spans: &[SpanRecord]) -> String {
             s.parent,
         );
         for (k, v) in &s.fields {
-            let _ = write!(out, ",\"{}\":\"{}\"", escape_json(k), escape_json(v));
+            out.push(',');
+            let _ = write_json_str(&mut out, k);
+            out.push(':');
+            let _ = write_json_str(&mut out, v);
         }
         out.push_str("}}");
     }

@@ -10,7 +10,7 @@
 //! * [`autoax_circuit`] — netlists, simulation, synthesis-lite and the
 //!   generated approximate-component library;
 //! * [`autoax_ml`] — from-scratch regression engines and fidelity;
-//! * [`autoax_image`] — images, synthetic benchmark suite, SSIM/PSNR;
+//! * [`autoax_image`] — images, synthetic benchmark suite, SSIM;
 //! * [`autoax_accel`] — the three benchmark accelerators;
 //! * [`autoax_store`] — versioned binary codec and the content-addressed
 //!   cache behind library/pipeline warm starts.
