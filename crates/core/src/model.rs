@@ -209,9 +209,11 @@ impl FittedModels {
 /// per-slot feature tables are baked *into* the arena's feature indices
 /// ([`autoax_ml::GatherForest`]), so `estimate_slice` runs one fused
 /// gather+traverse kernel straight off the `u16` genome slab — the
-/// feature [`Matrix`] is never materialized. Other engines keep the
+/// feature [`Matrix`] is never materialized — and
+/// `estimate_neighbours` runs the forest's leaf-bitvector neighbour
+/// table where the bake built one. Other engines keep the
 /// matrix path: features are gathered into reused scratch and predicted
-/// with one batched [`Regressor::predict_into`] per model. Both paths are
+/// with one batched [`Regressor::predict_into`] per model. Every path is
 /// bitwise identical to the scalar [`qor_features`]/[`hw_features`]
 /// estimation.
 pub struct ModelEstimator<'a> {
@@ -303,6 +305,17 @@ impl<'a> ModelEstimator<'a> {
             |g: &Option<autoax_ml::GatherForest>| g.as_ref().map_or("matrix", |g| g.engine());
         (name(&self.qor_fused), name(&self.hw_fused))
     }
+
+    /// Whether the `(qor, hw)` models baked a leaf-bitvector neighbour
+    /// table ([`autoax_ml::GatherForest::has_neighbour_table`]), the
+    /// kernel [`crate::search::Estimator::estimate_neighbours`] runs for
+    /// the hill climb; `false` for a model on the matrix path.
+    pub fn neighbour_tables(&self) -> (bool, bool) {
+        let baked = |g: &Option<autoax_ml::GatherForest>| {
+            g.as_ref().is_some_and(|g| g.has_neighbour_table())
+        };
+        (baked(&self.qor_fused), baked(&self.hw_fused))
+    }
 }
 
 /// Compiles a regressor into a [`autoax_ml::CompiledForest`] when its
@@ -338,6 +351,31 @@ impl crate::search::Estimator for ModelEstimator<'_> {
         rows: crate::search::ConfigSlice<'_>,
         out: &mut Vec<crate::pareto::TradeoffPoint>,
     ) {
+        self.estimate_rows(None, rows, out);
+    }
+
+    fn estimate_neighbours(
+        &self,
+        parent: &[u16],
+        rows: crate::search::ConfigSlice<'_>,
+        out: &mut Vec<crate::pareto::TradeoffPoint>,
+    ) {
+        self.estimate_rows(Some(parent), rows, out);
+    }
+}
+
+impl ModelEstimator<'_> {
+    /// The rows path behind both slab methods of the trait, per model: a
+    /// fused model with a `parent` runs its neighbour kernel
+    /// ([`autoax_ml::GatherForest::predict_neighbours_into`], the gather
+    /// kernel when it baked no table), a fused model without one the
+    /// gather kernel, and a model on the matrix path ignores the parent.
+    fn estimate_rows(
+        &self,
+        parent: Option<&[u16]>,
+        rows: crate::search::ConfigSlice<'_>,
+        out: &mut Vec<crate::pareto::TradeoffPoint>,
+    ) {
         let n = rows.len();
         if n == 0 {
             return;
@@ -356,9 +394,9 @@ impl crate::search::Estimator for ModelEstimator<'_> {
         SCRATCH.with(|scratch| {
             let (mut qdata, mut hdata, mut qpred, mut hpred) = scratch.take();
             match &self.qor_fused {
-                // Fused path: gather+traverse in one kernel straight off
+                // Fused path: the neighbour or gather kernel straight off
                 // the u16 slab — no feature matrix exists.
-                Some(g) => g.predict_genomes_into(rows.genes(), &mut qpred),
+                Some(g) => predict_fused(g, parent, rows.genes(), &mut qpred),
                 // Matrix path: gather the same values qor_features would
                 // produce, in the same order, into reused scratch.
                 None => {
@@ -375,7 +413,7 @@ impl crate::search::Estimator for ModelEstimator<'_> {
                 }
             }
             match &self.hw_fused {
-                Some(g) => g.predict_genomes_into(rows.genes(), &mut hpred),
+                Some(g) => predict_fused(g, parent, rows.genes(), &mut hpred),
                 None => {
                     hdata.clear();
                     hdata.reserve(n * slots * 3);
@@ -397,6 +435,20 @@ impl crate::search::Estimator for ModelEstimator<'_> {
             );
             scratch.replace((qdata, hdata, qpred, hpred));
         });
+    }
+}
+
+/// One fused model's predictions: the neighbour kernel when the rows
+/// come with their `parent`, the gather kernel otherwise.
+fn predict_fused(
+    g: &autoax_ml::GatherForest,
+    parent: Option<&[u16]>,
+    genes: &[u16],
+    out: &mut Vec<f64>,
+) {
+    match parent {
+        Some(parent) => g.predict_neighbours_into(parent, genes, out),
+        None => g.predict_genomes_into(genes, out),
     }
 }
 
@@ -627,7 +679,8 @@ mod tests {
     #[test]
     fn fused_kernel_engages_for_tree_models_and_matches_matrix_path() {
         // The scalar `Estimator::estimate` (one `predict_row` per model)
-        // is the oracle of both the fused kernel and the matrix path.
+        // is the oracle of the fused kernels, the neighbour tables and
+        // the matrix path.
         use crate::search::Estimator;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -635,7 +688,15 @@ mod tests {
         let ev = Evaluator::new(&s.accel, &s.lib, &s.pre.space, &s.images);
         let train = EvaluatedSet::generate(&ev, &s.pre.space, 50, 4);
         let mut rng = StdRng::seed_from_u64(21);
-        let configs: Vec<Configuration> = (0..61).map(|_| s.pre.space.random(&mut rng)).collect();
+        let mut configs: Vec<Configuration> =
+            (0..61).map(|_| s.pre.space.random(&mut rng)).collect();
+        // one-slot neighbours of the first row, the parent below
+        let parent = configs[0].genes().to_vec();
+        for _ in 0..39 {
+            let mut genes = parent.clone();
+            s.pre.space.neighbor_into(&parent, &mut genes, &mut rng);
+            configs.push(Configuration::from_genes(genes));
+        }
         let slab = crate::search::ConfigBatch::from_configs(&configs);
         for kind in EngineKind::ALL {
             let models = fit_models(kind, &s.pre.space, &s.lib, &train, 9)
@@ -647,24 +708,35 @@ mod tests {
                 (tree_like, tree_like),
                 "{kind}: fusion must engage exactly for forest/tree models"
             );
-            // identical bits at search-realistic slice granularity
+            // ≤ 50 training rows keep every tree within the 64-leaf limit
+            assert_eq!(est.neighbour_tables(), (tree_like, tree_like), "{kind}");
+            // identical bits at search-realistic slice granularity, with
+            // and without the parent
             for chunk in [1, 7, 32, 61] {
-                let mut a = Vec::new();
+                let (mut a, mut b) = (Vec::new(), Vec::new());
                 let mut start = 0;
                 while start < slab.len() {
                     let end = (start + chunk).min(slab.len());
                     est.estimate_slice(slab.slice(start..end), &mut a);
+                    est.estimate_neighbours(&parent, slab.slice(start..end), &mut b);
                     start = end;
                 }
                 assert_eq!(a.len(), configs.len());
-                for (c, fa) in configs.iter().zip(&a) {
+                assert_eq!(b.len(), configs.len());
+                for ((c, fa), fb) in configs.iter().zip(&a).zip(&b) {
                     let one = est.estimate(c);
-                    assert_eq!(one.qor.to_bits(), fa.qor.to_bits(), "{kind} chunk {chunk}");
-                    assert_eq!(
-                        one.cost.to_bits(),
-                        fa.cost.to_bits(),
-                        "{kind} chunk {chunk}"
-                    );
+                    for (path, f) in [("slice", fa), ("neighbours", fb)] {
+                        assert_eq!(
+                            one.qor.to_bits(),
+                            f.qor.to_bits(),
+                            "{kind} {path} chunk {chunk}"
+                        );
+                        assert_eq!(
+                            one.cost.to_bits(),
+                            f.cost.to_bits(),
+                            "{kind} {path} chunk {chunk}"
+                        );
+                    }
                 }
             }
         }

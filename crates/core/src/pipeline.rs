@@ -440,8 +440,16 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     };
     let (pseudo_front, search_engines) = {
         let estimator = ModelEstimator::new(&models, &pre.space, lib);
+        // Which kernel each model runs: its node encoding (or the matrix
+        // path) and whether the hill climb gets a neighbour table.
+        let (qor_engine, hw_engine) = estimator.engines();
+        let (qor_table, hw_table) = estimator.neighbour_tables();
+        sp_search.field("qor_engine", qor_engine);
+        sp_search.field("hw_engine", hw_engine);
+        sp_search.field("qor_neighbour_table", qor_table);
+        sp_search.field("hw_neighbour_table", hw_table);
         let front = run_search_cancellable(&pre.space, &estimator, &search_opts, &opts.cancel);
-        (front, estimator.engines())
+        (front, (qor_engine, hw_engine))
     };
     let t_search = sp_search.finish();
     let phases = crate::search::SearchTimings::snapshot().since(&phases_at_t3);

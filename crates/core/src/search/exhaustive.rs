@@ -78,7 +78,7 @@ impl SearchStrategy for ExhaustiveEnumeration {
                 }
             }
             estimates.clear();
-            super::estimate_chunked(estimator, &batch, batch.len(), &mut estimates);
+            super::estimate_chunked(estimator, &batch, None, batch.len(), &mut estimates);
             debug_assert_eq!(estimates.len(), batch.len());
             // Batched offer — identical members and order to replaying
             // `try_insert_with` per candidate in enumeration order.

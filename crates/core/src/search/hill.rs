@@ -25,8 +25,9 @@
 //! candidates in fixed-size *rounds* — every candidate of a round is a
 //! neighbour of the island's current parent, generated before any of the
 //! round's estimates are consumed — so the round can be estimated with one
-//! batched [`Estimator::estimate_slice`] call and then replayed through
-//! the sequential `ParetoInsert` logic above.
+//! batched [`Estimator::estimate_neighbours`] call, which knows the rows
+//! are neighbours of that parent, and then replayed through the
+//! sequential `ParetoInsert` logic above.
 //!
 //! The round lives in a columnar [`ConfigBatch`]: candidates are written
 //! in place with [`ConfigSpace::neighbor_into`], estimated straight off
@@ -86,8 +87,9 @@ pub struct SearchOptions {
     /// Error levels of the manual uniform-selection baseline
     /// ([`super::UniformSelection`] only).
     pub uniform_levels: usize,
-    /// Maximum genomes per [`Estimator::estimate_slice`] call.
-    /// Pure throughput knob — any value produces identical results.
+    /// Maximum genomes per [`Estimator::estimate_slice`] (or
+    /// [`Estimator::estimate_neighbours`]) call. Pure throughput knob —
+    /// any value produces identical results.
     pub batch_size: usize,
     /// Worker threads for the island search; `0` = the execution layer's
     /// default ([`autoax_exec::thread_count`]). Pure throughput knob —
@@ -177,8 +179,16 @@ impl Island {
                     space.neighbor_into(&self.parent, self.round.push_row(), &mut self.rng);
                 }
             }
+            // Every row is a one-slot neighbour of the parent, which
+            // selects the estimator's neighbour kernel.
             self.estimates.clear();
-            super::estimate_chunked(estimator, &self.round, opts.batch_size, &mut self.estimates);
+            super::estimate_chunked(
+                estimator,
+                &self.round,
+                Some(&self.parent),
+                opts.batch_size,
+                &mut self.estimates,
+            );
             // Replay the round through the sequential Algorithm-1 logic;
             // only accepted candidates materialize a Configuration.
             let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);

@@ -89,6 +89,23 @@ pub trait Estimator: Sync {
             .collect();
         out.extend(self.estimate_batch(&configs));
     }
+
+    /// [`Estimator::estimate_slice`] for rows that are mostly one-slot
+    /// neighbours of `parent` — a hill-climb round. The parent only
+    /// selects a cheaper kernel: results must be bitwise equal to
+    /// [`Estimator::estimate_slice`] on the same rows, whatever they
+    /// are. The default calls [`Estimator::estimate_slice`];
+    /// [`crate::model::ModelEstimator`] overrides it to run each baked
+    /// forest's leaf-bitvector neighbour table.
+    fn estimate_neighbours(
+        &self,
+        parent: &[u16],
+        rows: ConfigSlice<'_>,
+        out: &mut Vec<TradeoffPoint>,
+    ) {
+        let _ = parent;
+        self.estimate_slice(rows, out);
+    }
 }
 
 impl<F> Estimator for F
@@ -271,14 +288,17 @@ pub fn run_search_cancellable(
         .search_cancellable(space, estimator, opts, cancel)
 }
 
-/// Estimates every row of `batch` in `chunk`-row slices through
-/// [`Estimator::estimate_slice`], appending to `out` — the one chunked
-/// driver loop every strategy shares. Results are invariant to `chunk`
-/// (a zero chunk is treated as 1); exactly `batch.len()` points are
-/// appended.
+/// Estimates every row of `batch` in `chunk`-row slices, appending to
+/// `out` — the one chunked driver loop every strategy shares. With a
+/// `parent` (the hill climb's round, all neighbours of it) the slices go
+/// through [`Estimator::estimate_neighbours`], otherwise through
+/// [`Estimator::estimate_slice`]. Results are invariant to `chunk` (a
+/// zero chunk is treated as 1) and to `parent`; exactly `batch.len()`
+/// points are appended.
 pub fn estimate_chunked(
     estimator: &dyn Estimator,
     batch: &ConfigBatch,
+    parent: Option<&[u16]>,
     chunk: usize,
     out: &mut Vec<TradeoffPoint>,
 ) {
@@ -289,7 +309,11 @@ pub fn estimate_chunked(
     let mut start = 0;
     while start < n {
         let end = (start + chunk).min(n);
-        estimator.estimate_slice(batch.slice(start..end), out);
+        let rows = batch.slice(start..end);
+        match parent {
+            Some(parent) => estimator.estimate_neighbours(parent, rows, out),
+            None => estimator.estimate_slice(rows, out),
+        }
         start = end;
     }
     phase::count_estimates(n);
@@ -414,6 +438,29 @@ mod tests {
             testutil::snapshot(&via_token),
             "an un-cancelled token must not change results"
         );
+    }
+
+    #[test]
+    fn default_estimate_neighbours_is_estimate_slice() {
+        // A closure estimator has no neighbour kernel: the default must
+        // hand the same rows to `estimate_slice`, whatever the parent.
+        let mut batch = ConfigBatch::new(3);
+        for genes in [[0, 1, 2], [0, 1, 3], [0, 1, 2], [4, 0, 3]] {
+            batch.push_genes(&genes);
+        }
+        let bits = |pts: &[TradeoffPoint]| -> Vec<(u64, u64)> {
+            pts.iter()
+                .map(|p| (p.qor.to_bits(), p.cost.to_bits()))
+                .collect()
+        };
+        let est = testutil::needle_estimator;
+        let mut slice = Vec::new();
+        est.estimate_slice(batch.as_slice(), &mut slice);
+        for parent in [[0, 1, 2], [9, 9, 9]] {
+            let mut neighbours = Vec::new();
+            est.estimate_neighbours(&parent, batch.as_slice(), &mut neighbours);
+            assert_eq!(bits(&neighbours), bits(&slice), "parent {parent:?}");
+        }
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl SearchStrategy for Nsga2 {
             space.random_into(parents.push_row(), &mut rng);
         }
         let mut par_pts: Vec<TradeoffPoint> = Vec::with_capacity(pop);
-        super::estimate_chunked(estimator, &parents, chunk, &mut par_pts);
+        super::estimate_chunked(estimator, &parents, None, chunk, &mut par_pts);
         offer_all(&mut global, &parents, &par_pts);
         let mut evals = pop;
 
@@ -242,7 +242,7 @@ impl SearchStrategy for Nsga2 {
             }
             drop(propose_t);
             off_pts.clear();
-            super::estimate_chunked(estimator, &offspring, chunk, &mut off_pts);
+            super::estimate_chunked(estimator, &offspring, None, chunk, &mut off_pts);
             offer_all(&mut global, &offspring, &off_pts);
             evals += r;
 

@@ -4,7 +4,8 @@
 //! * **propose** — generating candidate genomes (neighbour moves, RNG
 //!   sampling, odometer advance, NSGA-II variation);
 //! * **estimate** — model inference over the proposed slab
-//!   ([`super::estimate_chunked`] / [`super::Estimator::estimate_slice`]);
+//!   ([`super::estimate_chunked`] / [`super::Estimator::estimate_slice`] /
+//!   [`super::Estimator::estimate_neighbours`]);
 //! * **insert** — Pareto-front bookkeeping (`try_insert` replay,
 //!   [`crate::pareto::ParetoFront::insert_batch_with`], NSGA-II
 //!   rank/crowd selection).

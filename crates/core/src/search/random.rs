@@ -50,7 +50,7 @@ impl SearchStrategy for RandomSampling {
                 }
             }
             estimates.clear();
-            super::estimate_chunked(estimator, &batch, r, &mut estimates);
+            super::estimate_chunked(estimator, &batch, None, r, &mut estimates);
             debug_assert_eq!(estimates.len(), r, "estimator returned wrong batch size");
             // Batched offer — identical members and order to replaying
             // `try_insert_with` per candidate.

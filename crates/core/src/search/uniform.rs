@@ -46,7 +46,7 @@ impl SearchStrategy for UniformSelection {
             (configs, batch)
         };
         let mut estimates: Vec<TradeoffPoint> = Vec::with_capacity(batch.len());
-        super::estimate_chunked(estimator, &batch, opts.batch_size, &mut estimates);
+        super::estimate_chunked(estimator, &batch, None, opts.batch_size, &mut estimates);
         let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
         configs
             .into_iter()

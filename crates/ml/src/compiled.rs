@@ -32,6 +32,49 @@
 //! accumulation happens in tree order with a single final division,
 //! exactly like [`crate::engine::Regressor::predict_row`], so every path
 //! is **bitwise identical** to the pointer walk.
+//!
+//! # The neighbour table
+//!
+//! A hill climb estimates rows that differ from one parent in one slot.
+//! For those, [`GatherForest::predict_neighbours_into`] skips the tree
+//! walks with leaf bitvectors (the QuickScorer idea, Lucchese et al.,
+//! SIGIR 2015). Each tree's leaves are numbered left-first. The table
+//! holds one `u64` per (slot, gene, tree): for every split of the tree
+//! that reads that slot, take the complement of the split's
+//! left-subtree leaf mask wherever the gene goes right; the word is the
+//! AND of those complements. The AND of a row's words over its slots
+//! then keeps exactly the leaves that no split the row fails rules out.
+//! Per call the parent's words are ANDed once into prefix and suffix
+//! arrays, so a one-slot neighbour at slot `s` costs, per tree, the word
+//! `prefix[s] & suffix[s + 1] & table[s][gene]`, one `trailing_zeros`
+//! and one leaf load.
+//!
+//! **Exactness.** The lowest surviving bit is the pointer walk's exit
+//! leaf. Every leaf left of the exit leaf sits in the left subtree of
+//! the split where its path and the exit path part, the row goes right
+//! there, so that split clears it. The exit leaf is never cleared: a
+//! split that clears it would have it in its left subtree, so the split
+//! is on the exit path, where the row goes left. The leaf values are
+//! then summed in tree order from `0.0` with one final division, the
+//! walker's own sum, so every estimate is the gather kernel's bit for
+//! bit.
+//!
+//! **The 64-leaf limit.** The table is baked with mask32, and only when
+//! every tree has ≤ 64 leaves, so a tree is one word. Like mask32's own
+//! limits this is a bake-time property, not an option; the crossovers
+//! measured on Generic-GF models against the AVX2 gather kernel:
+//!
+//! | forest | words per tree | neighbour table vs gather |
+//! |---|---|---|
+//! | quick profile (50 training configs) | 1 | 3.4–5.6× faster |
+//! | 400 training configs | 5 | 1.7–2.0× faster |
+//! | 1,500 configs (`paper_sobel`) | 16 | 0.8–1.0× |
+//! | 4,000 configs (`paper_gf`) | 40 | 0.47–0.63×, 10 MB tables |
+//!
+//! A tree fitted on `n` rows has at most `n` leaves, so every
+//! quick-profile forest fits; the paper profiles keep the gather
+//! kernel. The table takes Σ(members of the slots the model reads) ×
+//! trees × 8 B, at most 2,048 rows × trees × 8 B under mask32.
 
 use crate::engine::TrainError;
 use crate::forest::RandomForest;
@@ -248,10 +291,13 @@ impl CompiledForest {
         let quant = stride < (1 << 16)
             && layout.values.iter().all(|t| t.len() <= u16::MAX as usize)
             && layout.values.iter().map(Vec::len).sum::<usize>() <= u32::MAX as usize;
-        let nodes = if mask32 {
-            Nodes::Mask32(self.bake_mask32(layout))
+        let (nodes, neighbours) = if mask32 {
+            (
+                Nodes::Mask32(self.bake_mask32(layout)),
+                self.bake_neighbours(layout, &slot_members),
+            )
         } else if quant {
-            self.bake_quant(layout)
+            (self.bake_quant(layout), None)
         } else {
             return Err(TrainError::new(
                 "gather layout fits neither the mask32 nor the quant encoding",
@@ -259,6 +305,7 @@ impl CompiledForest {
         };
         Ok(GatherForest {
             nodes,
+            neighbours,
             leaf: self.leaf.clone(),
             roots: self.roots.clone(),
             depths: self.depths.clone(),
@@ -266,6 +313,73 @@ impl CompiledForest {
             stride,
             divisor: self.divisor,
         })
+    }
+
+    /// The leaf-bitvector table of [`NeighbourTable`], or `None` when a
+    /// tree has more than 64 leaves. Leaves are numbered left-first by a
+    /// pre-order walk that visits left children first, so every subtree
+    /// owns a contiguous leaf range starting at the counter value when
+    /// the walk enters it.
+    fn bake_neighbours(
+        &self,
+        layout: &GatherLayout,
+        slot_members: &[usize],
+    ) -> Option<NeighbourTable> {
+        let trees = self.roots.len();
+        let mut first = Vec::with_capacity(slot_members.len());
+        let mut rows = 0;
+        for &m in slot_members {
+            first.push((m != usize::MAX).then_some(rows));
+            rows += if m == usize::MAX { 0 } else { m };
+        }
+        let mut table = NeighbourTable {
+            words: vec![!0; rows * trees],
+            first,
+            leaves: Vec::new(),
+            leaf_base: Vec::with_capacity(trees),
+        };
+        let n = self.feature.len() as u32;
+        // `lo[i]`: the first leaf number of node i's subtree
+        let mut lo = vec![0u32; self.feature.len()];
+        let mut stack = Vec::new();
+        for (ti, &root) in self.roots.iter().enumerate() {
+            let end = self.roots.get(ti + 1).copied().unwrap_or(n);
+            let base = table.leaves.len();
+            table.leaf_base.push(base as u32);
+            stack.push(root);
+            while let Some(i) = stack.pop() {
+                let i = i as usize;
+                lo[i] = (table.leaves.len() - base) as u32;
+                if self.left[i] as usize == i {
+                    table.leaves.push(self.leaf[i]);
+                } else {
+                    stack.push(self.right[i]);
+                    stack.push(self.left[i]);
+                }
+            }
+            if table.leaves.len() - base > 64 {
+                return None;
+            }
+            for i in root as usize..end as usize {
+                if self.left[i] as usize == i {
+                    continue;
+                }
+                // the left subtree owns leaves lo[i]..lo[right], and the
+                // right subtree holds at least one leaf above them, so
+                // neither shift reaches 64
+                let left_leaves = (1u64 << lo[self.right[i] as usize]) - (1u64 << lo[i]);
+                let f = self.feature[i] as usize;
+                let s = layout.slot_of[f] as usize;
+                let row0 = table.first[s].expect("a split reads a baked slot");
+                for (g, &v) in layout.values[f][..slot_members[s]].iter().enumerate() {
+                    let goes_left = v <= self.threshold[i];
+                    if !goes_left {
+                        table.words[(row0 + g) * trees + ti] &= !left_leaves;
+                    }
+                }
+            }
+        }
+        Some(table)
     }
 
     /// The mask32 records: bit `g` of a node's mask is the comparison
@@ -419,6 +533,36 @@ enum Nodes {
     },
 }
 
+/// The leaf-bitvector neighbour table of a [`GatherForest`] (see the
+/// module docs): per (slot, gene, tree) one word whose set bits are the
+/// tree's leaves that gene leaves reachable. A row's exit leaf in a tree
+/// is the lowest set bit of the AND of its slots' words.
+#[derive(Debug, Clone)]
+struct NeighbourTable {
+    /// `words[(first[s] + g) * trees + t]`: the AND, over tree `t`'s
+    /// splits that read slot `s`, of the complement of the split's
+    /// left-subtree leaf mask wherever gene `g` goes right (all ones
+    /// when no split of the tree reads the slot).
+    words: Vec<u64>,
+    /// Per slot: the table row of its gene 0, `None` for a slot no
+    /// feature reads (its word is all ones for every gene).
+    first: Vec<Option<usize>>,
+    /// Leaf values, tree after tree, each tree's leaves numbered
+    /// left-first.
+    leaves: Vec<f64>,
+    /// Per tree: the position of its leaf 0 in `leaves`.
+    leaf_base: Vec<u32>,
+}
+
+impl NeighbourTable {
+    /// Gene `g`'s words in slot `s`, one per tree; `None` for a slot no
+    /// feature reads.
+    fn row(&self, s: usize, g: u16) -> Option<&[u64]> {
+        let trees = self.leaf_base.len();
+        self.first[s].map(|r| &self.words[(r + g as usize) * trees..][..trees])
+    }
+}
+
 /// A [`CompiledForest`] with the estimator's per-slot feature tables
 /// baked into its node records (mask32 or quant, see the module docs),
 /// predicting straight off a genome slab — no feature matrix exists at
@@ -426,6 +570,9 @@ enum Nodes {
 #[derive(Debug, Clone)]
 pub struct GatherForest {
     nodes: Nodes,
+    /// Baked with mask32 when every tree has ≤ 64 leaves; serves
+    /// [`GatherForest::predict_neighbours_into`].
+    neighbours: Option<NeighbourTable>,
     /// Leaf value per node (0 for splits — read once per row and tree).
     leaf: Vec<f64>,
     roots: Vec<u32>,
@@ -462,6 +609,105 @@ impl GatherForest {
     /// both indicate a genome from a different configuration space.
     pub fn predict_genomes_into(&self, genes: &[u16], out: &mut Vec<f64>) {
         self.predict(genes, out, true);
+    }
+
+    /// Whether the bake built the leaf-bitvector neighbour table that
+    /// [`GatherForest::predict_neighbours_into`] runs on.
+    pub fn has_neighbour_table(&self) -> bool {
+        self.neighbours.is_some()
+    }
+
+    /// [`GatherForest::predict_genomes_into`] for rows that are mostly
+    /// one-slot neighbours of `parent`, bit for bit the same values.
+    /// With a neighbour table the parent's words are ANDed once into
+    /// prefix and suffix arrays, so a one-slot neighbour costs one AND
+    /// word, one `trailing_zeros` and one leaf load per tree; a row equal
+    /// to the parent reads the full prefix, and a row that differs in
+    /// two or more slots ANDs all of its slots. A forest without a table
+    /// runs [`GatherForest::predict_genomes_into`].
+    ///
+    /// # Panics
+    /// Panics when `parent` is not one genome, and on the slabs
+    /// [`GatherForest::predict_genomes_into`] rejects, `parent` included.
+    pub fn predict_neighbours_into(&self, parent: &[u16], genes: &[u16], out: &mut Vec<f64>) {
+        self.check_genes(parent);
+        assert_eq!(parent.len(), self.stride, "parent must be one genome");
+        let Some(table) = &self.neighbours else {
+            return self.predict_genomes_into(genes, out);
+        };
+        self.check_genes(genes);
+        out.clear();
+        out.resize(genes.len() / self.stride, 0.0);
+        let (stride, trees) = (self.stride, self.roots.len());
+        let block = out.len().min(BLOCK);
+        NEIGHBOUR_WORDS.with(|cell| {
+            let mut buf = cell.take();
+            let need = (2 * (stride + 1) + block) * trees;
+            if buf.len() < need {
+                buf.resize(need, 0);
+            }
+            // prefix[s]: the parent's words ANDed over slots < s;
+            // suffix[s]: over slots >= s (rows of `trees` words). Every
+            // other word is written before it is read.
+            let (prefix, rest) = buf.split_at_mut((stride + 1) * trees);
+            let (suffix, words) = rest.split_at_mut((stride + 1) * trees);
+            prefix[..trees].fill(!0);
+            suffix[stride * trees..].fill(!0);
+            for s in 0..stride {
+                let (done, next) = prefix.split_at_mut((s + 1) * trees);
+                and_row(
+                    &mut next[..trees],
+                    &done[s * trees..],
+                    table.row(s, parent[s]),
+                );
+            }
+            for s in (0..stride).rev() {
+                let (next, done) = suffix.split_at_mut((s + 1) * trees);
+                and_row(&mut next[s * trees..], done, table.row(s, parent[s]));
+            }
+            let full = &prefix[stride * trees..];
+            for (rows, out) in genes.chunks(BLOCK * stride).zip(out.chunks_mut(BLOCK)) {
+                for (row, w) in rows.chunks_exact(stride).zip(words.chunks_exact_mut(trees)) {
+                    let mut diff = (0..stride).filter(|&s| row[s] != parent[s]);
+                    match (diff.next(), diff.next()) {
+                        (None, _) => w.copy_from_slice(full),
+                        (Some(s), None) => {
+                            let (p, q) = (&prefix[s * trees..], &suffix[(s + 1) * trees..]);
+                            match table.row(s, row[s]) {
+                                Some(t) => {
+                                    for (((w, &p), &q), &t) in w.iter_mut().zip(p).zip(q).zip(t) {
+                                        *w = p & q & t;
+                                    }
+                                }
+                                None => w.copy_from_slice(full),
+                            }
+                        }
+                        _ => {
+                            w.fill(!0);
+                            for (s, &g) in row.iter().enumerate() {
+                                if let Some(t) = table.row(s, g) {
+                                    for (w, &t) in w.iter_mut().zip(t) {
+                                        *w &= t;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                // tree order, so each row's sum adds its leaves exactly
+                // as the walker does
+                for (t, &base) in table.leaf_base.iter().enumerate() {
+                    let leaves = &table.leaves[base as usize..];
+                    for (o, w) in out.iter_mut().zip(words.chunks_exact(trees)) {
+                        *o += leaves[w[t].trailing_zeros() as usize];
+                    }
+                }
+            }
+            cell.replace(buf);
+        });
+        for v in out.iter_mut() {
+            *v /= self.divisor;
+        }
     }
 
     /// [`GatherForest::predict_genomes_into`], with the AVX2 kernel
@@ -789,10 +1035,30 @@ impl GatherForest {
     }
 }
 
+/// `dst = src & words`, or a copy of `src` for a slot no feature reads
+/// (`words` is `None`); `dst` sets the length.
+fn and_row(dst: &mut [u64], src: &[u64], words: Option<&[u64]>) {
+    match words {
+        Some(words) => {
+            for ((d, &s), &w) in dst.iter_mut().zip(src).zip(words) {
+                *d = s & w;
+            }
+        }
+        None => dst.copy_from_slice(&src[..dst.len()]),
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 thread_local! {
     /// Reusable widened-gene scratch for the AVX2 kernels (one block).
     static GENES32: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+thread_local! {
+    /// Reusable word scratch of [`GatherForest::predict_neighbours_into`]:
+    /// the parent's prefix and suffix rows plus one block of row words.
+    static NEIGHBOUR_WORDS: std::cell::RefCell<Vec<u64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// FNV-1a 64 running hash.
@@ -1087,6 +1353,185 @@ mod tests {
             .bake_gather(&layout)
             .unwrap();
         gf.predict_genomes_into(&[0, 3], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for slot")]
+    fn out_of_range_parent_gene_panics() {
+        let mut st = 1u64;
+        let layout = random_layout(2, 1, 3, &mut st);
+        let (_, gf) = fit_and_bake(&layout, 3, 20, (0, 2, 4), &mut st);
+        assert!(gf.has_neighbour_table());
+        gf.predict_neighbours_into(&[0, 3], &[0, 0], &mut Vec::new());
+    }
+
+    /// A gather layout over `stride` slots in which slot `unread` backs
+    /// no feature and every other slot backs `lanes` features: 1 is the
+    /// estimator's QoR layout, 3 its hardware layout.
+    fn layout_with_unread_slot(
+        stride: usize,
+        lanes: usize,
+        members: usize,
+        unread: usize,
+        st: &mut u64,
+    ) -> GatherLayout {
+        let slot_of: Vec<u32> = (0..stride as u32)
+            .filter(|&s| s as usize != unread)
+            .flat_map(|s| std::iter::repeat_n(s, lanes))
+            .collect();
+        GatherLayout {
+            stride,
+            values: slot_of
+                .iter()
+                .map(|_| (0..members).map(|_| lcg(st)).collect())
+                .collect(),
+            slot_of,
+        }
+    }
+
+    /// `rows` genomes around `parent`, each a copy of it, a one-slot
+    /// neighbour of it or a row with every slot redrawn. Slot `unread`
+    /// draws any `u16`: no feature reads it, so no kernel may index by
+    /// it.
+    fn around(
+        parent: &[u16],
+        rows: usize,
+        members: usize,
+        unread: Option<usize>,
+        st: &mut u64,
+    ) -> Vec<u16> {
+        let draw = |s: usize, st: &mut u64| match unread {
+            Some(u) if u == s => (lcg(st) * 65_536.0) as u16,
+            _ => (lcg(st) * members as f64) as u16 % members as u16,
+        };
+        let mut genes = Vec::with_capacity(rows * parent.len());
+        for _ in 0..rows {
+            let mut row = parent.to_vec();
+            match (lcg(st) * 3.0) as usize {
+                0 => {}
+                1 => {
+                    let s = (lcg(st) * row.len() as f64) as usize % row.len();
+                    row[s] = draw(s, st);
+                }
+                _ => {
+                    for (s, g) in row.iter_mut().enumerate() {
+                        *g = draw(s, st);
+                    }
+                }
+            }
+            genes.extend(row);
+        }
+        genes
+    }
+
+    /// Asserts the neighbour kernel reproduces the dispatched gather
+    /// kernel bit for bit on `genes` around `parent`.
+    fn assert_neighbours_match_gather(gf: &GatherForest, parent: &[u16], genes: &[u16]) {
+        let (mut neighbours, mut gather) = (Vec::new(), Vec::new());
+        gf.predict_neighbours_into(parent, genes, &mut neighbours);
+        gf.predict_genomes_into(genes, &mut gather);
+        assert_eq!(neighbours.len(), gather.len());
+        for (i, (a, b)) in neighbours.iter().zip(&gather).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
+        }
+    }
+
+    /// A one-feature comb: split `i` sends genes `<= i` to its left leaf
+    /// (value `i`) and the rest down the spine, so gene `g` exits at the
+    /// leaf worth `min(g, leaves - 1)`.
+    fn comb(leaves: usize) -> Vec<NodeRepr> {
+        let mut nodes = Vec::new();
+        for i in 0..leaves - 1 {
+            let at = nodes.len() as u32;
+            nodes.push(NodeRepr::Split {
+                feature: 0,
+                threshold: i as f64,
+                left: at + 1,
+                right: at + 2,
+            });
+            nodes.push(NodeRepr::Leaf { value: i as f64 });
+        }
+        nodes.push(NodeRepr::Leaf {
+            value: (leaves - 1) as f64,
+        });
+        nodes
+    }
+
+    #[test]
+    fn neighbour_table_needs_at_most_64_leaves_per_tree() {
+        let layout = GatherLayout {
+            stride: 1,
+            slot_of: vec![0],
+            values: vec![(0..32).map(|g| g as f64).collect()],
+        };
+        let genes: Vec<u16> = (0..32).collect();
+        for (leaves, baked) in [(33, true), (64, true), (65, false)] {
+            let gf = CompiledForest::from_node_lists(&[comb(3), comb(leaves)], 2.0)
+                .unwrap()
+                .bake_gather(&layout)
+                .unwrap();
+            assert_eq!(gf.engine(), "mask32");
+            assert_eq!(gf.has_neighbour_table(), baked, "{leaves} leaves");
+            let mut out = Vec::new();
+            gf.predict_neighbours_into(&[5], &genes, &mut out);
+            for (g, v) in out.iter().enumerate() {
+                let want = (g.min(2) as f64 + g as f64) / 2.0;
+                assert_eq!(v.to_bits(), want.to_bits(), "{leaves} leaves, gene {g}");
+            }
+            assert_neighbours_match_gather(&gf, &[5], &genes);
+        }
+    }
+
+    #[test]
+    fn forests_without_a_table_match_through_the_fallback() {
+        // 300 training rows grow trees far past 64 leaves under mask32;
+        // 40-member slots bake quant, which never gets a table.
+        let mut st = 13u64;
+        for (members, rows, engine) in [(20, 300, "mask32"), (40, 50, "quant")] {
+            let layout = random_layout(4, 3, members, &mut st);
+            let (f, gf) = fit_and_bake(&layout, members, rows, (8, 6, 30), &mut st);
+            assert_eq!(gf.engine(), engine);
+            assert!(!gf.has_neighbour_table(), "{engine}");
+            let parent = genomes(1, 4, members, &mut st);
+            let genes = around(&parent, 70, members, None, &mut st);
+            assert_neighbours_match_gather(&gf, &parent, &genes);
+            assert_pointer_walk(&f, &gf, &layout, &genes);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The neighbour kernel is bitwise identical to the gather
+        /// kernels and the pointer walk on random mask32 forests with
+        /// ≤ 64 leaves per tree (fitted on 60 rows), in the QoR layout
+        /// (one feature per slot) and the hardware layout (three), with
+        /// one slot no feature reads, over batches that mix copies of the
+        /// parent, one-slot neighbours and rows redrawn in every slot.
+        #[test]
+        fn neighbour_kernel_matches_gather_and_pointer_walk(
+            seed in 0u64..1000,
+            trees in 1usize..14,
+            depth in 1usize..12,
+            stride in 2usize..7,
+            members in 2usize..33,
+            hw_layout in any::<bool>(),
+            unread in 0usize..7,
+            batch in 1usize..=70,
+        ) {
+            let mut st = seed.wrapping_mul(0xC2B2_AE35).wrapping_add(5);
+            let unread = unread % stride;
+            let lanes = if hw_layout { 3 } else { 1 };
+            let layout = layout_with_unread_slot(stride, lanes, members, unread, &mut st);
+            let (f, gf) = fit_and_bake(&layout, members, 60, (seed, trees, depth), &mut st);
+            prop_assert_eq!(gf.engine(), "mask32");
+            prop_assert!(gf.has_neighbour_table());
+            let mut parent = genomes(1, stride, members, &mut st);
+            parent[unread] = 40_000;
+            let genes = around(&parent, batch, members, Some(unread), &mut st);
+            assert_neighbours_match_gather(&gf, &parent, &genes);
+            assert_pointer_walk(&f, &gf, &layout, &genes);
+        }
     }
 
     proptest! {

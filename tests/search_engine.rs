@@ -1,13 +1,15 @@
 //! Tests of the Step-3 search engine: golden parity of the trait-based
-//! hill strategy against the pre-refactor `heuristic_pareto`, strategy
-//! selection through the pipeline, the pinned NSGA-II pipeline front and
-//! the NSGA-II hypervolume guarantee on the quick pipeline configuration.
+//! hill strategy against the pre-refactor `heuristic_pareto`, the hill
+//! front through the neighbour tables against the gather kernel,
+//! strategy selection through the pipeline, the pinned NSGA-II pipeline
+//! front and the NSGA-II hypervolume guarantee on the quick pipeline
+//! configuration.
 
 use autoax::config::{ConfigSpace, SlotChoices, SlotMember};
 use autoax::model::{fit_models, EvaluatedSet, ModelEstimator};
 use autoax::pareto::{joint_hypervolumes, TradeoffPoint};
 use autoax::pipeline::{run_pipeline, PipelineOptions};
-use autoax::search::{run_search, SearchAlgo, SearchOptions};
+use autoax::search::{run_search, ConfigSlice, Estimator, SearchAlgo, SearchOptions};
 use autoax::Configuration;
 use autoax_circuit::charlib::CircuitId;
 use autoax_circuit::OpSignature;
@@ -112,6 +114,55 @@ fn quick_models() -> QuickModels {
     )
     .expect("fit quick models");
     QuickModels { lib, pre, models }
+}
+
+/// Forwards only `estimate` and `estimate_slice` to a model estimator, so
+/// the trait's default `estimate_neighbours` sends every hill round to
+/// the gather kernel instead of the neighbour tables.
+struct SliceOnly<'a>(&'a ModelEstimator<'a>);
+
+impl Estimator for SliceOnly<'_> {
+    fn estimate(&self, c: &Configuration) -> TradeoffPoint {
+        self.0.estimate(c)
+    }
+
+    fn estimate_slice(&self, rows: ConfigSlice<'_>, out: &mut Vec<TradeoffPoint>) {
+        self.0.estimate_slice(rows, out);
+    }
+}
+
+/// The front in iteration order, points and payload genomes, as bits.
+fn front_rows(front: &autoax::ParetoFront<Configuration>) -> Vec<(u64, u64, Vec<u16>)> {
+    front
+        .iter()
+        .map(|(p, c)| (p.qor.to_bits(), p.cost.to_bits(), c.genes().to_vec()))
+        .collect()
+}
+
+#[test]
+fn hill_front_through_neighbour_tables_equals_gather_kernel_front() {
+    // The hill climb hands each round's parent to the estimator; on the
+    // quick RF models both baked a neighbour table, and the front must
+    // not move by one bit against the gather kernel alone.
+    let q = quick_models();
+    let estimator = ModelEstimator::new(&q.models, &q.pre.space, &q.lib);
+    assert_eq!(estimator.neighbour_tables(), (true, true));
+    for threads in [1, 2] {
+        let opts = SearchOptions {
+            max_evals: 20_000,
+            seed: 42,
+            threads,
+            ..SearchOptions::default()
+        };
+        let tables = run_search(&q.pre.space, &estimator, &opts);
+        let gather = run_search(&q.pre.space, &SliceOnly(&estimator), &opts);
+        assert!(!tables.is_empty());
+        assert_eq!(
+            front_rows(&tables),
+            front_rows(&gather),
+            "threads={threads}: the neighbour tables moved the hill front"
+        );
+    }
 }
 
 #[test]

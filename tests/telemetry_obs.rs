@@ -4,7 +4,8 @@
 //! * the quickstart workload's pinned front digest must reproduce
 //!   byte-identically with metrics *and* span collection fully enabled
 //!   (the digest value is pinned in `workload_parity.rs`; this file
-//!   re-asserts it under observation);
+//!   re-asserts it under observation), and the search span must name
+//!   each model's kernel;
 //! * a traced library build records one span per class under one build
 //!   span, with the class's demand-driven characterization count;
 //! * interleaved spans on multiple threads must always drain to a
@@ -53,6 +54,25 @@ fn quickstart_digest_is_byte_identical_with_telemetry_fully_enabled() {
             spans.iter().any(|s| s.name == name),
             "span `{name}` missing from the trace ({} spans)",
             spans.len()
+        );
+    }
+    // ...the search span names the kernel each model ran: the quick RF
+    // models bake mask32 with a neighbour table for the hill climb...
+    let search = spans
+        .iter()
+        .find(|s| s.name == "pipeline.step3.search")
+        .expect("search span");
+    for (key, want) in [
+        ("strategy", "hill"),
+        ("qor_engine", "mask32"),
+        ("hw_engine", "mask32"),
+        ("qor_neighbour_table", "true"),
+        ("hw_neighbour_table", "true"),
+    ] {
+        assert!(
+            search.fields.iter().any(|(k, v)| *k == key && v == want),
+            "search span lacks {key}={want}: {:?}",
+            search.fields
         );
     }
     // ...and the exports of that capture are loadable.
