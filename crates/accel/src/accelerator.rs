@@ -1,13 +1,14 @@
 //! The [`Accelerator`] abstraction: a hierarchical design whose arithmetic
 //! operations ("slots") can be replaced by approximate circuits — the
 //! "hierarchical hardware as well as software models" the methodology
-//! requires from the user (paper Section 2.1).
+//! requires from the user (paper Section 2.1), both derived from one
+//! [`Dataflow`] — plus the compiled per-slot operations ([`OpSet`]) every
+//! software model runs on.
 
+use crate::dataflow::Dataflow;
 use autoax_circuit::approx::Behavior;
 use autoax_circuit::sim::exhaustive_outputs;
-use autoax_circuit::{CircuitEntry, Netlist, OpSignature};
-use autoax_image::ssim::SsimReference;
-use autoax_image::GrayImage;
+use autoax_circuit::{CircuitEntry, OpSignature};
 use std::sync::Arc;
 
 /// One replaceable operation of an accelerator.
@@ -115,44 +116,17 @@ impl OpSet {
 
     /// The all-exact configuration for an accelerator.
     pub fn exact(accel: &dyn Accelerator) -> Self {
+        Self::exact_slots(accel.dataflow().slots())
+    }
+
+    /// The all-exact op set for a slot list.
+    pub fn exact_slots(slots: &[OpSlot]) -> Self {
         OpSet {
-            ops: accel
-                .slots()
+            ops: slots
                 .iter()
                 .map(|s| CompiledOp::Exact(s.signature))
                 .collect(),
         }
-    }
-
-    /// Compiles a configuration given one library entry per slot.
-    ///
-    /// # Panics
-    /// Panics if an entry's signature does not match its slot.
-    pub fn from_entries(accel: &dyn Accelerator, entries: &[&CircuitEntry]) -> Self {
-        assert_eq!(entries.len(), accel.slots().len(), "one entry per slot");
-        for (slot, e) in accel.slots().iter().zip(entries.iter()) {
-            assert_eq!(
-                slot.signature,
-                e.signature(),
-                "slot {} expects {}, got {}",
-                slot.name,
-                slot.signature,
-                e.signature()
-            );
-        }
-        OpSet {
-            ops: entries.iter().map(|e| CompiledOp::compile(e)).collect(),
-        }
-    }
-
-    /// Number of slots covered.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True if no ops are present.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// Evaluates slot `i`.
@@ -160,12 +134,42 @@ impl OpSet {
     pub fn apply(&self, slot: usize, a: u64, b: u64) -> u64 {
         self.ops[slot].eval(a, b)
     }
+
+    /// Evaluates slot `i` over operand planes, `out[k] = op(a[k], b[k]) &
+    /// out_mask`, with the dispatch hoisted out of the loop.
+    pub(crate) fn apply_plane(
+        &self,
+        slot: usize,
+        a: &[u32],
+        b: &[u32],
+        out_mask: u32,
+        out: &mut [u32],
+    ) {
+        let lanes = out.iter_mut().zip(a.iter().zip(b));
+        match &self.ops[slot] {
+            CompiledOp::Exact(sig) => {
+                for (o, (&x, &y)) in lanes {
+                    *o = sig.exact(x as u64, y as u64) as u32 & out_mask;
+                }
+            }
+            CompiledOp::Lut { wa, table } => {
+                for (o, (&x, &y)) in lanes {
+                    *o = table[((y << wa) | x) as usize] as u32 & out_mask;
+                }
+            }
+            CompiledOp::Func(f) => {
+                for (o, (&x, &y)) in lanes {
+                    *o = f.eval(x as u64, y as u64) as u32 & out_mask;
+                }
+            }
+        }
+    }
 }
 
-/// Observer invoked by the software model on every operation execution.
-///
-/// The profiler uses this to collect operand PMFs; QoR evaluation passes
-/// [`NoRecord`].
+/// Observer of every operation a scalar software model executes: the
+/// quantized-NN workload profiles its MAC loop through it, while the
+/// image accelerators histogram whole operand planes instead
+/// ([`Dataflow::profile`]).
 pub trait OpObserver {
     /// Called with the slot index and the operand pair before evaluation.
     fn record(&mut self, slot: usize, a: u64, b: u64);
@@ -180,103 +184,17 @@ impl OpObserver for NoRecord {
     fn record(&mut self, _slot: usize, _a: u64, _b: u64) {}
 }
 
-/// A hierarchical accelerator: software model + hardware netlist over a
-/// set of replaceable operation slots.
-///
-/// All three paper accelerators consume a 3×3 pixel neighbourhood per
-/// output pixel. `mode` selects among behavioural variants of the same
-/// hardware — the generic Gaussian filter evaluates one mode per kernel
-/// coefficient set; the other accelerators have a single mode.
+/// A hierarchical image accelerator: a name and the [`Dataflow`] over a
+/// 3×3 pixel neighbourhood that its slots, software model, hardware
+/// netlist, operand profile and cache identity are derived from. Every
+/// accelerator is a [`crate::Workload`] over grayscale images with
+/// mean-SSIM QoR.
 pub trait Accelerator: Send + Sync {
     /// Accelerator name as used in the paper.
     fn name(&self) -> &str;
 
-    /// The replaceable operation slots, in evaluation order.
-    fn slots(&self) -> &[OpSlot];
-
-    /// Number of behavioural modes (kernel sets); defaults to 1.
-    fn mode_count(&self) -> usize {
-        1
-    }
-
-    /// Computes one output pixel from the 3×3 neighbourhood
-    /// (row-major: `n[3*y + x]`) using `ops`, reporting every operand pair
-    /// to `obs`.
-    fn kernel(&self, mode: usize, n: &[u8; 9], ops: &OpSet, obs: &mut dyn OpObserver) -> u8;
-
-    /// Builds the flat hardware netlist with the given component netlists
-    /// (one per slot, in slot order).
-    fn build_netlist(&self, impls: &[Netlist]) -> Netlist;
-
-    /// Runs the software model over a whole image.
-    fn run(&self, img: &GrayImage, ops: &OpSet, mode: usize) -> GrayImage {
-        let mut out = GrayImage::new(img.width(), img.height());
-        let mut obs = NoRecord;
-        for y in 0..img.height() as isize {
-            for x in 0..img.width() as isize {
-                let mut n = [0u8; 9];
-                for dy in -1..=1 {
-                    for dx in -1..=1 {
-                        n[(3 * (dy + 1) + dx + 1) as usize] = img.get_clamped(x + dx, y + dy);
-                    }
-                }
-                let v = self.kernel(mode, &n, ops, &mut obs);
-                out.set(x as usize, y as usize, v);
-            }
-        }
-        out
-    }
-
-    /// Golden outputs: the software model with all-exact operations, for
-    /// every mode.
-    fn run_exact(&self, img: &GrayImage) -> Vec<GrayImage> {
-        let exact = OpSet::exact_slots(self.slots());
-        (0..self.mode_count())
-            .map(|m| self.run(img, &exact, m))
-            .collect()
-    }
-
-    /// Quality of result: mean SSIM of the approximate outputs against the
-    /// exact outputs over all images and modes (the paper's QoR measure;
-    /// for the generic GF this is the "average SSIM" over 50 kernels).
-    ///
-    /// Deliberately sequential: on the hot path this runs *under* the
-    /// parallel `evaluate_batch` (one task per configuration), so nesting
-    /// another fan-out here would oversubscribe the workers.
-    fn qor(&self, images: &[GrayImage], golden: &[Vec<SsimReference>], ops: &OpSet) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (img, gold) in images.iter().zip(golden.iter()) {
-            for (mode, g) in gold.iter().enumerate() {
-                sum += g.ssim(&self.run(img, ops, mode));
-                n += 1;
-            }
-        }
-        assert!(n > 0, "qor needs at least one image and mode");
-        sum / n as f64
-    }
-
-    /// Precomputes the golden side of [`Accelerator::qor`]: the SSIM
-    /// reference of every mode's exact output, one parallel task per
-    /// image (coarse-grained: a task renders every mode of a whole image).
-    fn golden(&self, images: &[GrayImage]) -> Vec<Vec<SsimReference>> {
-        autoax_exec::par_map_coarse(images, |img| {
-            self.run_exact(img).iter().map(SsimReference::new).collect()
-        })
-    }
-}
-
-impl OpSet {
-    /// The all-exact op set for a slot list (free function form used by
-    /// trait default methods).
-    pub fn exact_slots(slots: &[OpSlot]) -> Self {
-        OpSet {
-            ops: slots
-                .iter()
-                .map(|s| CompiledOp::Exact(s.signature))
-                .collect(),
-        }
-    }
+    /// The accelerator's dataflow.
+    fn dataflow(&self) -> &Dataflow;
 }
 
 #[cfg(test)]

@@ -6,46 +6,36 @@
 //! ([`crate::mcm::fixed_gf_plans`]). Eleven replaceable operations
 //! (Table 1): four 8-bit adders (symmetric pixel pairs), two 9-bit adders
 //! (corner/edge sums), four 16-bit adders and one 16-bit subtractor (MCM +
-//! product summing).
-//!
-//! ```text
-//! s1 = add8(p00, p02)   s2 = add8(p20, p22)   c = add9(s1, s2)   // corners
-//! s3 = add8(p01, p21)   s4 = add8(p10, p12)   e = add9(s3, s4)   // edges
-//! t1 = add16(c<<4, c<<3)        // 24c
-//! t2 = add16(t1, c<<1)          // 26c
-//! t3 = sub16(e<<5, e<<1)        // 30e
-//! t4 = add16(t2, t3)            // 26c + 30e
-//! t5 = add16(t4, m<<5)          // + 32m
-//! out = t5 >> 8
-//! ```
+//! product summing). The dataflow is declared in [`FixedGaussian::new`].
 
-use crate::accelerator::{Accelerator, OpObserver, OpSet, OpSlot};
-use autoax_circuit::netlist::{Bus, NetId, Netlist};
+use crate::accelerator::Accelerator;
+use crate::dataflow::{tap, Dataflow, DataflowBuilder, Glue};
 use autoax_circuit::OpSignature;
 
 /// The fixed Gaussian filter accelerator.
 #[derive(Debug, Clone)]
 pub struct FixedGaussian {
-    slots: Vec<OpSlot>,
+    dataflow: Dataflow,
 }
 
 impl FixedGaussian {
     /// Creates the accelerator with the paper's slot inventory.
     pub fn new() -> Self {
+        use OpSignature as S;
+        let mut df = DataflowBuilder::new();
+        let s1 = df.op("s1", S::ADD8, tap(0), tap(2));
+        let s2 = df.op("s2", S::ADD8, tap(6), tap(8));
+        let c = df.op("corners", S::ADD9, s1, s2);
+        let s3 = df.op("s3", S::ADD8, tap(1), tap(7));
+        let s4 = df.op("s4", S::ADD8, tap(3), tap(5));
+        let e = df.op("edges", S::ADD9, s3, s4);
+        let t1 = df.op("t1", S::ADD16, c << 4, c << 3); // 24c
+        let t2 = df.op("t2", S::ADD16, t1, c << 1); // 26c
+        let t3 = df.op("t3", S::SUB16, e << 5, e << 1); // 30e
+        let t4 = df.op("t4", S::ADD16, t2, t3); // 26c + 30e
+        df.op("t5", S::ADD16, t4, tap(4) << 5); // + 32·center
         FixedGaussian {
-            slots: vec![
-                OpSlot::new("s1", OpSignature::ADD8),
-                OpSlot::new("s2", OpSignature::ADD8),
-                OpSlot::new("corners", OpSignature::ADD9),
-                OpSlot::new("s3", OpSignature::ADD8),
-                OpSlot::new("s4", OpSignature::ADD8),
-                OpSlot::new("edges", OpSignature::ADD9),
-                OpSlot::new("t1", OpSignature::ADD16),
-                OpSlot::new("t2", OpSignature::ADD16),
-                OpSlot::new("t3", OpSignature::SUB16),
-                OpSlot::new("t4", OpSignature::ADD16),
-                OpSlot::new("t5", OpSignature::ADD16),
-            ],
+            dataflow: df.finish(Glue::Bits { lo: 8 }),
         }
     }
 
@@ -69,94 +59,25 @@ impl Accelerator for FixedGaussian {
         "Fixed GF"
     }
 
-    fn slots(&self) -> &[OpSlot] {
-        &self.slots
-    }
-
-    fn kernel(&self, _mode: usize, n: &[u8; 9], ops: &OpSet, obs: &mut dyn OpObserver) -> u8 {
-        let m16 = 0xFFFFu64;
-        let (p00, p01, p02) = (n[0] as u64, n[1] as u64, n[2] as u64);
-        let (p10, m, p12) = (n[3] as u64, n[4] as u64, n[5] as u64);
-        let (p20, p21, p22) = (n[6] as u64, n[7] as u64, n[8] as u64);
-        obs.record(0, p00, p02);
-        let s1 = ops.apply(0, p00, p02) & 0x1FF;
-        obs.record(1, p20, p22);
-        let s2 = ops.apply(1, p20, p22) & 0x1FF;
-        obs.record(2, s1, s2);
-        let c = ops.apply(2, s1, s2) & 0x3FF;
-        obs.record(3, p01, p21);
-        let s3 = ops.apply(3, p01, p21) & 0x1FF;
-        obs.record(4, p10, p12);
-        let s4 = ops.apply(4, p10, p12) & 0x1FF;
-        obs.record(5, s3, s4);
-        let e = ops.apply(5, s3, s4) & 0x3FF;
-        let (c4, c3, c1) = ((c << 4) & m16, (c << 3) & m16, (c << 1) & m16);
-        obs.record(6, c4, c3);
-        let t1 = ops.apply(6, c4, c3) & m16;
-        obs.record(7, t1, c1);
-        let t2 = ops.apply(7, t1, c1) & m16;
-        let (e5, e1) = ((e << 5) & m16, (e << 1) & m16);
-        obs.record(8, e5, e1);
-        let t3 = ops.apply(8, e5, e1) & m16;
-        obs.record(9, t2, t3);
-        let t4 = ops.apply(9, t2, t3) & m16;
-        let m5 = (m << 5) & m16;
-        obs.record(10, t4, m5);
-        let t5 = ops.apply(10, t4, m5) & m16;
-        (t5 >> 8) as u8
-    }
-
-    fn build_netlist(&self, impls: &[Netlist]) -> Netlist {
-        assert_eq!(impls.len(), 11, "Fixed GF has eleven operation slots");
-        let mut top = Netlist::new("fixed_gf");
-        let pixels: Vec<Bus> = (0..9).map(|_| top.input_bus(8)).collect();
-        let zero = top.const0();
-        let concat =
-            |a: &Bus, b: &Bus| -> Vec<NetId> { a.iter().chain(b.iter()).copied().collect() };
-        let pad16 = |bus: &Bus, zero: NetId| -> Bus {
-            let mut v = bus.0.clone();
-            v.truncate(16);
-            while v.len() < 16 {
-                v.push(zero);
-            }
-            Bus(v)
-        };
-        let s1 = Bus(top.instantiate(&impls[0], &concat(&pixels[0], &pixels[2])));
-        let s2 = Bus(top.instantiate(&impls[1], &concat(&pixels[6], &pixels[8])));
-        let c = Bus(top.instantiate(&impls[2], &concat(&s1, &s2)));
-        let s3 = Bus(top.instantiate(&impls[3], &concat(&pixels[1], &pixels[7])));
-        let s4 = Bus(top.instantiate(&impls[4], &concat(&pixels[3], &pixels[5])));
-        let e = Bus(top.instantiate(&impls[5], &concat(&s3, &s4)));
-        // MCM for 26·c: t1 = (c<<4) + (c<<3); t2 = t1 + (c<<1)
-        let c4 = pad16(&c.shifted_left(4, zero), zero);
-        let c3 = pad16(&c.shifted_left(3, zero), zero);
-        let t1 = Bus(top.instantiate(&impls[6], &concat(&c4, &c3)));
-        let c1 = pad16(&c.shifted_left(1, zero), zero);
-        let t2 = Bus(top.instantiate(&impls[7], &concat(&pad16(&t1, zero), &c1)));
-        // 30·e = (e<<5) - (e<<1)
-        let e5 = pad16(&e.shifted_left(5, zero), zero);
-        let e1 = pad16(&e.shifted_left(1, zero), zero);
-        let t3 = Bus(top.instantiate(&impls[8], &concat(&e5, &e1)));
-        let t4 = Bus(top.instantiate(&impls[9], &concat(&pad16(&t2, zero), &pad16(&t3, zero))));
-        let m5 = pad16(&pixels[4].shifted_left(5, zero), zero);
-        let t5 = Bus(top.instantiate(&impls[10], &concat(&pad16(&t4, zero), &m5)));
-        // out = t5[15:8]
-        top.push_output_bus(&t5.slice(8..16));
-        top
+    fn dataflow(&self) -> &Dataflow {
+        &self.dataflow
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autoax_circuit::approx::Behavior;
+    use crate::dataflow::tests::{assert_netlist_matches_executor, run_exact};
+    use autoax_circuit::util::splitmix64;
     use autoax_image::synthetic::benchmark_suite;
+    use autoax_image::GrayImage;
 
     #[test]
     fn slot_inventory_matches_table1() {
         let g = FixedGaussian::new();
-        let count = |sig: OpSignature| g.slots().iter().filter(|s| s.signature == sig).count();
-        assert_eq!(g.slots().len(), 11);
+        let slots = g.dataflow().slots();
+        let count = |sig: OpSignature| slots.iter().filter(|s| s.signature == sig).count();
+        assert_eq!(slots.len(), 11);
         assert_eq!(count(OpSignature::ADD8), 4);
         assert_eq!(count(OpSignature::ADD9), 2);
         assert_eq!(count(OpSignature::ADD16), 4);
@@ -166,19 +87,16 @@ mod tests {
     #[test]
     fn exact_model_matches_integer_reference() {
         let g = FixedGaussian::new();
-        let exact = OpSet::exact(&g);
-        let mut obs = crate::accelerator::NoRecord;
         let mut st = 3u64;
-        for _ in 0..500 {
-            let mut n = [0u8; 9];
-            for p in n.iter_mut() {
-                *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-            }
-            assert_eq!(
-                g.kernel(0, &n, &exact, &mut obs),
-                FixedGaussian::reference_pixel(&n),
-                "{n:?}"
-            );
+        let img = GrayImage::from_fn(25, 20, |_, _| splitmix64(&mut st) as u8);
+        let out = run_exact(&g, &img);
+        for (p, &got) in out.data().iter().enumerate() {
+            let (x, y) = ((p % 25) as isize, (p / 25) as isize);
+            let n: [u8; 9] = std::array::from_fn(|t| {
+                let t = t as isize;
+                img.get_clamped(x + t % 3 - 1, y + t / 3 - 1)
+            });
+            assert_eq!(got, FixedGaussian::reference_pixel(&n), "{n:?}");
         }
     }
 
@@ -188,7 +106,7 @@ mod tests {
         // exact model can only differ by the floor-vs-round of the >> 8.
         let g = FixedGaussian::new();
         let img = benchmark_suite(1, 48, 32, 11).remove(0);
-        let out = g.run_exact(&img).remove(0);
+        let out = run_exact(&g, &img);
         let k = 1.0 / 256.0;
         let kernel = [
             [26.0 * k, 30.0 * k, 26.0 * k],
@@ -204,96 +122,19 @@ mod tests {
     #[test]
     fn flat_image_is_preserved() {
         let g = FixedGaussian::new();
-        let img = autoax_image::GrayImage::from_fn(16, 16, |_, _| 200);
-        let out = g.run_exact(&img).remove(0);
+        let img = GrayImage::from_fn(16, 16, |_, _| 200);
+        let out = run_exact(&g, &img);
         // sum = 200 * 256 >> 8 = 200 exactly
         assert!(out.data().iter().all(|&p| p == 200));
     }
 
     #[test]
     fn netlist_matches_software_model_exact() {
-        let g = FixedGaussian::new();
-        let impls: Vec<Netlist> = g
-            .slots()
-            .iter()
-            .map(|sl| Behavior::exact_for(sl.signature).build_netlist())
-            .collect();
-        let top = g.build_netlist(&impls);
-        assert_eq!(top.input_count(), 72);
-        assert_eq!(top.outputs().len(), 8);
-        let exact = OpSet::exact(&g);
-        let mut obs = crate::accelerator::NoRecord;
-        let mut st = 17u64;
-        for _ in 0..150 {
-            let mut n = [0u8; 9];
-            for p in n.iter_mut() {
-                *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-            }
-            let words: Vec<u64> = (0..72)
-                .map(|bit| {
-                    if (n[bit / 8] >> (bit % 8)) & 1 != 0 {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let outs = autoax_circuit::sim::sim_lanes(&top, &words);
-            let hw = outs
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, w)| acc | ((w & 1) << i));
-            let sw = g.kernel(0, &n, &exact, &mut obs) as u64;
-            assert_eq!(hw, sw, "{n:?}");
-        }
+        assert_netlist_matches_executor(&FixedGaussian::new(), false);
     }
 
     #[test]
     fn netlist_matches_software_model_approximate() {
-        use autoax_circuit::charlib::{build_class, LibraryConfig};
-        let g = FixedGaussian::new();
-        let cfg = LibraryConfig::tiny();
-        let mut libs = std::collections::HashMap::new();
-        for sig in [
-            OpSignature::ADD8,
-            OpSignature::ADD9,
-            OpSignature::ADD16,
-            OpSignature::SUB16,
-        ] {
-            libs.insert(sig, build_class(sig, 8, &cfg, sig.input_bits() as u64));
-        }
-        let entries: Vec<&autoax_circuit::CircuitEntry> = g
-            .slots()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| &libs[&s.signature][2 + i % 3])
-            .collect();
-        let impls: Vec<Netlist> = entries.iter().map(|e| e.build_netlist()).collect();
-        let top = g.build_netlist(&impls);
-        let ops = OpSet::from_entries(&g, &entries);
-        let mut obs = crate::accelerator::NoRecord;
-        let mut st = 23u64;
-        for _ in 0..100 {
-            let mut n = [0u8; 9];
-            for p in n.iter_mut() {
-                *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-            }
-            let words: Vec<u64> = (0..72)
-                .map(|bit| {
-                    if (n[bit / 8] >> (bit % 8)) & 1 != 0 {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let outs = autoax_circuit::sim::sim_lanes(&top, &words);
-            let hw = outs
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, w)| acc | ((w & 1) << i));
-            let sw = g.kernel(0, &n, &ops, &mut obs) as u64;
-            assert_eq!(hw, sw, "{n:?}");
-        }
+        assert_netlist_matches_executor(&FixedGaussian::new(), true);
     }
 }

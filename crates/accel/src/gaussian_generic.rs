@@ -4,18 +4,18 @@
 //!
 //! QoR is the average SSIM over a sweep of Gaussian kernels (paper: 50
 //! kernels, σ ∈ [0.3, 0.8], × 4 images = 200 simulations); each kernel is
-//! one behavioural *mode* of the same hardware.
+//! one behavioural *mode* of the same hardware, its nine coefficients the
+//! mode's constants. The dataflow is declared in [`GenericGaussian::new`].
 
-use crate::accelerator::{Accelerator, OpObserver, OpSet, OpSlot};
+use crate::accelerator::Accelerator;
+use crate::dataflow::{coeff, tap, Dataflow, DataflowBuilder, Glue, Operand};
 use crate::kernels::{sigma_sweep_kernels, SymKernel};
-use autoax_circuit::netlist::{Bus, NetId, Netlist};
 use autoax_circuit::OpSignature;
 
 /// The generic Gaussian filter accelerator.
 #[derive(Debug, Clone)]
 pub struct GenericGaussian {
-    slots: Vec<OpSlot>,
-    kernels: Vec<[u8; 9]>,
+    dataflow: Dataflow,
 }
 
 impl GenericGaussian {
@@ -24,17 +24,22 @@ impl GenericGaussian {
     /// # Panics
     /// Panics if `kernels` is empty.
     pub fn new(kernels: Vec<SymKernel>) -> Self {
-        assert!(!kernels.is_empty(), "at least one kernel required");
-        let mut slots = Vec::with_capacity(17);
-        for i in 0..9 {
-            slots.push(OpSlot::new(format!("mul{i}"), OpSignature::MUL8));
-        }
-        for i in 0..8 {
-            slots.push(OpSlot::new(format!("sum{i}"), OpSignature::ADD16));
-        }
+        let modes = kernels.into_iter().map(|k| k.to_array().to_vec()).collect();
+        let mut df = DataflowBuilder::with_modes(modes);
+        let p: Vec<Operand> = (0..9)
+            .map(|i| df.op(format!("mul{i}"), OpSignature::MUL8, tap(i), coeff(i)))
+            .collect();
+        let mut sum = |i: usize, a, b| df.op(format!("sum{i}"), OpSignature::ADD16, a, b);
+        let s0 = sum(0, p[0], p[1]);
+        let s1 = sum(1, p[2], p[3]);
+        let s2 = sum(2, p[4], p[5]);
+        let s3 = sum(3, p[6], p[7]);
+        let s4 = sum(4, s0, s1);
+        let s5 = sum(5, s2, s3);
+        let s6 = sum(6, s4, s5);
+        sum(7, s6, p[8]);
         GenericGaussian {
-            slots,
-            kernels: kernels.into_iter().map(SymKernel::to_array).collect(),
+            dataflow: df.finish(Glue::Bits { lo: 8 }),
         }
     }
 
@@ -47,11 +52,6 @@ impl GenericGaussian {
     pub fn with_sweep(n: usize) -> Self {
         Self::new(sigma_sweep_kernels(n))
     }
-
-    /// The active kernel coefficient arrays.
-    pub fn kernels(&self) -> &[[u8; 9]] {
-        &self.kernels
-    }
 }
 
 impl Accelerator for GenericGaussian {
@@ -59,113 +59,57 @@ impl Accelerator for GenericGaussian {
         "Generic GF"
     }
 
-    fn slots(&self) -> &[OpSlot] {
-        &self.slots
-    }
-
-    fn mode_count(&self) -> usize {
-        self.kernels.len()
-    }
-
-    fn kernel(&self, mode: usize, n: &[u8; 9], ops: &OpSet, obs: &mut dyn OpObserver) -> u8 {
-        let m16 = 0xFFFFu64;
-        let coeffs = &self.kernels[mode];
-        let mut prod = [0u64; 9];
-        for i in 0..9 {
-            let (a, b) = (n[i] as u64, coeffs[i] as u64);
-            obs.record(i, a, b);
-            prod[i] = ops.apply(i, a, b) & m16;
-        }
-        let apply_add = |slot: usize, a: u64, b: u64, obs: &mut dyn OpObserver| {
-            obs.record(slot, a, b);
-            ops.apply(slot, a, b) & m16
-        };
-        let s1 = apply_add(9, prod[0], prod[1], obs);
-        let s2 = apply_add(10, prod[2], prod[3], obs);
-        let s3 = apply_add(11, prod[4], prod[5], obs);
-        let s4 = apply_add(12, prod[6], prod[7], obs);
-        let s5 = apply_add(13, s1, s2, obs);
-        let s6 = apply_add(14, s3, s4, obs);
-        let s7 = apply_add(15, s5, s6, obs);
-        let s8 = apply_add(16, s7, prod[8], obs);
-        (s8 >> 8) as u8
-    }
-
-    fn build_netlist(&self, impls: &[Netlist]) -> Netlist {
-        assert_eq!(impls.len(), 17, "Generic GF has seventeen operation slots");
-        let mut top = Netlist::new("generic_gf");
-        let pixels: Vec<Bus> = (0..9).map(|_| top.input_bus(8)).collect();
-        let coeffs: Vec<Bus> = (0..9).map(|_| top.input_bus(8)).collect();
-        let zero = top.const0();
-        let concat =
-            |a: &Bus, b: &Bus| -> Vec<NetId> { a.iter().chain(b.iter()).copied().collect() };
-        let pad16 = |bus: &Bus, zero: NetId| -> Bus {
-            let mut v = bus.0.clone();
-            v.truncate(16);
-            while v.len() < 16 {
-                v.push(zero);
-            }
-            Bus(v)
-        };
-        let prods: Vec<Bus> = (0..9)
-            .map(|i| Bus(top.instantiate(&impls[i], &concat(&pixels[i], &coeffs[i]))))
-            .collect();
-        let add = |slot: usize, a: &Bus, b: &Bus, top: &mut Netlist| -> Bus {
-            let args = concat(&pad16(a, zero), &pad16(b, zero));
-            Bus(top.instantiate(&impls[slot], &args))
-        };
-        let s1 = add(9, &prods[0], &prods[1], &mut top);
-        let s2 = add(10, &prods[2], &prods[3], &mut top);
-        let s3 = add(11, &prods[4], &prods[5], &mut top);
-        let s4 = add(12, &prods[6], &prods[7], &mut top);
-        let s5 = add(13, &s1, &s2, &mut top);
-        let s6 = add(14, &s3, &s4, &mut top);
-        let s7 = add(15, &s5, &s6, &mut top);
-        let s8 = add(16, &s7, &prods[8], &mut top);
-        top.push_output_bus(&s8.slice(8..16));
-        top
+    fn dataflow(&self) -> &Dataflow {
+        &self.dataflow
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autoax_circuit::approx::Behavior;
+    use crate::accelerator::OpSet;
+    use crate::Workload;
+    use autoax_circuit::util::splitmix64;
     use autoax_image::synthetic::benchmark_suite;
+    use autoax_image::GrayImage;
 
     #[test]
     fn slot_inventory_matches_table1() {
         let g = GenericGaussian::with_sweep(3);
-        let count = |sig: OpSignature| g.slots().iter().filter(|s| s.signature == sig).count();
-        assert_eq!(g.slots().len(), 17);
+        let slots = g.dataflow().slots();
+        let count = |sig: OpSignature| slots.iter().filter(|s| s.signature == sig).count();
+        assert_eq!(slots.len(), 17);
         assert_eq!(count(OpSignature::MUL8), 9);
         assert_eq!(count(OpSignature::ADD16), 8);
     }
 
     #[test]
     fn paper_config_has_50_modes() {
-        assert_eq!(GenericGaussian::paper().mode_count(), 50);
+        assert_eq!(GenericGaussian::paper().dataflow().mode_count(), 50);
     }
 
     #[test]
     fn exact_model_matches_integer_reference() {
-        let g = GenericGaussian::with_sweep(4);
-        let exact = OpSet::exact(&g);
-        let mut obs = crate::accelerator::NoRecord;
+        let kernels = sigma_sweep_kernels(4);
+        let g = GenericGaussian::new(kernels.clone());
         let mut st = 5u64;
-        for mode in 0..g.mode_count() {
-            for _ in 0..100 {
-                let mut n = [0u8; 9];
-                for p in n.iter_mut() {
-                    *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-                }
-                let want: u32 = n
+        let img = GrayImage::from_fn(20, 15, |_, _| splitmix64(&mut st) as u8);
+        let outs = g.dataflow().run(&img, &OpSet::exact(&g));
+        assert_eq!(outs.len(), 4);
+        for (out, k) in outs.iter().zip(&kernels) {
+            for (p, &got) in out.data().iter().enumerate() {
+                let (x, y) = ((p % 20) as isize, (p / 20) as isize);
+                let want: u32 = k
+                    .to_array()
                     .iter()
-                    .zip(g.kernels()[mode].iter())
-                    .map(|(&p, &c)| p as u32 * c as u32)
+                    .enumerate()
+                    .map(|(t, &c)| {
+                        let t = t as isize;
+                        img.get_clamped(x + t % 3 - 1, y + t / 3 - 1) as u32 * c as u32
+                    })
                     .sum::<u32>()
                     >> 8;
-                assert_eq!(g.kernel(mode, &n, &exact, &mut obs) as u32, want);
+                assert_eq!(got as u32, want, "{k:?} at pixel {p}");
             }
         }
     }
@@ -174,57 +118,13 @@ mod tests {
     fn sigma_small_mode_is_nearly_identity() {
         let g = GenericGaussian::with_sweep(10);
         let img = benchmark_suite(1, 32, 24, 7).remove(0);
+        let outs = g.dataflow().run(&img, &OpSet::exact(&g));
         // mode 0 has sigma=0.3: output ~ input (center coefficient ~252)
-        let out = g.run(&img, &OpSet::exact(&g), 0);
-        let ssim = autoax_image::ssim::ssim(&out, &img);
+        let ssim = autoax_image::ssim::ssim(&outs[0], &img);
         assert!(ssim > 0.95, "sigma=0.3 should barely blur: {ssim}");
         // last mode (sigma=0.8) blurs much more
-        let out8 = g.run(&img, &OpSet::exact(&g), 9);
-        let ssim8 = autoax_image::ssim::ssim(&out8, &img);
+        let ssim8 = autoax_image::ssim::ssim(&outs[9], &img);
         assert!(ssim8 < ssim, "sigma=0.8 must blur more");
-    }
-
-    #[test]
-    fn netlist_matches_software_model() {
-        let g = GenericGaussian::with_sweep(2);
-        let impls: Vec<Netlist> = g
-            .slots()
-            .iter()
-            .map(|sl| Behavior::exact_for(sl.signature).build_netlist())
-            .collect();
-        let top = g.build_netlist(&impls);
-        assert_eq!(top.input_count(), 144);
-        assert_eq!(top.outputs().len(), 8);
-        let exact = OpSet::exact(&g);
-        let mut obs = crate::accelerator::NoRecord;
-        let mut st = 29u64;
-        for mode in 0..2 {
-            for _ in 0..60 {
-                let mut n = [0u8; 9];
-                for p in n.iter_mut() {
-                    *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-                }
-                let coeffs = g.kernels()[mode];
-                let mut words = Vec::with_capacity(144);
-                for byte in n.iter() {
-                    for b in 0..8 {
-                        words.push(if (byte >> b) & 1 != 0 { u64::MAX } else { 0 });
-                    }
-                }
-                for byte in coeffs.iter() {
-                    for b in 0..8 {
-                        words.push(if (byte >> b) & 1 != 0 { u64::MAX } else { 0 });
-                    }
-                }
-                let outs = autoax_circuit::sim::sim_lanes(&top, &words);
-                let hw = outs
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (i, w)| acc | ((w & 1) << i));
-                let sw = g.kernel(mode, &n, &exact, &mut obs) as u64;
-                assert_eq!(hw, sw, "mode {mode} {n:?}");
-            }
-        }
     }
 
     #[test]
@@ -234,5 +134,12 @@ mod tests {
         let golden = g.golden(&imgs);
         let q = g.qor(&imgs, &golden, &OpSet::exact(&g));
         assert!((q - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn netlist_matches_software_model() {
+        let g = GenericGaussian::with_sweep(2);
+        crate::dataflow::tests::assert_netlist_matches_executor(&g, false);
+        crate::dataflow::tests::assert_netlist_matches_executor(&g, true);
     }
 }

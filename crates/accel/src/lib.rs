@@ -1,9 +1,12 @@
 //! # autoax-accel
 //!
-//! The three benchmark accelerators of the autoAx paper (Table 1), each
-//! with a software model (for QoR analysis), a hardware netlist builder
-//! (for synthesis-lite cost analysis) and an operand profiler (for the
-//! probability mass functions of Fig. 3):
+//! The three benchmark accelerators of the autoAx paper (Table 1). Each
+//! declares one [`Dataflow`] ([`dataflow`]): an ordered list of
+//! replaceable operations over a 3×3 pixel neighbourhood, ending in exact
+//! glue. The software model (for QoR analysis), the hardware netlist (for
+//! synthesis-lite cost analysis), the operand profile (the probability
+//! mass functions of Fig. 3) and the Step-1/2 cache identity are all
+//! derived from it:
 //!
 //! | Accelerator | Ops | Inventory |
 //! |-------------|-----|-----------|
@@ -13,7 +16,8 @@
 //!
 //! The fixed Gaussian filter realizes its constant coefficients with
 //! shift-add networks ([`mcm`], standing in for the paper's SPIRAL flow);
-//! the generic filter evaluates 50 σ ∈ [0.3, 0.8] kernels ([`kernels`]).
+//! the generic filter evaluates 50 σ ∈ [0.3, 0.8] kernels ([`kernels`]),
+//! one behavioural mode each.
 //!
 //! The crate also hosts the domain-generic application layer: the
 //! [`Workload`] trait ([`workload`]) that the pipeline is written
@@ -32,11 +36,12 @@
 //! let sobel = SobelEd::new();
 //! let imgs = benchmark_suite(1, 64, 48, 3);
 //! let exact = OpSet::exact(&sobel);
-//! let out = sobel.run(&imgs[0], &exact, 0);
+//! let out = sobel.dataflow().run(&imgs[0], &exact).remove(0);
 //! assert_eq!(out.width(), 64);
 //! ```
 
 pub mod accelerator;
+pub mod dataflow;
 pub mod gaussian_fixed;
 pub mod gaussian_generic;
 pub mod kernels;
@@ -46,5 +51,6 @@ pub mod sobel;
 pub mod workload;
 
 pub use accelerator::{Accelerator, CompiledOp, OpSet, OpSlot};
+pub use dataflow::Dataflow;
 pub use profile::{Pmf, PmfRecorder};
 pub use workload::Workload;

@@ -1,12 +1,13 @@
 //! Operand profiling: the probability mass functions `D_k` of paper
 //! Section 2.2 and Fig. 3.
 //!
-//! The profiler runs the exact software model on benchmark images and
-//! records every operand pair of every slot. The resulting [`Pmf`]s drive
-//! the WMED score used for library pre-processing.
+//! Step 1 runs the exact software model on benchmark samples and records
+//! every operand pair of every slot: the image accelerators histogram
+//! their operand planes ([`crate::Dataflow::profile`]), scalar software
+//! models report pairs through a [`PmfRecorder`]. The resulting [`Pmf`]s
+//! drive the WMED score used for library pre-processing.
 
-use crate::accelerator::{Accelerator, OpObserver, OpSet};
-use autoax_image::GrayImage;
+use crate::accelerator::OpObserver;
 use std::collections::HashMap;
 
 /// Empirical joint distribution of one slot's operand pairs.
@@ -57,7 +58,8 @@ impl Pmf {
     /// smallest prefix covering at least `mass_frac` of the distribution.
     ///
     /// Library pre-processing uses this to bound the WMED cost on huge
-    /// supports (the truncation point is documented in DESIGN.md).
+    /// supports; its truncation point is `PreprocessOptions::mass_frac`
+    /// in `autoax::preprocess` (default 0.999).
     pub fn top_mass(&self, mass_frac: f64) -> Vec<((u32, u32), f64)> {
         let mut items: Vec<((u32, u32), u64)> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
         items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -158,48 +160,6 @@ impl OpObserver for PmfRecorder {
     }
 }
 
-/// Profiles an accelerator on one image: runs the exact software model
-/// over every mode and returns one [`Pmf`] per slot.
-fn profile_image<A: Accelerator + ?Sized>(accel: &A, exact: &OpSet, img: &GrayImage) -> Vec<Pmf> {
-    let mut rec = PmfRecorder::new(accel.slots().len());
-    for mode in 0..accel.mode_count() {
-        for y in 0..img.height() as isize {
-            for x in 0..img.width() as isize {
-                let mut n = [0u8; 9];
-                for dy in -1..=1 {
-                    for dx in -1..=1 {
-                        n[(3 * (dy + 1) + dx + 1) as usize] = img.get_clamped(x + dx, y + dy);
-                    }
-                }
-                let _ = accel.kernel(mode, &n, exact, &mut rec);
-            }
-        }
-    }
-    rec.pmfs
-}
-
-/// Profiles an accelerator on benchmark images: runs the exact software
-/// model over every image (and every mode) and returns one [`Pmf`] per
-/// slot.
-///
-/// Images are profiled in parallel through the execution layer's chunked
-/// map-reduce; the per-image counts merge commutatively, so the result is
-/// identical at any thread count.
-pub fn profile<A: Accelerator + ?Sized>(accel: &A, images: &[GrayImage]) -> Vec<Pmf> {
-    let exact = OpSet::exact_slots(accel.slots());
-    autoax_exec::map_reduce(
-        images,
-        |img| profile_image(accel, &exact, img),
-        |mut acc, next| {
-            for (a, b) in acc.iter_mut().zip(next) {
-                a.absorb(b);
-            }
-            acc
-        },
-    )
-    .unwrap_or_else(|| (0..accel.slots().len()).map(|_| Pmf::new()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,13 +217,15 @@ mod tests {
     #[test]
     fn parallel_profile_equals_per_image_merge() {
         use crate::sobel::SobelEd;
+        use crate::Accelerator;
         let accel = SobelEd::new();
+        let df = accel.dataflow();
         let images = autoax_image::synthetic::benchmark_suite(3, 24, 16, 9);
-        let par = profile(&accel, &images);
+        let par = df.profile(&images);
         // reference: profile each image alone and merge in order
-        let mut seq: Vec<Pmf> = (0..accel.slots().len()).map(|_| Pmf::new()).collect();
+        let mut seq: Vec<Pmf> = df.slots().iter().map(|_| Pmf::new()).collect();
         for img in &images {
-            let one = profile(&accel, std::slice::from_ref(img));
+            let one = df.profile(std::slice::from_ref(img));
             for (a, b) in seq.iter_mut().zip(one) {
                 a.absorb(b);
             }

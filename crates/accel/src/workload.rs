@@ -77,14 +77,15 @@ pub trait Workload: Send + Sync {
     fn digest_samples(&self, samples: &[Self::Sample], sink: &mut dyn FnMut(&[u8]));
 
     /// Feeds any workload identity *beyond* name and slot list that
-    /// affects Steps 1–2 to `sink` (behavioural mode count, network
-    /// weights, …). Defaults to nothing.
+    /// affects Steps 1–2 to `sink` (an image accelerator's dataflow with
+    /// its per-mode constants, network weights, …). Defaults to nothing.
     fn digest_identity(&self, _sink: &mut dyn FnMut(&[u8])) {}
 }
 
 /// Every image-filter [`Accelerator`] is a [`Workload`] over grayscale
-/// images: golden results are SSIM references of the exact outputs of
-/// every behavioural mode, and QoR is the paper's mean SSIM.
+/// images, derived from its [`crate::Dataflow`]: golden results are SSIM
+/// references of the exact outputs of every behavioural mode, QoR is the
+/// paper's mean SSIM, and the identity is the dataflow's digest.
 impl<A: Accelerator + ?Sized> Workload for A {
     type Sample = GrayImage;
     type Golden = Vec<SsimReference>;
@@ -94,7 +95,7 @@ impl<A: Accelerator + ?Sized> Workload for A {
     }
 
     fn slots(&self) -> &[OpSlot] {
-        Accelerator::slots(self)
+        self.dataflow().slots()
     }
 
     fn qor_metric(&self) -> &'static str {
@@ -102,19 +103,36 @@ impl<A: Accelerator + ?Sized> Workload for A {
     }
 
     fn profile(&self, samples: &[GrayImage]) -> Vec<Pmf> {
-        crate::profile::profile(self, samples)
+        self.dataflow().profile(samples)
     }
 
+    /// One parallel task per image (coarse-grained: a task renders every
+    /// mode of a whole image).
     fn golden(&self, samples: &[GrayImage]) -> Vec<Vec<SsimReference>> {
-        Accelerator::golden(self, samples)
+        let df = self.dataflow();
+        let exact = OpSet::exact_slots(df.slots());
+        autoax_exec::par_map_coarse(samples, |img| {
+            df.run(img, &exact).iter().map(SsimReference::new).collect()
+        })
     }
 
+    /// The mean SSIM over all images and modes (for the generic GF, the
+    /// paper's "average SSIM" over its kernels).
     fn qor(&self, samples: &[GrayImage], golden: &[Vec<SsimReference>], ops: &OpSet) -> f64 {
-        Accelerator::qor(self, samples, golden, ops)
+        let mut sum = 0.0;
+        let mut n = 0usize;
+        for (img, gold) in samples.iter().zip(golden) {
+            for (out, g) in self.dataflow().run(img, ops).iter().zip(gold) {
+                sum += g.ssim(out);
+                n += 1;
+            }
+        }
+        assert!(n > 0, "qor needs at least one image and mode");
+        sum / n as f64
     }
 
     fn build_netlist(&self, impls: &[Netlist]) -> Netlist {
-        Accelerator::build_netlist(self, impls)
+        self.dataflow().build_netlist(impls)
     }
 
     fn digest_samples(&self, samples: &[GrayImage], sink: &mut dyn FnMut(&[u8])) {
@@ -126,9 +144,7 @@ impl<A: Accelerator + ?Sized> Workload for A {
     }
 
     fn digest_identity(&self, sink: &mut dyn FnMut(&[u8])) {
-        // Behavioural modes are identity: the same slots render a
-        // different golden sweep (e.g. the generic GF's kernel count).
-        sink(&(self.mode_count() as u64).to_le_bytes());
+        self.dataflow().digest(sink);
     }
 }
 
@@ -136,6 +152,7 @@ impl<A: Accelerator + ?Sized> Workload for A {
 mod tests {
     use super::*;
     use crate::gaussian_generic::GenericGaussian;
+    use crate::kernels::gaussian_kernel_256;
     use crate::sobel::SobelEd;
     use autoax_image::synthetic::benchmark_suite;
 
@@ -160,7 +177,7 @@ mod tests {
         let sobel = SobelEd::new();
         let imgs = benchmark_suite(2, 32, 24, 3);
         let golden = Workload::golden(&sobel, &imgs);
-        let exact = OpSet::exact_slots(Accelerator::slots(&sobel));
+        let exact = OpSet::exact(&sobel);
         let q = Workload::qor(&sobel, &imgs, &golden, &exact);
         assert!((q - 1.0).abs() < 1e-12, "exact config must score 1.0: {q}");
     }
@@ -179,12 +196,16 @@ mod tests {
 
     #[test]
     fn identity_digest_separates_kernel_sweeps() {
-        // Same name, same slots — only the mode count differs; the
-        // identity digest must keep their cache keys apart.
-        let g2 = GenericGaussian::with_sweep(2);
-        let g5 = GenericGaussian::with_sweep(5);
-        let d2 = collect(|s| g2.digest_identity(s));
-        let d5 = collect(|s| g5.digest_identity(s));
-        assert_ne!(d2, d5);
+        // Same name, same slots — only the kernels differ, in number or
+        // in coefficients; the identity digest must keep their cache keys
+        // apart.
+        let digest = |g: GenericGaussian| collect(|s| g.digest_identity(s));
+        let sweep = |sigmas: &[f64]| {
+            GenericGaussian::new(sigmas.iter().map(|&s| gaussian_kernel_256(s)).collect())
+        };
+        let d2 = digest(GenericGaussian::with_sweep(2));
+        assert_ne!(d2, digest(GenericGaussian::with_sweep(5)));
+        assert_ne!(digest(sweep(&[0.4, 0.7])), digest(sweep(&[0.5, 0.8])));
+        assert_eq!(d2, digest(GenericGaussian::with_sweep(2)));
     }
 }

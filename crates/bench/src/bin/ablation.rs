@@ -132,7 +132,9 @@ fn main() {
     // --- Ablation 3: WMED (profiled) vs MAE (workload-blind) filtering ---
     // Re-run pre-processing with uniform PMFs (no profiling information):
     // the per-slot WMED then reduces to the plain MAE.
+    use autoax_accel::Accelerator;
     let uniform_pmfs: Vec<autoax_accel::Pmf> = accel
+        .dataflow()
         .slots()
         .iter()
         .map(|s| {
@@ -147,7 +149,6 @@ fn main() {
             p
         })
         .collect();
-    use autoax_accel::Accelerator;
     let pre_blind = autoax::preprocess::preprocess_with_pmfs(
         &accel,
         &lib,

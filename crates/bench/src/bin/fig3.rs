@@ -10,7 +10,6 @@
 //! cargo run --release -p autoax-bench --bin fig3 -- --scale default
 //! ```
 
-use autoax_accel::profile::profile;
 use autoax_accel::sobel::SobelEd;
 use autoax_accel::Accelerator;
 use autoax_bench::{ascii_heatmap, sobel_image_suite, write_csv, Scale};
@@ -24,9 +23,9 @@ fn main() {
         images.len(),
         scale.label()
     );
-    let pmfs = profile(&accel, &images);
+    let pmfs = accel.dataflow().profile(&images);
     let bins = 32;
-    for (slot, pmf) in accel.slots().iter().zip(pmfs.iter()) {
+    for (slot, pmf) in accel.dataflow().slots().iter().zip(pmfs.iter()) {
         let max_a = (1u32 << slot.signature.width_a) - 1;
         let max_b = (1u32 << slot.signature.width_b) - 1;
         let grid = pmf.to_grid(bins, max_a, max_b);

@@ -32,11 +32,12 @@ fn main() {
         ("Generic GF", [0, 0, 8, 0, 0, 9], 17),
     ];
     for (accel, (name, exp_counts, exp_total)) in accels.iter().zip(expected.iter()) {
+        let slots = accel.dataflow().slots();
         let counts: Vec<usize> = classes
             .iter()
-            .map(|&sig| accel.slots().iter().filter(|s| s.signature == sig).count())
+            .map(|&sig| slots.iter().filter(|s| s.signature == sig).count())
             .collect();
-        let total = accel.slots().len();
+        let total = slots.len();
         println!(
             "{:<12} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
             accel.name(),

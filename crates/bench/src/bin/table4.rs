@@ -9,8 +9,10 @@
 //! enumerating the reduced configuration space *under the estimation
 //! models*, and all distances are measured on estimated objectives
 //! normalized to `[0, 1]`. The reduced space is capped per slot so that
-//! exhaustive enumeration stays tractable at every scale (the paper
-//! enumerates 4.92·10⁷ configurations on a cluster; see DESIGN.md).
+//! exhaustive enumeration stays tractable at every scale: 12 circuits per
+//! slot (12⁵ ≈ 2.5·10⁵ configurations) at quick and default scale, 16
+//! (16⁵ ≈ 1.0·10⁶) at paper scale, where the paper enumerates 4.92·10⁷
+//! configurations on a cluster.
 //!
 //! ```sh
 //! cargo run --release -p autoax-bench --bin table4 -- --scale default

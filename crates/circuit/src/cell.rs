@@ -6,8 +6,10 @@
 //! They are *synthetic but proportionally realistic*: XOR-class cells are
 //! roughly 2–3× an inverter in every dimension, exactly the proportions
 //! that make approximate-arithmetic area/power trade-offs meaningful. The
-//! absolute scale differs from the paper's Synopsys/45 nm flow; DESIGN.md
-//! explains why only relative costs matter for the methodology.
+//! absolute scale differs from the paper's Synopsys/45 nm flow, which
+//! `crate::synth` stands in for (README, "How the paper maps to the
+//! code"). Only relative costs matter, because the methodology only ever
+//! compares configurations against each other (Pareto filtering).
 
 /// The kinds of cells available to netlists.
 ///

@@ -1,7 +1,7 @@
-//! Bringing your own accelerator to the methodology: implement the
-//! [`Accelerator`] trait (software kernel + hardware netlist over named
-//! operation slots) and the whole pipeline — profiling, WMED scoring,
-//! model training, Algorithm 1 — works unchanged.
+//! Bringing your own accelerator to the methodology: declare its dataflow
+//! and implement the [`Accelerator`] trait; the software model, netlist,
+//! profile and cache identity derive from it, and the whole pipeline —
+//! profiling, WMED scoring, model training, Algorithm 1 — works unchanged.
 //!
 //! The example builds a 4-pixel box smoother:
 //! `out = (center + right + below + below-right) / 4`
@@ -24,26 +24,29 @@
 
 use autoax::pipeline::{run_pipeline, PipelineOptions};
 use autoax::SearchAlgo;
-use autoax_accel::accelerator::{Accelerator, OpObserver, OpSet, OpSlot};
+use autoax_accel::dataflow::{tap, Dataflow, DataflowBuilder, Glue};
+use autoax_accel::Accelerator;
 use autoax_circuit::charlib::LibraryConfig;
-use autoax_circuit::netlist::{Bus, Netlist};
 use autoax_circuit::OpSignature;
 use autoax_image::synthetic::benchmark_suite;
 use autoax_store::{load_or_build_library, parse_cache_flags};
 
 /// A 2×2 box smoother with approximable adders.
 struct BoxSmoother {
-    slots: Vec<OpSlot>,
+    dataflow: Dataflow,
 }
 
 impl BoxSmoother {
     fn new() -> Self {
+        // taps are row-major: 4 = center, 5 = right, 7 = below,
+        // 8 = below-right
+        let mut df = DataflowBuilder::new();
+        let row0 = df.op("row0", OpSignature::ADD8, tap(4), tap(5));
+        let row1 = df.op("row1", OpSignature::ADD8, tap(7), tap(8));
+        df.op("total", OpSignature::ADD9, row0, row1);
+        // out = total >> 2: bits 2..10 of the 10-bit sum
         BoxSmoother {
-            slots: vec![
-                OpSlot::new("row0", OpSignature::ADD8),
-                OpSlot::new("row1", OpSignature::ADD8),
-                OpSlot::new("total", OpSignature::ADD9),
-            ],
+            dataflow: df.finish(Glue::Bits { lo: 2 }),
         }
     }
 }
@@ -53,36 +56,8 @@ impl Accelerator for BoxSmoother {
         "Box smoother"
     }
 
-    fn slots(&self) -> &[OpSlot] {
-        &self.slots
-    }
-
-    fn kernel(&self, _mode: usize, n: &[u8; 9], ops: &OpSet, obs: &mut dyn OpObserver) -> u8 {
-        // neighbourhood layout: n[4] = center, n[5] = right,
-        // n[7] = below, n[8] = below-right
-        let (c, r, b, d) = (n[4] as u64, n[5] as u64, n[7] as u64, n[8] as u64);
-        obs.record(0, c, r);
-        let s0 = ops.apply(0, c, r) & 0x1FF;
-        obs.record(1, b, d);
-        let s1 = ops.apply(1, b, d) & 0x1FF;
-        obs.record(2, s0, s1);
-        let t = ops.apply(2, s0, s1) & 0x3FF;
-        (t >> 2) as u8
-    }
-
-    fn build_netlist(&self, impls: &[Netlist]) -> Netlist {
-        assert_eq!(impls.len(), 3);
-        let mut top = Netlist::new("box_smoother");
-        let pixels: Vec<Bus> = (0..9).map(|_| top.input_bus(8)).collect();
-        let cat = |a: &Bus, b: &Bus| -> Vec<autoax_circuit::NetId> {
-            a.iter().chain(b.iter()).copied().collect()
-        };
-        let s0 = Bus(top.instantiate(&impls[0], &cat(&pixels[4], &pixels[5])));
-        let s1 = Bus(top.instantiate(&impls[1], &cat(&pixels[7], &pixels[8])));
-        let t = Bus(top.instantiate(&impls[2], &cat(&s0, &s1)));
-        // out = t >> 2, 8 bits
-        top.push_output_bus(&t.slice(2..10));
-        top
+    fn dataflow(&self) -> &Dataflow {
+        &self.dataflow
     }
 }
 
@@ -130,5 +105,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for m in &result.final_front {
         println!("  {:.4}  {:9.1}  {:9.1}", m.qor, m.area, m.energy);
     }
+    // Pinned in CI, like the quickstart's: the front must not depend on
+    // the worker count or on how the dataflow is executed.
+    println!("front-digest: {:016x}", result.front_digest());
     Ok(())
 }

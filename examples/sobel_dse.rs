@@ -60,17 +60,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== step 1: library pre-processing ==");
     let pre = preprocess(&accel, &lib, &images, &PreprocessOptions::default()).expect("preprocess");
-    for (slot, choices) in accel.slots().iter().zip(pre.space.slots().iter()) {
+    let slots = accel.dataflow().slots();
+    for ((slot, choices), pmf) in slots.iter().zip(pre.space.slots()).zip(&pre.pmfs) {
         println!(
             "  |RL_{}| = {:3}   (diagonal PMF mass: {:.2})",
             slot.name,
             choices.members.len(),
-            pre.pmfs[accel
-                .slots()
-                .iter()
-                .position(|s| s.name == slot.name)
-                .unwrap()]
-            .diagonal_mass(32)
+            pmf.diagonal_mass(32)
         );
     }
     println!(

@@ -4,13 +4,18 @@
 //! tampered cache files must fall back to recompute — never to a wrong
 //! result.
 
+use autoax::cache::pipeline_cache_key;
 use autoax::pipeline::{run_pipeline, PipelineOptions, PipelineResult};
 use autoax::CacheMode;
+use autoax_accel::gaussian_generic::GenericGaussian;
+use autoax_accel::kernels::gaussian_kernel_256;
 use autoax_accel::sobel::SobelEd;
 use autoax_circuit::charlib::{build_library, ComponentLibrary, LibraryConfig};
 use autoax_image::GrayImage;
-use autoax_store::cache::Store;
+use autoax_store::cache::{BlobStore, Store};
+use autoax_store::ShardedStore;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn temp_cache_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -242,6 +247,38 @@ fn nn_workload_warm_start_is_byte_identical_too() {
     let res = run_pipeline(&other, &lib, &samples, &opts).unwrap();
     assert_eq!(res.timings.cache_hits, 0, "weight flip must not alias");
     assert_eq!(res.timings.cache_misses, 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn kernel_sweeps_of_equal_length_do_not_alias() {
+    // Same name, slots and mode count: only the coefficients the
+    // dataflow feeds its multipliers differ, so Steps 1–2 differ too.
+    let lib = build_library(&LibraryConfig::tiny());
+    let images = autoax_image::synthetic::benchmark_suite(2, 32, 24, 5);
+    let sweep = |sigmas: [f64; 2]| {
+        GenericGaussian::new(sigmas.iter().map(|&s| gaussian_kernel_256(s)).collect())
+    };
+    let (first, second) = (sweep([0.4, 0.7]), sweep([0.5, 0.8]));
+    let quick = PipelineOptions::quick();
+    assert_ne!(
+        pipeline_cache_key(&first, &lib, &images, &quick),
+        pipeline_cache_key(&second, &lib, &images, &quick),
+        "kernel sweeps of equal length must key apart"
+    );
+
+    let dir = temp_cache_dir("gf-sweeps");
+    let store: Arc<dyn BlobStore> = Arc::new(ShardedStore::with_defaults(&dir));
+    let opts = quick.with_store(store, CacheMode::ReadWrite);
+    let a = run_pipeline(&first, &lib, &images, &opts).unwrap();
+    assert_eq!(a.timings.cache_misses, 1);
+    let b = run_pipeline(&second, &lib, &images, &opts).unwrap();
+    assert_eq!(
+        b.timings.cache_misses, 1,
+        "the second sweep must not warm-start from the first's PMFs and models"
+    );
+    assert_eq!(b.timings.cache_hits, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
