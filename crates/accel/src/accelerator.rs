@@ -6,8 +6,8 @@
 //! software model runs on.
 
 use crate::dataflow::Dataflow;
-use autoax_circuit::approx::Behavior;
-use autoax_circuit::sim::exhaustive_outputs;
+use autoax_circuit::approx::{Behavior, PLANE_BLOCK};
+use autoax_circuit::sim::exhaustive_blocks;
 use autoax_circuit::{CircuitEntry, OpSignature};
 use std::sync::Arc;
 
@@ -32,10 +32,19 @@ impl OpSlot {
 
 /// A compiled, fast-callable implementation of one slot.
 ///
-/// Lookup tables are built for every non-exact circuit whose operand space
-/// fits in 2^16 assignments (and for netlist mutants up to 2^20, where
-/// scalar simulation would otherwise dominate the software model);
-/// everything else evaluates through the circuit's functional model.
+/// Lookup tables are built for every non-exact circuit whose outputs fit
+/// 16 bits and whose operand space fits in 2^16 assignments (and for
+/// netlist mutants up to 2^20, where scalar simulation would otherwise
+/// dominate the software model); everything else evaluates through the
+/// circuit's functional model. A model's table is filled through
+/// [`Behavior::eval_plane`] over blocks of the enumerated operand space,
+/// a mutant's by exhaustive 64-lane simulation, so a compile allocates
+/// little beyond its table.
+///
+/// The dataflow executor evaluates every form a whole operand plane at a
+/// time, with the dispatch hoisted out of the element loop: native
+/// arithmetic, a table gather, or the circuit's plane kernel. All three
+/// equal [`Behavior::eval`] element for element.
 #[derive(Debug, Clone)]
 pub enum CompiledOp {
     /// The accurate operation (native integer arithmetic).
@@ -58,36 +67,26 @@ impl CompiledOp {
         if entry.is_exact() {
             return CompiledOp::Exact(sig);
         }
-        let bits = sig.input_bits();
-        let lut_worthwhile = match &entry.behavior {
-            Behavior::Raw { .. } => bits <= 20,
-            _ => bits <= 16,
+        let max_bits = match &entry.behavior {
+            Behavior::Raw { .. } => 20,
+            _ => 16,
         };
-        if lut_worthwhile {
-            debug_assert!(sig.output_width() <= 16, "LUT output must fit u16");
-            let table = match &entry.behavior {
-                Behavior::Raw { netlist, .. } => exhaustive_outputs(netlist)
-                    .into_iter()
-                    .map(|v| v as u16)
-                    .collect(),
-                other => {
-                    let wa = sig.width_a as u32;
-                    let total = 1usize << bits;
-                    let mut t = Vec::with_capacity(total);
-                    for v in 0..total as u64 {
-                        let a = v & autoax_circuit::util::mask(wa);
-                        let b = v >> wa;
-                        t.push(other.eval(a, b) as u16);
-                    }
-                    t
+        if sig.input_bits() > max_bits || sig.output_width() > 16 {
+            return CompiledOp::Func(entry.behavior.clone());
+        }
+        let wa = sig.width_a as u32;
+        let mut table = vec![0u16; 1 << sig.input_bits()];
+        match &entry.behavior {
+            Behavior::Raw { netlist, .. } => exhaustive_blocks(netlist, |first, block| {
+                for (t, &v) in table[first..].iter_mut().zip(block) {
+                    *t = v as u16;
                 }
-            };
-            CompiledOp::Lut {
-                wa: sig.width_a as u32,
-                table: Arc::new(table),
-            }
-        } else {
-            CompiledOp::Func(entry.behavior.clone())
+            }),
+            model => tabulate(model, wa, &mut table),
+        }
+        CompiledOp::Lut {
+            wa,
+            table: Arc::new(table),
         }
     }
 
@@ -98,6 +97,26 @@ impl CompiledOp {
             CompiledOp::Exact(sig) => sig.exact(a, b),
             CompiledOp::Lut { wa, table } => table[((b << wa) | a) as usize] as u64,
             CompiledOp::Func(b_) => b_.eval(a, b),
+        }
+    }
+}
+
+/// Fills `table[b << wa | a]` with a functional model's outputs, one
+/// [`PLANE_BLOCK`] of the enumerated operand space per plane call.
+fn tabulate(model: &Behavior, wa: u32, table: &mut [u16]) {
+    let (mut a, mut b, mut out) = ([0; PLANE_BLOCK], [0; PLANE_BLOCK], [0; PLANE_BLOCK]);
+    let a_mask = autoax_circuit::util::mask(wa) as u32;
+    for (first, chunk) in (0u32..)
+        .step_by(PLANE_BLOCK)
+        .zip(table.chunks_mut(PLANE_BLOCK))
+    {
+        let n = chunk.len();
+        for (v, (x, y)) in (first..).zip(a[..n].iter_mut().zip(&mut b[..n])) {
+            (*x, *y) = (v & a_mask, v >> wa);
+        }
+        model.eval_plane(&a[..n], &b[..n], &mut out[..n]);
+        for (t, &o) in chunk.iter_mut().zip(&out[..n]) {
+            *t = o as u16;
         }
     }
 }
@@ -158,8 +177,9 @@ impl OpSet {
                 }
             }
             CompiledOp::Func(f) => {
-                for (o, (&x, &y)) in lanes {
-                    *o = f.eval(x as u64, y as u64) as u32 & out_mask;
+                f.eval_plane(a, b, out);
+                for o in out {
+                    *o &= out_mask;
                 }
             }
         }
@@ -221,6 +241,47 @@ mod tests {
                 assert_eq!(op.eval(a, b), e.eval(a, b), "{}", e.label);
             }
         }
+    }
+
+    #[test]
+    fn model_tables_equal_per_pair_tabulation() {
+        let lib = autoax_circuit::charlib::build_library(&LibraryConfig::tiny());
+        let mut tabulated = 0;
+        for sig in lib.signatures() {
+            let models = lib.class(sig).iter().filter(|e| !e.is_exact());
+            for e in models.filter(|e| !matches!(e.behavior, Behavior::Raw { .. })) {
+                let CompiledOp::Lut { wa, table } = CompiledOp::compile(e) else {
+                    continue;
+                };
+                let want = (0..1u64 << sig.input_bits())
+                    .map(|v| e.behavior.eval(v & ((1 << wa) - 1), v >> wa) as u16);
+                assert!(table.iter().copied().eq(want), "{}", e.label);
+                tabulated += 1;
+            }
+        }
+        assert!(tabulated >= 100, "only {tabulated} model tables");
+    }
+
+    #[test]
+    fn wide_outputs_are_not_truncated_into_a_table() {
+        // 20 input bits fit a mutant's table, but 20 output bits do not
+        // fit its u16 entries.
+        let sig = OpSignature::new(autoax_circuit::OpKind::Mul, 10, 10);
+        let exact = Behavior::exact_for(sig).build_netlist();
+        let inexact = build_class(OpSignature::MUL8, 5, &LibraryConfig::tiny(), 1)
+            .into_iter()
+            .find(|e| !e.is_exact())
+            .unwrap();
+        let entry = CircuitEntry {
+            behavior: Behavior::Raw {
+                sig,
+                netlist: Arc::new(autoax_circuit::approx::mutate::mutate_netlist(&exact, 0, 1)),
+            },
+            ..inexact
+        };
+        let op = CompiledOp::compile(&entry);
+        assert!(matches!(op, CompiledOp::Func(_)));
+        assert_eq!(op.eval(1000, 1000), 1_000_000);
     }
 
     #[test]

@@ -190,6 +190,140 @@ pub fn eval(w: u32, kind: &AdderKind, a: u64, b: u64) -> u64 {
     }
 }
 
+/// Plane kernel of [`eval`] (see [`super::Behavior::eval_plane`]): one
+/// pass for the single-adder kinds, one per window for ACA and GeAr, one
+/// for a segmentation (carries stopped at segment boundaries within one
+/// add), and for a cell ripple one per cell up to the last inexact one,
+/// then one add for the exact cells above it.
+pub fn eval_plane(w: u32, kind: &AdderKind, a: &[u32], b: &[u32], out: &mut [u32]) {
+    use super::{each, mask32};
+    let m = mask32(w);
+    match kind {
+        AdderKind::Exact | AdderKind::ExactCla => each(out, a, b, |_, x, y| (x & m) + (y & m)),
+        &AdderKind::TruncZero { k } => {
+            each(out, a, b, |_, x, y| (((x & m) >> k) + ((y & m) >> k)) << k)
+        }
+        &AdderKind::TruncPass { k } => each(out, a, b, |_, x, y| {
+            ((((x & m) >> k) + ((y & m) >> k)) << k) | (x & mask32(k))
+        }),
+        &AdderKind::Loa { k } => each(out, a, b, |_, x, y| {
+            let (x, y) = (x & m, y & m);
+            let cin = (x >> (k - 1)) & (y >> (k - 1)) & 1;
+            (((x >> k) + (y >> k) + cin) << k) | ((x | y) & mask32(k))
+        }),
+        &AdderKind::XorLower { k } => each(out, a, b, |_, x, y| {
+            let (x, y) = (x & m, y & m);
+            (((x >> k) + (y >> k)) << k) | ((x ^ y) & mask32(k))
+        }),
+        // Bits 0..=r are those of the exact sum; bit i > r is bit r of the
+        // sum of the (r + 1)-bit windows ending at bit i, i.e. a_i ^ b_i ^
+        // the window's carry (and that carry alone at i = w).
+        &AdderKind::Aca { r } => sum_windows(
+            m,
+            std::iter::once(Window::low(r + 1))
+                .chain((r + 1..=w).map(|i| Window::new(i - r, r + 1, r, 1))),
+            a,
+            b,
+            out,
+        ),
+        &AdderKind::Gear { r, p } if r + p >= w => each(out, a, b, |_, x, y| (x & m) + (y & m)),
+        &AdderKind::Gear { r, p } => {
+            let starts = std::iter::successors(Some(r + p), |&s| Some(s + r));
+            let subs = starts.take_while(|&s| s < w).map(|s| {
+                let r_eff = r.min(w - s);
+                // the last sub-adder also yields the carry-out at bit w
+                Window::new(s - p, p + r_eff, p, r_eff + (s + r_eff == w) as u32)
+            });
+            sum_windows(
+                m,
+                std::iter::once(Window::low(r + p)).chain(subs),
+                a,
+                b,
+                out,
+            )
+        }
+        AdderKind::Seg { segs, speculate } => {
+            // The top bit of every segment but the last: clearing it in
+            // both operands stops the carry there, and `(a ^ b) & top`
+            // restores the bit's own sum.
+            let (mut top, mut off) = (0u32, 0u32);
+            for &s in &segs[..segs.len() - 1] {
+                off += s as u32;
+                top |= 1 << (off - 1);
+            }
+            let spec = if *speculate { u32::MAX } else { 0 };
+            each(out, a, b, |_, x, y| {
+                let (x, y) = (x & m, y & m);
+                let cin = ((x & y & top) << 1) & spec;
+                ((x & !top) + (y & !top) + cin) ^ ((x ^ y) & top)
+            })
+        }
+        AdderKind::CellRipple { cells } => {
+            let k = cells
+                .iter()
+                .rposition(|&c| c != FaCell::EXACT_FA)
+                .map_or(0, |i| i + 1);
+            super::cells::ripple_plane(&cells[..k], a, b, out);
+            let k = k as u32;
+            each(out, a, b, |o, x, y| {
+                (o & mask32(k)) | ((((x & m) >> k) + ((y & m) >> k) + (o >> k)) << k)
+            })
+        }
+    }
+}
+
+/// One sub-adder of a windowed adder: the `width`-bit operand windows
+/// from bit `lo` are added and bits `skip..skip + keep` of the sum become
+/// result bits `lo + skip..`.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    lo: u32,
+    width: u32,
+    skip: u32,
+    keep: u32,
+}
+
+impl Window {
+    fn new(lo: u32, width: u32, skip: u32, keep: u32) -> Self {
+        Window {
+            lo,
+            width,
+            skip,
+            keep,
+        }
+    }
+
+    /// The low `n` bits of the exact sum.
+    fn low(n: u32) -> Self {
+        Window::new(0, n, 0, n)
+    }
+}
+
+/// ORs every window's result bits into `out`, one pass per window.
+fn sum_windows(
+    m: u32,
+    windows: impl IntoIterator<Item = Window>,
+    a: &[u32],
+    b: &[u32],
+    out: &mut [u32],
+) {
+    use super::{each, mask32};
+    out.fill(0);
+    for Window {
+        lo,
+        width,
+        skip,
+        keep,
+    } in windows
+    {
+        let (wm, km) = (mask32(width), mask32(keep));
+        each(out, a, b, |o, x, y| {
+            let s = (((x & m) >> lo) & wm) + (((y & m) >> lo) & wm);
+            o | ((s >> skip) & km) << (lo + skip)
+        });
+    }
+}
+
 /// Builds the gate-level netlist of an adder variant.
 pub fn build_netlist(w: u32, kind: &AdderKind) -> Netlist {
     let mut n = Netlist::new(format!("add{w}_{}", kind.label()));

@@ -38,6 +38,15 @@ impl FaCell {
         ((self.sum >> idx) as u64 & 1, (self.carry >> idx) as u64 & 1)
     }
 
+    /// Both truth tables interleaved: bit `2i` is bit `i` of `sum`, bit
+    /// `2i + 1` bit `i` of `carry`, so one lookup reads both outputs.
+    fn pair_table(self) -> u32 {
+        (0..8).fold(0, |t, i| {
+            t | ((self.sum as u32 >> i) & 1) << (2 * i)
+                | ((self.carry as u32 >> i) & 1) << (2 * i + 1)
+        })
+    }
+
     /// Named approximate full-adder variants, in increasing "aggressiveness".
     ///
     /// These are inspired by the approximate mirror adder (AMA) and
@@ -130,6 +139,55 @@ impl FaCell {
             carry: ((r >> 8) & 0xFF) as u8,
         }
     }
+}
+
+/// Both outputs of the cell with pair table `t` on single-bit inputs,
+/// `sum | carry << 1`: three mask selects of table halves (carry-in,
+/// then b, then a), which vectorize without per-lane shifts.
+#[inline(always)]
+fn eval_pair(t: u32, a: u32, b: u32, cin: u32) -> u32 {
+    let select = |bit: u32, t: u32, half: u32| {
+        let m = 0u32.wrapping_sub(bit);
+        (t & !m) | ((t >> half) & m)
+    };
+    select(a, select(b, select(cin, t, 8), 4), 2) & 3
+}
+
+/// The ripple of `cells` (cell `i` at bit `i`) over operand planes:
+/// bits `0..n` of each output are the sums and bit `n = cells.len()` the
+/// final carry, which is also where the running carry lives between
+/// passes. Operand bits from `n` up are ignored.
+pub(crate) fn ripple_plane(cells: &[FaCell], a: &[u32], b: &[u32], out: &mut [u32]) {
+    let n = cells.len() as u32;
+    out.fill(0);
+    for (i, cell) in (0..n).zip(cells) {
+        let t = cell.pair_table();
+        super::each(out, a, b, |o, x, y| {
+            let r = eval_pair(t, (x >> i) & 1, (y >> i) & 1, o >> n);
+            (o & super::mask32(n)) | (r & 1) << i | (r >> 1) << n
+        });
+    }
+}
+
+/// One cell of a multiplier's carry-save row over a plane: the cell at
+/// output bit `pos` adds the accumulator bit there, the partial-product
+/// bit `pp(x, y)` and the running carry, which lives in bit `carry_bit`
+/// (zero above the row until the row ends).
+pub(crate) fn grid_cell_plane(
+    cell: FaCell,
+    pos: u32,
+    carry_bit: u32,
+    pp: impl Fn(u32, u32) -> u32,
+    a: &[u32],
+    b: &[u32],
+    out: &mut [u32],
+) {
+    let t = cell.pair_table();
+    let keep = !(1u32 << pos | 1u32 << carry_bit);
+    super::each(out, a, b, |o, x, y| {
+        let r = eval_pair(t, (o >> pos) & 1, pp(x, y), (o >> carry_bit) & 1);
+        (o & keep) | (r & 1) << pos | (r >> 1) << carry_bit
+    });
 }
 
 #[cfg(test)]

@@ -7,6 +7,21 @@
 //! contract the EvoApprox library gives its users (C model + Verilog
 //! netlist per circuit).
 //!
+//! The functional model comes in two shapes. [`Behavior::eval`] is the
+//! scalar reference: one operand pair in, one result out.
+//! [`Behavior::eval_plane`] evaluates whole operand planes (`u32` per
+//! element, results up to 32 bits) and must equal `eval` element for
+//! element, including on operand bits above each width, which both
+//! ignore. Each family has one plane kernel beside its scalar model
+//! ([`adders::eval_plane`], [`subs::eval_plane`], [`muls::eval_plane`]):
+//! the kind's parameters (windows, segments, cell truth tables, kept
+//! partial-product rows, approximate leaves) are turned into a few
+//! passes, each an element-inner loop with no data-dependent branch, so
+//! LLVM vectorizes them. The kernels never allocate; `eval_plane` runs
+//! them over blocks of [`PLANE_BLOCK`] elements so the passes of one
+//! block stay in L1. [`Behavior::Raw`] planes go through the 64-lane
+//! netlist simulator.
+//!
 //! Families implemented (paper Section 1 cites the originating lines of
 //! work):
 //!
@@ -36,6 +51,24 @@ use crate::{OpKind, OpSignature};
 use std::sync::Arc;
 
 pub use cells::FaCell;
+
+/// Elements per block of [`Behavior::eval_plane`]: three planes of this
+/// many `u32` fill 12 KiB, so a multi-pass kernel re-reads them from L1.
+pub const PLANE_BLOCK: usize = 1024;
+
+/// One pass of a plane kernel: `out[k] = f(out[k], a[k], b[k])`.
+#[inline(always)]
+fn each(out: &mut [u32], a: &[u32], b: &[u32], f: impl Fn(u32, u32, u32) -> u32) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(*o, x, y);
+    }
+}
+
+/// The lowest `w` bits set, as a plane element (`w <= 32`).
+#[inline]
+const fn mask32(w: u32) -> u32 {
+    crate::util::mask(w) as u32
+}
 
 /// The complete description of one library circuit's behaviour: enough to
 /// evaluate it functionally *and* to rebuild its netlist deterministically.
@@ -89,15 +122,36 @@ impl Behavior {
         }
     }
 
-    /// Evaluates a batch of operand pairs. For [`Behavior::Raw`] this uses
-    /// 64-way bit-parallel simulation; for parameterized families it calls
-    /// the functional model in a loop.
-    pub fn eval_batch(&self, pairs: &[(u64, u64)]) -> Vec<u64> {
-        match self {
-            Behavior::Raw { sig, netlist } => {
-                crate::sim::eval_binop_batch(netlist, sig.width_a as u32, sig.width_b as u32, pairs)
+    /// Evaluates the circuit over operand planes: `out[k] = eval(a[k],
+    /// b[k])` for every `k`, bit for bit (see the module docs).
+    ///
+    /// # Panics
+    /// Panics if the three planes differ in length or the output is wider
+    /// than 32 bits.
+    pub fn eval_plane(&self, a: &[u32], b: &[u32], out: &mut [u32]) {
+        assert!(
+            a.len() == out.len() && b.len() == out.len(),
+            "operand planes of {} and {} elements for {} outputs",
+            a.len(),
+            b.len(),
+            out.len()
+        );
+        let sig = self.signature();
+        assert!(sig.output_width() <= 32, "{sig} outputs do not fit u32");
+        if let Behavior::Raw { netlist, .. } = self {
+            let (wa, wb) = (sig.width_a as u32, sig.width_b as u32);
+            return crate::sim::eval_binop_plane(netlist, wa, wb, a, b, out);
+        }
+        let blocks = a.chunks(PLANE_BLOCK).zip(b.chunks(PLANE_BLOCK));
+        for ((a, b), out) in blocks.zip(out.chunks_mut(PLANE_BLOCK)) {
+            match self {
+                Behavior::Adder { w, kind } => adders::eval_plane(*w, kind, a, b, out),
+                Behavior::Subtractor { w, kind } => subs::eval_plane(*w, kind, a, b, out),
+                Behavior::Multiplier { wa, wb, kind } => {
+                    muls::eval_plane(*wa, *wb, kind, a, b, out)
+                }
+                Behavior::Raw { .. } => unreachable!("simulated above"),
             }
-            _ => pairs.iter().map(|&(a, b)| self.eval(a, b)).collect(),
         }
     }
 
@@ -174,16 +228,50 @@ mod tests {
     }
 
     #[test]
-    fn eval_batch_matches_eval() {
-        let b = Behavior::Adder {
-            w: 8,
-            kind: adders::AdderKind::Loa { k: 3 },
-        };
-        let pairs = crate::util::stimulus_pairs(8, 8, 500, 5);
-        let batch = b.eval_batch(&pairs);
-        for (i, &(x, y)) in pairs.iter().enumerate() {
-            assert_eq!(batch[i], b.eval(x, y));
+    fn eval_plane_matches_eval() {
+        let mutant = crate::approx::mutate::mutate_netlist(
+            &Behavior::exact_for(OpSignature::ADD8).build_netlist(),
+            3,
+            9,
+        );
+        let behaviors = [
+            Behavior::Adder {
+                w: 8,
+                kind: adders::AdderKind::Loa { k: 3 },
+            },
+            Behavior::Raw {
+                sig: OpSignature::ADD8,
+                netlist: Arc::new(mutant),
+            },
+        ];
+        // Longer than a block, with a partial last block and operand bits
+        // above the width.
+        let len = PLANE_BLOCK + 77;
+        let mut st = 5u64;
+        let a: Vec<u32> = (0..len)
+            .map(|_| crate::util::splitmix64(&mut st) as u32)
+            .collect();
+        let b: Vec<u32> = (0..len)
+            .map(|_| crate::util::splitmix64(&mut st) as u32)
+            .collect();
+        for behavior in &behaviors {
+            let mut out = vec![0; len];
+            behavior.eval_plane(&a, &b, &mut out);
+            for ((&x, &y), &o) in a.iter().zip(&b).zip(&out) {
+                assert_eq!(
+                    o as u64,
+                    behavior.eval(x as u64, y as u64),
+                    "{}",
+                    behavior.label()
+                );
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "operand planes")]
+    fn eval_plane_rejects_mismatched_planes() {
+        Behavior::exact_for(OpSignature::ADD8).eval_plane(&[1, 2], &[3], &mut [0, 0]);
     }
 
     #[test]

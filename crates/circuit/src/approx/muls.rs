@@ -169,6 +169,110 @@ fn udm_eval(w: u32, a: u64, b: u64, leaf_mask: u16, leaf_idx: &mut usize) -> u64
     ll + ((lh + hl) << h) + (hh << (2 * h))
 }
 
+/// Plane kernel of [`eval`] (see [`super::Behavior::eval_plane`]): one
+/// multiply for the exact kinds, one pass per kept partial-product row
+/// for BAM, truncation and perforation, one correction per approximate
+/// UDM leaf, and for a cell grid one pass per inexact cell plus one add
+/// per row for the exact cells at its top.
+pub fn eval_plane(wa: u32, wb: u32, kind: &MulKind, a: &[u32], b: &[u32], out: &mut [u32]) {
+    use super::{each, mask32};
+    let (ma, mb) = (mask32(wa), mask32(wb));
+    match kind {
+        MulKind::Exact | MulKind::ExactWallace => each(out, a, b, |_, x, y| (x & ma) * (y & mb)),
+        &MulKind::Bam { vbl, hbl } => rows(wb, |i| bam_row(wa, vbl, hbl, i), a, b, out),
+        &MulKind::Trunc { k, comp } => {
+            rows(wb, |i| bam_row(wa, k, 0, i), a, b, out);
+            if comp && k >= 1 {
+                let mo = mask32(wa + wb);
+                each(out, a, b, |o, _, _| o.wrapping_add(1 << (k - 1)) & mo);
+            }
+        }
+        &MulKind::PerfRows { row_mask } => {
+            let kept = |i: u32| if (row_mask >> i) & 1 != 0 { 0 } else { ma };
+            rows(wb, kept, a, b, out)
+        }
+        &MulKind::Udm { leaf_mask } => {
+            debug_assert!(wa == wb && wa.is_power_of_two() && wa >= 2);
+            each(out, a, b, |_, x, y| (x & ma) * (y & mb));
+            // An approximate leaf yields 7 for 3 × 3, two less than the
+            // exact block, at its place in the product.
+            let leaves = (wa / 2) * (wa / 2);
+            for leaf in (0..leaves.min(16)).filter(|&l| (leaf_mask >> l) & 1 != 0) {
+                let (oa, ob) = udm_leaf_offsets(wa, leaf);
+                each(out, a, b, |o, x, y| {
+                    o - (((x >> oa) & (x >> (oa + 1)) & (y >> ob) & (y >> (ob + 1)) & 1)
+                        << (oa + ob + 1))
+                });
+            }
+        }
+        MulKind::CellGrid { cells } => {
+            debug_assert_eq!(cells.len() as u32, (wb - 1) * wa);
+            each(out, a, b, |_, x, y| (x & ma) & 0u32.wrapping_sub(y & 1));
+            for (i, row) in (1..wb).zip(cells.chunks(wa as usize)) {
+                // The running carry lives in bit i + wa, zero until the
+                // row ends there; cells from j0 up are exact and add the
+                // rest of the row at once.
+                let j0 = row
+                    .iter()
+                    .rposition(|&c| c != FaCell::EXACT_FA)
+                    .map_or(0, |j| j + 1);
+                for (j, &cell) in (0..).zip(&row[..j0]) {
+                    let pp = move |x: u32, y: u32| (x >> j) & (y >> i) & 1;
+                    super::cells::grid_cell_plane(cell, i + j, i + wa, pp, a, b, out);
+                }
+                let (j0, lo) = (j0 as u32, i + j0 as u32);
+                each(out, a, b, |o, x, y| {
+                    let pp = ((x & ma) >> j0) & 0u32.wrapping_sub((y >> i) & 1);
+                    let acc = (o >> lo) & mask32(wa - j0);
+                    (o & mask32(lo)) | (acc + pp + ((o >> (i + wa)) & 1)) << lo
+                });
+            }
+        }
+    }
+}
+
+/// The bits of operand a whose partial products row `i` of a broken
+/// array keeps (as [`eval`] decides them).
+fn bam_row(wa: u32, vbl: u32, hbl: u32, i: u32) -> u32 {
+    let mut j_lo = vbl.saturating_sub(i);
+    if i < hbl {
+        j_lo = j_lo.max(wa.saturating_sub(i));
+    }
+    super::mask32(wa) & !super::mask32(j_lo)
+}
+
+/// The sum of the partial-product rows over a plane: row `i` adds
+/// `(a & kept(i)) << i` where bit `i` of b is set, one pass per
+/// non-empty row.
+fn rows(wb: u32, kept: impl Fn(u32) -> u32, a: &[u32], b: &[u32], out: &mut [u32]) {
+    out.fill(0);
+    for i in 0..wb {
+        let r = kept(i);
+        if r != 0 {
+            super::each(out, a, b, |o, x, y| {
+                o + (((x & r) << i) & 0u32.wrapping_sub((y >> i) & 1))
+            });
+        }
+    }
+}
+
+/// The operand offsets `(a, b)` of UDM leaf `leaf` of a `w`-bit
+/// multiplier. Each recursion level is one base-4 digit of the leaf
+/// index, the innermost level (2-bit halves) the least significant one;
+/// digits 0..=3 are the LL, LH, HL and HH quarters.
+fn udm_leaf_offsets(w: u32, leaf: u32) -> (u32, u32) {
+    let (mut oa, mut ob) = (0, 0);
+    let mut h = 2;
+    let mut digits = leaf;
+    while h < w {
+        oa += ((digits >> 1) & 1) * h;
+        ob += (digits & 1) * h;
+        digits >>= 2;
+        h *= 2;
+    }
+    (oa, ob)
+}
+
 /// Builds the gate-level netlist of a multiplier variant.
 pub fn build_netlist(wa: u32, wb: u32, kind: &MulKind) -> Netlist {
     let mut n = Netlist::new(format!("mul{wa}x{wb}_{}", kind.label()));

@@ -114,6 +114,56 @@ pub fn eval(w: u32, kind: &SubKind, a: u64, b: u64) -> u64 {
     }
 }
 
+/// Plane kernel of [`eval`] (see [`super::Behavior::eval_plane`]): one
+/// pass per kind, except a cell ripple, which takes one per cell up to
+/// the last inexact one, then one subtraction for the exact cells above.
+pub fn eval_plane(w: u32, kind: &SubKind, a: &[u32], b: &[u32], out: &mut [u32]) {
+    use super::{each, mask32};
+    let m = mask32(w);
+    // the upper `w - k` bits of the difference with the sign at bit `w`
+    let high = move |x: u32, y: u32, k: u32| {
+        (((x & m) >> k).wrapping_sub((y & m) >> k) & mask32(w + 1 - k)) << k
+    };
+    match kind {
+        SubKind::Exact => each(out, a, b, |_, x, y| high(x, y, 0)),
+        &SubKind::TruncZero { k } => each(out, a, b, |_, x, y| high(x, y, k)),
+        &SubKind::TruncPass { k } => each(out, a, b, |_, x, y| high(x, y, k) | (x & mask32(k))),
+        &SubKind::XorLower { k } => {
+            each(out, a, b, |_, x, y| high(x, y, k) | ((x ^ y) & mask32(k)))
+        }
+        SubKind::Seg { segs } => {
+            // The top bit of every segment, the last one's being the sign
+            // at bit w: setting it in a and clearing it in b keeps every
+            // borrow inside its segment, and `!(a ^ b) & top` corrects the
+            // bit itself.
+            let mut top = 1u32 << w;
+            let mut off = 0u32;
+            for &s in &segs[..segs.len() - 1] {
+                off += s as u32;
+                top |= 1 << (off - 1);
+            }
+            each(out, a, b, |_, x, y| {
+                let (x, y) = (x & m, y & m);
+                ((x | top).wrapping_sub(y & !top)) ^ (!(x ^ y) & top)
+            })
+        }
+        SubKind::CellRipple { cells } => {
+            let k = cells
+                .iter()
+                .rposition(|&c| c != FaCell::EXACT_FS)
+                .map_or(0, |i| i + 1);
+            super::cells::ripple_plane(&cells[..k], a, b, out);
+            let k = k as u32;
+            each(out, a, b, |o, x, y| {
+                let d = ((x & m) >> k)
+                    .wrapping_sub((y & m) >> k)
+                    .wrapping_sub(o >> k);
+                (o & mask32(k)) | (d & mask32(w + 1 - k)) << k
+            })
+        }
+    }
+}
+
 /// Builds the gate-level netlist of a subtractor variant.
 pub fn build_netlist(w: u32, kind: &SubKind) -> Netlist {
     let mut n = Netlist::new(format!("sub{w}_{}", kind.label()));

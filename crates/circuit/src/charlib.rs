@@ -870,12 +870,14 @@ mod tests {
         // plus the hardware cost, so no two entries may agree on both
         // (functionally identical architecture variants like ripple vs
         // lookahead are legitimately distinct entries).
-        let all_pairs: Vec<(u64, u64)> = (0..65536u64).map(|v| (v & 0xFF, v >> 8)).collect();
+        let a: Vec<u32> = (0..65536).map(|v| v & 0xFF).collect();
+        let b: Vec<u32> = (0..65536).map(|v| v >> 8).collect();
         let mut sigs = HashSet::new();
         for e in &entries {
-            let mut v = e.behavior.eval_batch(&all_pairs);
-            v.push((e.hw.area * 16.0).round() as u64);
-            v.push((e.hw.delay * 1024.0).round() as u64);
+            let mut v = vec![0; a.len()];
+            e.behavior.eval_plane(&a, &b, &mut v);
+            v.push((e.hw.area * 16.0).round() as u32);
+            v.push((e.hw.delay * 1024.0).round() as u32);
             assert!(sigs.insert(v), "duplicate entry in class: {}", e.label);
         }
     }

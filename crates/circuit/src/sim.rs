@@ -5,10 +5,11 @@
 //! the classic EDA trick that makes exhaustive characterization of 16-bit
 //! operand spaces (65 536 assignments = 1024 words) cheap.
 //!
-//! The batch entry points, [`exhaustive_outputs`] and [`eval_binop_batch`],
-//! reuse one net-value buffer for all of their 64-lane passes and turn each
-//! pass's output words into per-assignment integers with one in-place
-//! 64×64 bit-matrix transpose, so a pass allocates nothing.
+//! The batch entry points, [`exhaustive_outputs`], [`eval_binop_batch`]
+//! and [`eval_binop_plane`], reuse one net-value buffer for all of their
+//! 64-lane passes and turn each pass's output words into per-assignment
+//! integers with one in-place 64×64 bit-matrix transpose, so a pass
+//! allocates nothing.
 
 use crate::netlist::Netlist;
 use crate::util::mask;
@@ -128,16 +129,61 @@ pub fn eval_binop(netlist: &Netlist, wa: u32, wb: u32, a: u64, b: u64) -> u64 {
 /// Panics if the netlist does not have exactly `wa + wb` inputs, or has
 /// more than 64 outputs.
 pub fn eval_binop_batch(netlist: &Netlist, wa: u32, wb: u32, pairs: &[(u64, u64)]) -> Vec<u64> {
+    let mut results = vec![0u64; pairs.len()];
+    binop_passes(
+        netlist,
+        wa,
+        wb,
+        pairs.len(),
+        |k| pairs[k],
+        |k, r| results[k] = r,
+    );
+    results
+}
+
+/// [`eval_binop_batch`] over operand planes: `out[k]` is the result for
+/// `(a[k], b[k])`, truncated to 32 bits.
+///
+/// # Panics
+/// Panics as [`eval_binop_batch`] does, or if the planes differ in length.
+pub fn eval_binop_plane(
+    netlist: &Netlist,
+    wa: u32,
+    wb: u32,
+    a: &[u32],
+    b: &[u32],
+    out: &mut [u32],
+) {
+    assert!(
+        a.len() == out.len() && b.len() == out.len(),
+        "plane length mismatch"
+    );
+    let pair = |k: usize| (a[k] as u64, b[k] as u64);
+    binop_passes(netlist, wa, wb, out.len(), pair, |k, r| out[k] = r as u32);
+}
+
+/// Simulates `len` operand pairs, `pair(k)` for `k < len`, 64 per pass
+/// through one net-value buffer, and hands each result to `emit(k, r)`.
+fn binop_passes(
+    netlist: &Netlist,
+    wa: u32,
+    wb: u32,
+    len: usize,
+    pair: impl Fn(usize) -> (u64, u64),
+    mut emit: impl FnMut(usize, u64),
+) {
     assert_eq!(netlist.input_count() as u32, wa + wb);
     assert_outputs_fit(netlist);
     let (wa, n_in) = (wa as usize, (wa + wb) as usize);
-    let mut results = vec![0u64; pairs.len()];
     let mut values = vec![0u64; netlist.net_count()];
-    for (chunk, out) in pairs.chunks(64).zip(results.chunks_mut(64)) {
+    let mut results = [0u64; 64];
+    for start in (0..len).step_by(64) {
+        let lanes = (len - start).min(64);
         let (a_words, b_words) = values[..n_in].split_at_mut(wa);
         a_words.fill(0);
         b_words.fill(0);
-        for (lane, &(a, b)) in chunk.iter().enumerate() {
+        for lane in 0..lanes {
+            let (a, b) = pair(start + lane);
             for (i, w) in a_words.iter_mut().enumerate() {
                 *w |= ((a >> i) & 1) << lane;
             }
@@ -146,9 +192,11 @@ pub fn eval_binop_batch(netlist: &Netlist, wa: u32, wb: u32, pairs: &[(u64, u64)
             }
         }
         eval_gates(netlist, &mut values);
-        lanes_to_results(netlist, &values, out);
+        lanes_to_results(netlist, &values, &mut results[..lanes]);
+        for (lane, &r) in results[..lanes].iter().enumerate() {
+            emit(start + lane, r);
+        }
     }
-    results
 }
 
 /// The canonical word patterns that enumerate all assignments of the lowest
@@ -172,21 +220,35 @@ const LOW_PATTERNS: [u64; 6] = [
 /// Panics if the netlist has more than 26 inputs (the result vector would
 /// exceed 64 M entries) or more than 64 outputs.
 pub fn exhaustive_outputs(netlist: &Netlist) -> Vec<u64> {
+    let mut results = Vec::with_capacity(1 << netlist.input_count().min(26));
+    exhaustive_blocks(netlist, |_, block| results.extend_from_slice(block));
+    results
+}
+
+/// The streaming form of [`exhaustive_outputs`]: hands the results of
+/// each 64-assignment pass, in assignment order, to `visit(first, block)`
+/// (`first` is the block's first assignment), so only the net-value
+/// buffer is allocated.
+///
+/// # Panics
+/// As [`exhaustive_outputs`].
+pub fn exhaustive_blocks(netlist: &Netlist, mut visit: impl FnMut(usize, &[u64])) {
     let k = netlist.input_count();
     assert!(k <= 26, "exhaustive evaluation limited to 26 inputs");
     assert_outputs_fit(netlist);
-    let mut results = vec![0u64; 1 << k];
     let mut values = vec![0u64; netlist.net_count()];
+    let mut results = [0u64; 64];
     let low = k.min(6);
     values[..low].copy_from_slice(&LOW_PATTERNS[..low]);
-    for (block, out) in results.chunks_mut(64).enumerate() {
+    for block in 0..(1usize << k).div_ceil(64) {
         for (i, w) in values[low..k].iter_mut().enumerate() {
             *w = if (block >> i) & 1 != 0 { u64::MAX } else { 0 };
         }
         eval_gates(netlist, &mut values);
+        let out = &mut results[..(1 << low)];
         lanes_to_results(netlist, &values, out);
+        visit(block * 64, out);
     }
-    results
 }
 
 /// Checks functional equivalence of two netlists with identical interfaces
@@ -367,10 +429,10 @@ mod tests {
             }
         }
 
-        /// Exhaustive and batched simulation agree with the single-pair
-        /// reference on random netlists: 1-12 inputs (below six, one
-        /// partial 64-lane block), 1-64 outputs, and batch lengths that
-        /// leave a partial last pass.
+        /// Exhaustive, batched and plane simulation agree with the
+        /// single-pair reference on random netlists: 1-12 inputs (below
+        /// six, one partial 64-lane block), 1-64 outputs (a plane keeps
+        /// the low 32), and batch lengths that leave a partial last pass.
         #[test]
         fn batch_simulators_match_eval_binop(
             n_in in 1usize..13,
@@ -398,6 +460,14 @@ mod tests {
             prop_assert_eq!(batch.len(), len);
             for (&(a, b), &r) in pairs.iter().zip(&batch) {
                 prop_assert_eq!(r, eval_binop(&n, wa, wb, a, b));
+            }
+            let (a, b): (Vec<u32>, Vec<u32>) =
+                pairs.iter().map(|&(a, b)| (a as u32, b as u32)).unzip();
+            let mut plane = vec![0; len];
+            eval_binop_plane(&n, wa, wb, &a, &b, &mut plane);
+            for ((&a, &b), &r) in a.iter().zip(&b).zip(&plane) {
+                let want = eval_binop(&n, wa, wb, a as u64, b as u64) as u32;
+                prop_assert_eq!(r, want);
             }
         }
     }

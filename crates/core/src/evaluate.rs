@@ -12,6 +12,7 @@ use autoax_accel::{CompiledOp, OpSet, Workload};
 use autoax_circuit::charlib::{CircuitId, ComponentLibrary};
 use autoax_circuit::synth::{analyze, optimize, AnalyzeOptions};
 use autoax_circuit::{HwReport, Netlist, OpSignature};
+use autoax_telemetry as telemetry;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -119,8 +120,22 @@ impl<'a, W: Workload + ?Sized> Evaluator<'a, W> {
     /// Evaluates a batch of configurations in parallel (coarse-grained:
     /// each task is a full simulation + synthesis, so fan-out pays from
     /// two configurations up).
+    ///
+    /// Traced as an `evaluate.batch` span with the batch size (`configs`)
+    /// and the number of ops it added to the op cache (`compiled`).
     pub fn evaluate_batch(&self, configs: &[Configuration]) -> Vec<RealEval> {
-        autoax_exec::par_map_coarse(configs, |c| self.evaluate(c))
+        let cached = || {
+            self.op_cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len()
+        };
+        let mut span = telemetry::span("evaluate.batch");
+        let before = cached();
+        let evals = autoax_exec::par_map_coarse(configs, |c| self.evaluate(c));
+        span.field("configs", configs.len());
+        span.field("compiled", cached() - before);
+        evals
     }
 }
 

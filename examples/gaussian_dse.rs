@@ -74,6 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             result.timings.search_strategy,
             result.timings.final_eval
         );
+        // Pinned in CI per accelerator (fixed GF first) at both worker
+        // counts: the fronts must not depend on how the circuits run.
+        println!("front-digest: {:016x}", result.front_digest());
     }
     Ok(())
 }

@@ -1,8 +1,9 @@
 //! Property-based tests (proptest) for the core invariants that hold
 //! across crates:
 //!
-//! * every approximate-circuit family: netlist simulation ≡ functional
-//!   model; synthesis-lite preserves the function;
+//! * every variant of every approximate-circuit family, at every width
+//!   the library builds: netlist simulation ≡ functional model, the plane
+//!   kernel ≡ the scalar model, and synthesis-lite preserves the function;
 //! * compiled ops (LUT or functional) ≡ the library entry they compile;
 //! * characterization invariants (WCE ≥ MAE, WMED ≤ WCE);
 //! * Pareto front invariants under arbitrary insertion streams;
@@ -16,49 +17,162 @@ use autoax_accel::accelerator::CompiledOp;
 use autoax_accel::Pmf;
 use autoax_circuit::approx::adders::AdderKind;
 use autoax_circuit::approx::muls::MulKind;
+use autoax_circuit::approx::mutate::mutate_netlist;
 use autoax_circuit::approx::subs::SubKind;
-use autoax_circuit::approx::Behavior;
+use autoax_circuit::approx::{Behavior, FaCell};
 use autoax_circuit::charlib::{build_class, ComponentLibrary, LibraryConfig};
 use autoax_circuit::sim::eval_binop;
 use autoax_circuit::synth::optimize;
+use autoax_circuit::util::splitmix64;
 use autoax_circuit::OpSignature;
 use autoax_ml::{EngineKind, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// Strategy producing arbitrary 8-bit adder variants.
-fn adder_kind_strategy() -> impl Strategy<Value = AdderKind> {
+/// `rows × width` cells, row-major: cell `(r, j)` is drawn at random
+/// where `r + j < k` and is `exact` elsewhere — the shape of the
+/// library's cell families, from all exact (`k = 0`) to all random.
+fn cells_strategy(width: u32, rows: u32, exact: FaCell) -> impl Strategy<Value = Arc<[FaCell]>> {
+    let n = (width * rows) as usize;
+    (prop::collection::vec(any::<u16>(), n), 0..=width + rows).prop_map(move |(raw, k)| {
+        let cell = |(idx, &r): (usize, &u16)| {
+            let (row, col) = (idx as u32 / width, idx as u32 % width);
+            let random = FaCell {
+                sum: r as u8,
+                carry: (r >> 8) as u8,
+            };
+            if row + col < k {
+                random
+            } else {
+                exact
+            }
+        };
+        raw.iter().enumerate().map(cell).collect::<Vec<_>>().into()
+    })
+}
+
+/// A segmentation of `w` bits, LSB first: a set bit `i` of the cut mask
+/// ends a segment after bit `i` (no cut: one segment).
+fn segs_strategy(w: u32) -> impl Strategy<Value = Vec<u8>> {
+    (0..1u32 << (w - 1)).prop_map(move |cuts| {
+        let mut segs = vec![1u8];
+        for pos in 0..w - 1 {
+            if (cuts >> pos) & 1 != 0 {
+                segs.push(1);
+            } else {
+                *segs.last_mut().unwrap() += 1;
+            }
+        }
+        segs
+    })
+}
+
+/// Every adder variant over `w`-bit operands.
+fn adder_kind_strategy(w: u32) -> impl Strategy<Value = AdderKind> {
     prop_oneof![
         Just(AdderKind::Exact),
-        (1u32..8).prop_map(|k| AdderKind::TruncZero { k }),
-        (1u32..8).prop_map(|k| AdderKind::TruncPass { k }),
-        (1u32..8).prop_map(|k| AdderKind::Loa { k }),
-        (1u32..8).prop_map(|k| AdderKind::XorLower { k }),
-        (1u32..8).prop_map(|r| AdderKind::Aca { r }),
-        (1u32..4, 1u32..4).prop_map(|(r, p)| AdderKind::Gear { r, p }),
+        Just(AdderKind::ExactCla),
+        (1..w).prop_map(|k| AdderKind::TruncZero { k }),
+        (1..w).prop_map(|k| AdderKind::TruncPass { k }),
+        (1..w).prop_map(|k| AdderKind::Loa { k }),
+        (1..w).prop_map(|k| AdderKind::XorLower { k }),
+        (1..w).prop_map(|r| AdderKind::Aca { r }),
+        (1..=w / 2, 1..=w / 2).prop_map(|(r, p)| AdderKind::Gear { r, p }),
+        (segs_strategy(w), any::<bool>())
+            .prop_map(|(segs, speculate)| AdderKind::Seg { segs, speculate }),
+        cells_strategy(w, 1, FaCell::EXACT_FA).prop_map(|cells| AdderKind::CellRipple { cells }),
     ]
 }
 
-/// Strategy producing arbitrary 8×8 multiplier variants.
-fn mul_kind_strategy() -> impl Strategy<Value = MulKind> {
-    prop_oneof![
-        Just(MulKind::Exact),
-        (0u32..14, 0u32..8).prop_map(|(vbl, hbl)| MulKind::Bam { vbl, hbl }),
-        (1u32..8, any::<bool>()).prop_map(|(k, comp)| MulKind::Trunc { k, comp }),
-        (0u16..256).prop_map(|row_mask| MulKind::PerfRows { row_mask }),
-        any::<u16>().prop_map(|leaf_mask| MulKind::Udm { leaf_mask }),
-    ]
-}
-
-/// Strategy producing arbitrary 10-bit subtractor variants.
-fn sub_kind_strategy() -> impl Strategy<Value = SubKind> {
+/// Every subtractor variant over `w`-bit operands.
+fn sub_kind_strategy(w: u32) -> impl Strategy<Value = SubKind> {
     prop_oneof![
         Just(SubKind::Exact),
-        (1u32..10).prop_map(|k| SubKind::TruncZero { k }),
-        (1u32..10).prop_map(|k| SubKind::TruncPass { k }),
-        (1u32..10).prop_map(|k| SubKind::XorLower { k }),
+        (1..w).prop_map(|k| SubKind::TruncZero { k }),
+        (1..w).prop_map(|k| SubKind::TruncPass { k }),
+        (1..w).prop_map(|k| SubKind::XorLower { k }),
+        segs_strategy(w).prop_map(|segs| SubKind::Seg { segs }),
+        cells_strategy(w, 1, FaCell::EXACT_FS).prop_map(|cells| SubKind::CellRipple { cells }),
     ]
+}
+
+/// Every multiplier variant over `wa × wb`-bit operands except the UDM,
+/// which needs equal power-of-two widths.
+fn mul_kind_strategy(wa: u32, wb: u32) -> impl Strategy<Value = MulKind> {
+    prop_oneof![
+        Just(MulKind::Exact),
+        Just(MulKind::ExactWallace),
+        (0..wa + wb - 1, 0..wb).prop_map(|(vbl, hbl)| MulKind::Bam { vbl, hbl }),
+        (1..wa, any::<bool>()).prop_map(|(k, comp)| MulKind::Trunc { k, comp }),
+        (0..1u16 << wb).prop_map(|row_mask| MulKind::PerfRows { row_mask }),
+        cells_strategy(wa, wb - 1, FaCell::EXACT_FA).prop_map(|cells| MulKind::CellGrid { cells }),
+    ]
+}
+
+/// Adders at the library's widths: 8, 9 and 16 bits.
+fn adder_strategy() -> impl Strategy<Value = Behavior> {
+    let at = |w: u32| adder_kind_strategy(w).prop_map(move |kind| Behavior::Adder { w, kind });
+    prop_oneof![at(8), at(9), at(16)]
+}
+
+/// Subtractors at the library's widths: 10 and 16 bits.
+fn subtractor_strategy() -> impl Strategy<Value = Behavior> {
+    let at = |w: u32| sub_kind_strategy(w).prop_map(move |kind| Behavior::Subtractor { w, kind });
+    prop_oneof![at(10), at(16)]
+}
+
+/// Multipliers: every variant at 8×8 and all but the UDM at 10×6.
+fn multiplier_strategy() -> impl Strategy<Value = Behavior> {
+    let at = |wa: u32, wb: u32| {
+        mul_kind_strategy(wa, wb).prop_map(move |kind| Behavior::Multiplier { wa, wb, kind })
+    };
+    let udm = any::<u16>().prop_map(|leaf_mask| Behavior::Multiplier {
+        wa: 8,
+        wb: 8,
+        kind: MulKind::Udm { leaf_mask },
+    });
+    prop_oneof![at(8, 8), udm, at(10, 6)]
+}
+
+/// Netlist mutants of the exact circuits of the six paper classes.
+fn raw_strategy() -> impl Strategy<Value = Behavior> {
+    (0..OpSignature::PAPER_CLASSES.len(), 0u32..8, any::<u64>()).prop_map(|(i, n, seed)| {
+        let sig = OpSignature::PAPER_CLASSES[i];
+        let base = Behavior::exact_for(sig).build_netlist();
+        Behavior::Raw {
+            sig,
+            netlist: Arc::new(mutate_netlist(&base, n, seed)),
+        }
+    })
+}
+
+/// Asserts `eval_plane ≡ eval` on `len` random operand pairs with every
+/// bit set at random, so also above each operand's width.
+fn assert_plane_matches_eval(b: &Behavior, len: usize, seed: u64) {
+    let mut st = seed;
+    let a: Vec<u32> = (0..len).map(|_| splitmix64(&mut st) as u32).collect();
+    let y: Vec<u32> = (0..len).map(|_| splitmix64(&mut st) as u32).collect();
+    let mut out = vec![0; len];
+    b.eval_plane(&a, &y, &mut out);
+    for (k, &o) in out.iter().enumerate() {
+        let want = b.eval(a[k] as u64, y[k] as u64);
+        assert_eq!(o as u64, want, "{:?} at {k}: ({:#x}, {:#x})", b, a[k], y[k]);
+    }
+}
+
+/// Asserts netlist simulation ≡ functional model on `n` stimulus pairs.
+fn assert_netlist_matches_eval(b: &Behavior, n: usize, seed: u64) {
+    let sig = b.signature();
+    let (wa, wb) = (sig.width_a as u32, sig.width_b as u32);
+    let net = b.build_netlist();
+    for (x, y) in autoax_circuit::util::stimulus_pairs(wa, wb, n, seed) {
+        assert_eq!(
+            eval_binop(&net, wa, wb, x, y),
+            b.eval(x, y),
+            "{b:?} ({x}, {y})"
+        );
+    }
 }
 
 /// Lazily fitted model pairs for every Table 3 engine over a tiny
@@ -139,49 +253,83 @@ fn fitted_engine_zoo() -> (
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn adder_netlist_matches_functional(kind in adder_kind_strategy(), seed in any::<u64>()) {
-        let b = Behavior::Adder { w: 8, kind };
-        let net = b.build_netlist();
-        for (x, y) in autoax_circuit::util::stimulus_pairs(8, 8, 64, seed) {
-            prop_assert_eq!(eval_binop(&net, 8, 8, x, y), b.eval(x, y));
-        }
+    fn adder_netlist_matches_functional(b in adder_strategy(), seed in any::<u64>()) {
+        assert_netlist_matches_eval(&b, 64, seed);
     }
 
     #[test]
-    fn multiplier_netlist_matches_functional(kind in mul_kind_strategy(), seed in any::<u64>()) {
-        let b = Behavior::Multiplier { wa: 8, wb: 8, kind };
-        let net = b.build_netlist();
-        for (x, y) in autoax_circuit::util::stimulus_pairs(8, 8, 48, seed) {
-            prop_assert_eq!(eval_binop(&net, 8, 8, x, y), b.eval(x, y));
-        }
+    fn multiplier_netlist_matches_functional(b in multiplier_strategy(), seed in any::<u64>()) {
+        assert_netlist_matches_eval(&b, 48, seed);
     }
 
     #[test]
-    fn subtractor_netlist_matches_functional(kind in sub_kind_strategy(), seed in any::<u64>()) {
-        let b = Behavior::Subtractor { w: 10, kind };
-        let net = b.build_netlist();
-        for (x, y) in autoax_circuit::util::stimulus_pairs(10, 10, 48, seed) {
-            prop_assert_eq!(eval_binop(&net, 10, 10, x, y), b.eval(x, y));
-        }
+    fn subtractor_netlist_matches_functional(b in subtractor_strategy(), seed in any::<u64>()) {
+        assert_netlist_matches_eval(&b, 48, seed);
     }
 
     #[test]
     fn synthesis_preserves_approximate_circuit_function(
-        kind in mul_kind_strategy(),
+        b in multiplier_strategy(),
         seed in any::<u64>()
     ) {
-        let b = Behavior::Multiplier { wa: 8, wb: 8, kind };
+        let sig = b.signature();
+        let (wa, wb) = (sig.width_a as u32, sig.width_b as u32);
         let net = b.build_netlist();
         let opt = optimize(&net);
-        for (x, y) in autoax_circuit::util::stimulus_pairs(8, 8, 32, seed) {
-            prop_assert_eq!(eval_binop(&opt, 8, 8, x, y), b.eval(x, y));
+        for (x, y) in autoax_circuit::util::stimulus_pairs(wa, wb, 32, seed) {
+            prop_assert_eq!(eval_binop(&opt, wa, wb, x, y), b.eval(x, y));
         }
         // optimization never increases cell count
         prop_assert!(opt.cell_count() <= net.cell_count());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Plane kernels ≡ scalar models, at plane lengths 1..=70 (one partial
+// 64-lane simulator pass and more), with operand bits above every width.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn adder_plane_matches_eval(b in adder_strategy(), len in 1usize..=70, seed in any::<u64>()) {
+        assert_plane_matches_eval(&b, len, seed);
+    }
+
+    #[test]
+    fn subtractor_plane_matches_eval(
+        b in subtractor_strategy(),
+        len in 1usize..=70,
+        seed in any::<u64>()
+    ) {
+        assert_plane_matches_eval(&b, len, seed);
+    }
+
+    #[test]
+    fn multiplier_plane_matches_eval(
+        b in multiplier_strategy(),
+        len in 1usize..=70,
+        seed in any::<u64>()
+    ) {
+        assert_plane_matches_eval(&b, len, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn raw_plane_matches_eval(b in raw_strategy(), len in 1usize..=70, seed in any::<u64>()) {
+        assert_plane_matches_eval(&b, len, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn pareto_front_stays_minimal(points in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..80)) {

@@ -8,6 +8,8 @@
 //!   each model's kernel;
 //! * a traced library build records one span per class under one build
 //!   span, with the class's demand-driven characterization count;
+//! * a traced quickstart records one `evaluate.batch` span per batch of
+//!   real evaluations, under the step that ran it;
 //! * interleaved spans on multiple threads must always drain to a
 //!   well-formed forest (property test);
 //! * the service must expose `/healthz` and Prometheus `/metrics`, echo
@@ -87,6 +89,51 @@ fn quickstart_digest_is_byte_identical_with_telemetry_fully_enabled() {
         res.front_digest(),
         0x252e_0c00_c843_33a4,
         "enabling telemetry changed the front digest"
+    );
+}
+
+#[test]
+fn traced_quickstart_records_each_real_evaluation_batch() {
+    let _g = guard();
+    let _ = telemetry::take_spans();
+    let lib = build_library(&LibraryConfig::tiny());
+    let images = benchmark_suite(4, 96, 64, 7);
+    telemetry::set_tracing(true);
+    let res = run_pipeline(&SobelEd::new(), &lib, &images, &PipelineOptions::quick()).unwrap();
+    telemetry::set_tracing(false);
+    let spans = telemetry::take_spans();
+
+    let field = |s: &telemetry::SpanRecord, key: &str| -> usize {
+        let (_, v) = s.fields.iter().find(|(k, _)| *k == key).expect("field");
+        v.parse().expect("a count")
+    };
+    let batches_under = |parent: &str| -> Vec<(usize, usize)> {
+        let parent = spans
+            .iter()
+            .find(|s| s.name == parent)
+            .expect("parent span");
+        let batches = spans.iter().filter(|s| s.name == "evaluate.batch");
+        let mut under: Vec<_> = batches.filter(|s| s.parent == parent.id).collect();
+        under.sort_by_key(|s| s.start_ns);
+        under
+            .iter()
+            .map(|s| (field(s, "configs"), field(s, "compiled")))
+            .collect()
+    };
+    let training = batches_under("pipeline.step2.training_data");
+    let configs: Vec<usize> = training.iter().map(|&(n, _)| n).collect();
+    assert_eq!(configs, [50, 30], "training and test batches");
+    assert!(training[0].1 > 0, "the first batch compiles ops");
+    let final_eval = batches_under("pipeline.step3b.final_eval");
+    assert_eq!(final_eval.len(), 1);
+    assert_eq!(final_eval[0].0, res.evaluated.len());
+    let batches = spans.iter().filter(|s| s.name == "evaluate.batch").count();
+    assert_eq!(batches, 3, "no other real-evaluation batch");
+
+    assert_eq!(
+        res.front_digest(),
+        0x252e_0c00_c843_33a4,
+        "tracing changed the front"
     );
 }
 
