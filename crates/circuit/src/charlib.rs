@@ -18,6 +18,30 @@
 //! prefix of the accepted candidates, so the library is byte-identical
 //! at every thread count.
 //!
+//! # One pass per candidate
+//!
+//! A candidate is characterized in one streaming pass, with no output
+//! vector. The simulator runs 256 assignments per gate evaluation and
+//! hands the output words of every 64-assignment block to a fold, which
+//!
+//! * hashes the words into the dedupe fingerprint: word-level FNV-1a over
+//!   the block's output words (one per output bit, the lanes past the
+//!   last assignment cleared), then the rounded area and delay. The key
+//!   lives only in memory, so two candidates are duplicates exactly when
+//!   they agree on every characterized assignment and on cost;
+//! * turns the words into per-assignment results with the smallest
+//!   transpose that holds them (`sim::block_results`: four 16×16 blocks
+//!   for up to 16 outputs, which covers add8, add9, sub10 and mul8);
+//! * folds each result into [`ErrorStats`] against the exact result, with
+//!   the class's operation matched once per candidate, not once per
+//!   assignment.
+//!
+//! [`ErrorStats`] sums exactly in integers, which equals the sequential
+//! `f64` sums bit for bit while Σe² < 2^53; every shipped configuration
+//! stays below 2^48 (see [`crate::error`]). The sampled classes pack
+//! their fixed stimulus into input words, and tabulate its exact results,
+//! once per class, not once per candidate.
+//!
 //! [`ClassCounts::paper`] reproduces the library sizes of Table 2.
 
 use crate::approx::adders::{self, AdderKind};
@@ -279,8 +303,10 @@ pub fn build_class(
     span.field("class", sig);
     span.field("target", target);
     let chunk = CHUNK_PER_THREAD * autoax_exec::thread_count();
-    let (entries, characterized) = build_class_chunked(sig, target, cfg, seed, chunk);
+    let bench = ClassBench::new(sig, cfg);
+    let (entries, characterized) = build_class_chunked(&bench, target, cfg, seed, chunk);
     span.field("characterized", characterized);
+    span.field("assignments", characterized * bench.assignments);
     span.field("kept", entries.len());
     entries
 }
@@ -289,12 +315,13 @@ pub fn build_class(
 /// returns how many candidates were characterized. The entries do not
 /// depend on `chunk`.
 fn build_class_chunked(
-    sig: OpSignature,
+    bench: &ClassBench,
     target: usize,
     cfg: &LibraryConfig,
     seed: u64,
     chunk: usize,
 ) -> (Vec<CircuitEntry>, usize) {
+    let sig = bench.sig;
     let mut entries: Vec<CircuitEntry> = Vec::with_capacity(target);
     let mut seen: HashSet<u64> = HashSet::new();
     let mut round_seed = seed;
@@ -320,7 +347,7 @@ fn build_class_chunked(
             if entries.len() >= target {
                 break;
             }
-            let results = par_map_coarse(part, |b| characterize(sig, b, cfg));
+            let results = par_map_coarse(part, |b| bench.characterize(b));
             characterized += part.len();
             for (behavior, (err, hw, fingerprint)) in part.iter().zip(results) {
                 if entries.len() >= target {
@@ -350,53 +377,171 @@ fn build_class_chunked(
     (entries, characterized)
 }
 
-/// Characterizes one behaviour: error metrics, hardware report and a
-/// fingerprint for deduplication. The fingerprint combines the functional
-/// signature with the rounded area/delay so that functionally identical
-/// circuits with different *architectures* (e.g. ripple vs lookahead
-/// adders) both survive, as they do in real component libraries.
-///
-/// Everything goes through the circuit's netlist and the bit-parallel
-/// simulator, so characterization also exercises the same structure that
-/// hardware analysis sees.
-fn characterize(
+/// What characterizing a class needs, prepared once and shared by all of
+/// its candidates: the assignments to simulate and the exact result of
+/// each.
+struct ClassBench {
     sig: OpSignature,
-    behavior: &Behavior,
-    cfg: &LibraryConfig,
-) -> (ErrorMetrics, HwReport, u64) {
-    let netlist = behavior.build_netlist();
-    let (_, hw) = synth::synthesize(&netlist);
-    let wa = sig.width_a as u32;
-    let mut stats = ErrorStats::new();
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325; // FNV offset basis
-    let mut push_fp = |v: u64| {
-        fp ^= v;
-        fp = fp.wrapping_mul(0x100_0000_01b3);
-    };
-    if sig.input_bits() <= cfg.max_exhaustive_bits {
-        let outs = sim::exhaustive_outputs(&netlist);
-        for (v, &raw) in outs.iter().enumerate() {
-            let a = v as u64 & mask(wa);
-            let b = v as u64 >> wa;
-            stats.push(sig.error(a, b, raw), sig.exact(a, b));
-            push_fp(raw);
+    /// Operand assignments simulated per candidate.
+    assignments: usize,
+    /// The sampled stimulus packed into input words, with the exact result
+    /// of each pair; `None` when the class is characterized exhaustively.
+    sample: Option<(sim::PackedPairs, Vec<u64>)>,
+}
+
+impl ClassBench {
+    /// Exhaustive up to [`LibraryConfig::max_exhaustive_bits`] input bits,
+    /// else [`LibraryConfig::char_samples`] deterministic pairs.
+    fn new(sig: OpSignature, cfg: &LibraryConfig) -> Self {
+        if sig.input_bits() <= cfg.max_exhaustive_bits {
+            return ClassBench {
+                sig,
+                assignments: 1 << sig.input_bits(),
+                sample: None,
+            };
         }
-    } else {
-        let pairs = stimulus_pairs(
-            wa,
-            sig.width_b as u32,
-            cfg.char_samples,
-            0x5EED ^ sig.input_bits() as u64,
-        );
-        let outs = sim::eval_binop_batch(&netlist, wa, sig.width_b as u32, &pairs);
-        for (&(a, b), &raw) in pairs.iter().zip(outs.iter()) {
-            stats.push(sig.error(a, b, raw), sig.exact(a, b));
-            push_fp(raw);
+        let (wa, wb) = (sig.width_a as u32, sig.width_b as u32);
+        let seed = 0x5EED ^ sig.input_bits() as u64;
+        let pairs = stimulus_pairs(wa, wb, cfg.char_samples, seed);
+        let packed = sim::PackedPairs::new(wa, wb, pairs.len(), |k| pairs[k]);
+        let exact = pairs.iter().map(|&(a, b)| sig.exact(a, b)).collect();
+        ClassBench {
+            sig,
+            assignments: pairs.len(),
+            sample: Some((packed, exact)),
         }
     }
-    push_fp((hw.area * 16.0).round() as u64);
-    push_fp((hw.delay * 1024.0).round() as u64);
-    (stats.finish(), hw, fp)
+
+    /// Characterizes one behaviour: error metrics, hardware report and a
+    /// fingerprint for deduplication. The fingerprint combines the
+    /// functional signature with the rounded area/delay so that
+    /// functionally identical circuits with different *architectures*
+    /// (e.g. ripple vs lookahead adders) both survive, as they do in real
+    /// component libraries.
+    ///
+    /// Everything goes through the circuit's netlist and the bit-parallel
+    /// simulator, so characterization also exercises the same structure
+    /// that hardware analysis sees.
+    fn characterize(&self, behavior: &Behavior) -> (ErrorMetrics, HwReport, u64) {
+        let sig = self.sig;
+        let netlist = behavior.build_netlist();
+        let (_, hw) = synth::synthesize(&netlist);
+        let mut fold = Fold::new(self.assignments);
+        let width = sig.output_width() as u32;
+        // `OpSignature::to_signed` of a subtractor's raw result.
+        let signed = |raw: u64| {
+            let high = ((raw >> (width - 1)) & 1).wrapping_neg() & !mask(width);
+            (raw | high) as i64
+        };
+        let (wa, mo) = (sig.width_a as u32, mask(width) as u32);
+        // The operation is matched here, once per candidate: each arm folds
+        // lane `l` of a block into `(error, exact result)`.
+        match (&self.sample, sig.kind) {
+            (Some((_, exact)), OpKind::Sub) => self.simulate(&netlist, &mut |block, words| {
+                let exact = &exact[64 * block..];
+                fold.block(block, words, |l, raw| {
+                    (signed(raw) - signed(exact[l]), exact[l])
+                })
+            }),
+            (Some((_, exact)), _) => self.simulate(&netlist, &mut |block, words| {
+                let exact = &exact[64 * block..];
+                fold.block(block, words, |l, raw| {
+                    (raw as i64 - exact[l] as i64, exact[l])
+                })
+            }),
+            (None, OpKind::Add) => self.simulate(&netlist, &mut |block, words| {
+                let exact = exact_block(block, wa, |a, b| a + b);
+                fold.block(block, words, |l, raw| {
+                    (raw as i64 - i64::from(exact[l]), u64::from(exact[l]))
+                })
+            }),
+            (None, OpKind::Sub) => self.simulate(&netlist, &mut |block, words| {
+                let exact = exact_block(block, wa, |a, b| a.wrapping_sub(b));
+                fold.block(block, words, |l, raw| {
+                    let exact = u64::from(exact[l] & mo);
+                    (signed(raw) - signed(exact), exact)
+                })
+            }),
+            (None, OpKind::Mul) => self.simulate(&netlist, &mut |block, words| {
+                let exact = exact_block(block, wa, |a, b| a * b);
+                fold.block(block, words, |l, raw| {
+                    (raw as i64 - i64::from(exact[l]), u64::from(exact[l]))
+                })
+            }),
+        }
+        fold.hash((hw.area * 16.0).round() as u64);
+        fold.hash((hw.delay * 1024.0).round() as u64);
+        (fold.stats.finish(), hw, fold.fp)
+    }
+
+    /// Simulates a netlist on the class's stimulus, handing each block's
+    /// output words to `visit`.
+    fn simulate(&self, netlist: &Netlist, visit: &mut dyn FnMut(usize, &[u64])) {
+        match &self.sample {
+            Some((packed, _)) => sim::packed_words(netlist, packed, visit),
+            None => sim::exhaustive_words(netlist, visit),
+        }
+    }
+}
+
+/// The exact results `op(a, b)` of the 64 assignments of block `block` of
+/// an exhaustive class whose first operand is `wa` bits wide. An
+/// exhaustive class has at most 26 input bits, so its operands, assignment
+/// indices and exact results all fit `u32`, and the fold can convert them
+/// to `f64` as signed integers.
+fn exact_block(block: usize, wa: u32, op: impl Fn(u32, u32) -> u32) -> [u32; 64] {
+    let (first, ma) = (64 * block as u32, mask(wa) as u32);
+    let mut exact = [0u32; 64];
+    for (v, x) in (first..).zip(&mut exact) {
+        *x = op(v & ma, v >> wa);
+    }
+    exact
+}
+
+/// One candidate's fold: its blocks of output words, in assignment order,
+/// into the error statistics and the dedupe fingerprint.
+struct Fold {
+    stats: ErrorStats,
+    /// Word-level FNV-1a.
+    fp: u64,
+    assignments: usize,
+}
+
+impl Fold {
+    fn new(assignments: usize) -> Self {
+        Fold {
+            stats: ErrorStats::new(),
+            fp: 0xcbf2_9ce4_8422_2325, // FNV offset basis
+            assignments,
+        }
+    }
+
+    #[inline]
+    fn hash(&mut self, word: u64) {
+        self.fp = (self.fp ^ word).wrapping_mul(0x100_0000_01b3);
+    }
+
+    /// Folds block `block`, where `words[o]` holds output `o` in all 64
+    /// lanes and lane `l` is assignment `64 * block + l`; `lane(l, raw)` is
+    /// that assignment's error and exact result.
+    #[inline]
+    fn block(&mut self, block: usize, words: &[u64], lane: impl Fn(usize, u64) -> (i64, u64)) {
+        let first = 64 * block;
+        let lanes = (self.assignments - first).min(64);
+        for &word in words {
+            self.hash(word & mask(lanes as u32));
+        }
+        let mut results = [0u64; 64];
+        sim::block_results(words, &mut results);
+        // Locals, so no store through `lane`'s captures can alias them and
+        // the statistics stay in registers across the lanes.
+        let mut stats = std::mem::take(&mut self.stats);
+        for (l, &raw) in results[..lanes].iter().enumerate() {
+            let (err, exact) = lane(l, raw);
+            stats.push(err, exact);
+        }
+        self.stats = stats;
+    }
 }
 
 /// All "named" structured variants of a class, exact first.
@@ -706,10 +851,132 @@ fn fill_candidates(sig: OpSignature, n: usize, cfg: &LibraryConfig, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::tests::{metric_bits, SequentialStats};
     use autoax_exec::par_map;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn tiny_cfg() -> LibraryConfig {
         LibraryConfig::tiny()
+    }
+
+    /// The per-sample characterization the one-pass fold replaced, kept as
+    /// the oracle: every output materialized by `exhaustive_outputs` or
+    /// `eval_binop_batch`, then one sequential-`f64` push and one FNV step
+    /// per assignment.
+    fn characterize_per_sample(
+        sig: OpSignature,
+        behavior: &Behavior,
+        cfg: &LibraryConfig,
+    ) -> (ErrorMetrics, HwReport, u64) {
+        let netlist = behavior.build_netlist();
+        let (_, hw) = synth::synthesize(&netlist);
+        let wa = sig.width_a as u32;
+        let mut stats = SequentialStats::default();
+        let mut fp: u64 = 0xcbf2_9ce4_8422_2325; // FNV offset basis
+        let mut push_fp = |v: u64| {
+            fp ^= v;
+            fp = fp.wrapping_mul(0x100_0000_01b3);
+        };
+        if sig.input_bits() <= cfg.max_exhaustive_bits {
+            let outs = sim::exhaustive_outputs(&netlist);
+            for (v, &raw) in outs.iter().enumerate() {
+                let a = v as u64 & mask(wa);
+                let b = v as u64 >> wa;
+                stats.push(sig.error(a, b, raw), sig.exact(a, b));
+                push_fp(raw);
+            }
+        } else {
+            let pairs = stimulus_pairs(
+                wa,
+                sig.width_b as u32,
+                cfg.char_samples,
+                0x5EED ^ sig.input_bits() as u64,
+            );
+            let outs = sim::eval_binop_batch(&netlist, wa, sig.width_b as u32, &pairs);
+            for (&(a, b), &raw) in pairs.iter().zip(outs.iter()) {
+                stats.push(sig.error(a, b, raw), sig.exact(a, b));
+                push_fp(raw);
+            }
+        }
+        push_fp((hw.area * 16.0).round() as u64);
+        push_fp((hw.delay * 1024.0).round() as u64);
+        (stats.finish(), hw, fp)
+    }
+
+    /// Every bit of a hardware report.
+    fn hw_bits(hw: &HwReport) -> [u64; 5] {
+        [
+            hw.area.to_bits(),
+            hw.delay.to_bits(),
+            hw.power.to_bits(),
+            hw.energy.to_bits(),
+            hw.cells as u64,
+        ]
+    }
+
+    /// The class characterized the other way round: the exhaustive classes
+    /// sampled at 1,000 pairs (a partial last block), SUB10 exhaustively
+    /// over its 2^20 assignments, the 32-bit classes sampled at 1,000.
+    fn flipped(sig: OpSignature, cfg: &LibraryConfig) -> LibraryConfig {
+        LibraryConfig {
+            max_exhaustive_bits: if sig.input_bits() <= cfg.max_exhaustive_bits {
+                0
+            } else {
+                20
+            },
+            char_samples: 1000,
+            ..cfg.clone()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The one-pass fold equals the per-sample oracle on candidates of
+        /// every paper class (a seeded pick of structured candidates, plus
+        /// seeded fill with netlist mutants), characterized both
+        /// exhaustively and sampled: every `ErrorMetrics` field by
+        /// `to_bits()`, the hardware report, and the duplicates. Two
+        /// candidates share a new fingerprint exactly when they share an
+        /// old one. MUL8 always includes the first 24 structured
+        /// candidates, whose BAM variants duplicate one another.
+        #[test]
+        fn one_pass_fold_equals_the_per_sample_oracle(seed in any::<u64>()) {
+            let base = LibraryConfig { mutant_frac: 0.5, ..tiny_cfg() };
+            let mut mul8_duplicates = 0;
+            for sig in OpSignature::PAPER_CLASSES {
+                let structured = structured_candidates(sig);
+                for cfg in [base.clone(), flipped(sig, &base)] {
+                    let exhaustive = sig.input_bits() <= cfg.max_exhaustive_bits;
+                    // 2^20-assignment oracles are slow; take fewer of them.
+                    let picks = if exhaustive && sig.input_bits() > 18 { 3 } else { 10 };
+                    let mut st = seed ^ u64::from(sig.input_bits());
+                    let mut candidates: Vec<Behavior> = (0..picks)
+                        .map(|_| structured[(splitmix64(&mut st) % structured.len() as u64) as usize].clone())
+                        .collect();
+                    if sig == OpSignature::MUL8 {
+                        candidates.extend_from_slice(&structured[..24]);
+                    }
+                    candidates.extend(fill_candidates(sig, picks, &cfg, splitmix64(&mut st)));
+                    let bench = ClassBench::new(sig, &cfg);
+                    let (mut old_to_new, mut new_to_old) = (HashMap::new(), HashMap::new());
+                    for b in &candidates {
+                        let (err, hw, fp) = bench.characterize(b);
+                        let (want_err, want_hw, want_fp) = characterize_per_sample(sig, b, &cfg);
+                        let what = format!("{sig} {} (exhaustive: {exhaustive})", b.label());
+                        prop_assert_eq!(metric_bits(&err), metric_bits(&want_err), "{}", what);
+                        prop_assert_eq!(hw_bits(&hw), hw_bits(&want_hw), "{}", what);
+                        prop_assert_eq!(*old_to_new.entry(want_fp).or_insert(fp), fp, "{}", what);
+                        prop_assert_eq!(*new_to_old.entry(fp).or_insert(want_fp), want_fp, "{}", what);
+                    }
+                    if sig == OpSignature::MUL8 && exhaustive {
+                        mul8_duplicates = candidates.len() - old_to_new.len();
+                    }
+                }
+            }
+            prop_assert!(mul8_duplicates > 0, "no MUL8 duplicates were compared");
+        }
     }
 
     /// The characterize-everything selection `build_class` replaced, kept
@@ -739,7 +1006,8 @@ mod tests {
             };
             round_seed = round_seed.wrapping_add(0xABCD_EF01);
 
-            let characterized = par_map(&candidates, |b| characterize(sig, b, cfg));
+            let bench = ClassBench::new(sig, cfg);
+            let characterized = par_map(&candidates, |b| bench.characterize(b));
             for (behavior, (err, hw, fingerprint)) in candidates.into_iter().zip(characterized) {
                 if entries.len() >= target {
                     break;
@@ -794,8 +1062,9 @@ mod tests {
     ) {
         let want = build_class_whole_rounds(sig, target, cfg, seed);
         assert_eq!(want.len(), target, "{sig}: oracle fell short");
+        let bench = ClassBench::new(sig, cfg);
         for chunk in [1, 7, usize::MAX] {
-            let (got, characterized) = build_class_chunked(sig, target, cfg, seed, chunk);
+            let (got, characterized) = build_class_chunked(&bench, target, cfg, seed, chunk);
             assert_eq!(got.len(), want.len(), "{sig} chunk {chunk}: size");
             assert!(characterized >= target, "{sig} chunk {chunk}");
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -834,7 +1103,7 @@ mod tests {
         };
         let sig = OpSignature::SUB10;
         let round0 = structured_candidates(sig).len().max(120) + 120 / 4;
-        let (_, characterized) = build_class_chunked(sig, 120, &cfg, 11, 1);
+        let (_, characterized) = build_class_chunked(&ClassBench::new(sig, &cfg), 120, &cfg, 11, 1);
         assert!(characterized > round0, "round 1 never ran");
         assert_matches_whole_rounds(&cfg, sig, 120, 11);
     }

@@ -1,18 +1,30 @@
-//! 64-way bit-parallel logic simulation.
+//! Bit-parallel logic simulation.
 //!
-//! Each net carries one `u64` word per simulation call; bit lane `i` of every
-//! word belongs to the `i`-th of 64 independent input assignments. This is
-//! the classic EDA trick that makes exhaustive characterization of 16-bit
-//! operand spaces (65 536 assignments = 1024 words) cheap.
+//! Each net carries `W` `u64` words per gate evaluation, and bit lane `l`
+//! of every word belongs to an independent input assignment. This is the
+//! classic EDA trick that makes exhaustive characterization of 16-bit
+//! operand spaces (65 536 assignments) cheap. There is one gate loop:
+//! [`sim_lanes`] and [`sim_all_nets`] run it at one word (64 assignments),
+//! the batch passes at four words, 256 assignments per gate evaluation.
 //!
-//! The batch entry points, [`exhaustive_outputs`], [`eval_binop_batch`]
-//! and [`eval_binop_plane`], reuse one net-value buffer for all of their
-//! 64-lane passes and turn each pass's output words into per-assignment
-//! integers with one in-place 64×64 bit-matrix transpose, so a pass
-//! allocates nothing.
+//! Every batch entry point is a view of one streaming pass over blocks of
+//! 64 assignments. `exhaustive_words` enumerates every input assignment
+//! and `packed_words` replays operand pairs packed once into input words
+//! (`PackedPairs`). Both hand each block's output words, one per primary
+//! output, to a visitor. `block_results` turns a block's words into
+//! per-assignment integers with the smallest transpose that holds them:
+//! four 16×16 bit blocks side by side in one 16-word pass for up to 16
+//! outputs, the full 64×64 matrix otherwise. [`exhaustive_blocks`],
+//! [`exhaustive_outputs`], [`eval_binop_batch`] and [`eval_binop_plane`]
+//! wrap the pass with it, in assignment order; library characterization
+//! (`charlib`) folds the words itself. The streaming passes allocate only
+//! their net-value buffer; the two batch calls also pack their pairs.
 
 use crate::netlist::Netlist;
 use crate::util::mask;
+
+/// Words per net in the batch passes: 256 assignments per gate evaluation.
+const WIDE: usize = 4;
 
 /// Simulates all 64 lanes at once. `inputs[i]` is the word driving primary
 /// input net `i`; the result contains one word per primary output.
@@ -37,31 +49,35 @@ pub fn sim_all_nets(netlist: &Netlist, inputs: &[u64]) -> Vec<u64> {
         "input word count mismatch for `{}`",
         netlist.name()
     );
-    let mut values = vec![0u64; netlist.net_count()];
-    values[..inputs.len()].copy_from_slice(inputs);
+    let mut values = vec![[0u64]; netlist.net_count()];
+    for (value, &word) in values.iter_mut().zip(inputs) {
+        *value = [word];
+    }
     eval_gates(netlist, &mut values);
-    values
+    values.into_iter().map(|[word]| word).collect()
 }
 
-/// Evaluates every gate of `netlist` into `values` (one word per net),
-/// whose first `input_count()` words already hold the input lanes.
-fn eval_gates(netlist: &Netlist, values: &mut [u64]) {
+/// The gate loop: evaluates every gate of `netlist` into `values` (`W`
+/// words per net), whose first `input_count()` entries already hold the
+/// input words.
+fn eval_gates<const W: usize>(netlist: &Netlist, values: &mut [[u64; W]]) {
     let base = netlist.input_count();
     for (g, gate) in netlist.gates().iter().enumerate() {
-        let a = values[gate.ins[0].index()];
-        let b = values[gate.ins[1].index()];
-        let c = values[gate.ins[2].index()];
-        values[base + g] = gate.kind.eval(a, b, c);
+        let [a, b, c] = gate.ins.map(|net| values[net.index()]);
+        values[base + g] = std::array::from_fn(|w| gate.kind.eval(a[w], b[w], c[w]));
     }
 }
 
-/// Transposes a 64×64 bit matrix in place: afterwards bit `j` of `m[i]`
-/// is what bit `i` of `m[j]` was. Six rounds swap the off-diagonal blocks
-/// of every diagonal block, from 32×32 down to 1×1.
-fn transpose64(m: &mut [u64; 64]) {
-    let mut width = 32;
-    let mut low: u64 = 0x0000_0000_FFFF_FFFF;
+/// Transposes the `N`×`N` bit blocks that lie side by side in `m`: for
+/// every `j < 64 / N`, bit `N * j + c` of `m[i]` becomes what bit
+/// `N * j + i` of `m[c]` was. `N = 64` is the whole 64×64 matrix. Each
+/// round swaps the off-diagonal halves of every diagonal block, from
+/// `N/2`-wide halves down to single bits.
+fn transpose_blocks<const N: usize>(m: &mut [u64; N]) {
+    let mut width = N / 2;
     while width != 0 {
+        // The low `width` bits of every `2 * width`-bit field.
+        let low = !LOW_PATTERNS[width.trailing_zeros() as usize];
         for block in m.chunks_exact_mut(2 * width) {
             let (top, bottom) = block.split_at_mut(width);
             for (x, y) in top.iter_mut().zip(bottom) {
@@ -71,7 +87,30 @@ fn transpose64(m: &mut [u64; 64]) {
             }
         }
         width /= 2;
-        low ^= low << width;
+    }
+}
+
+/// Assembles one block's results: `out[l]` becomes lane `l`'s outputs,
+/// LSB-first, where `words[o]` holds output `o` in all 64 lanes. Up to 16
+/// outputs take one 16-row pass over four 16×16 blocks (lane `16 * j + c`
+/// is then field `j` of row `c`); more take the 64×64 transpose.
+///
+/// # Panics
+/// Panics if `words` holds more than 64 outputs.
+#[inline]
+pub(crate) fn block_results(words: &[u64], out: &mut [u64; 64]) {
+    if words.len() <= 16 {
+        let mut m: [u64; 16] = std::array::from_fn(|o| words.get(o).copied().unwrap_or(0));
+        transpose_blocks(&mut m);
+        for (j, lanes) in out.chunks_exact_mut(16).enumerate() {
+            for (r, &row) in lanes.iter_mut().zip(&m) {
+                *r = (row >> (16 * j)) & 0xFFFF;
+            }
+        }
+    } else {
+        out.fill(0);
+        out[..words.len()].copy_from_slice(words);
+        transpose_blocks(out);
     }
 }
 
@@ -85,15 +124,32 @@ fn assert_outputs_fit(netlist: &Netlist) {
     );
 }
 
-/// Writes lane `l`'s outputs, assembled LSB-first into one integer, to
-/// `out[l]` for the first `out.len()` lanes.
-fn lanes_to_results(netlist: &Netlist, values: &[u64], out: &mut [u64]) {
-    let mut m = [0u64; 64];
-    for (row, o) in m.iter_mut().zip(netlist.outputs()) {
-        *row = values[o.index()];
+/// The batch pass: simulates `n_blocks` blocks of 64 assignments, [`WIDE`]
+/// blocks per gate evaluation, through one net-value buffer.
+/// `load(group, inputs)` writes the input words of blocks `WIDE * group`
+/// onwards (`inputs[i][w]` drives input `i` in block `WIDE * group + w`).
+/// `visit(block, words)` then receives the output words of each of those
+/// blocks below `n_blocks`, in block order.
+fn wide_pass(
+    netlist: &Netlist,
+    n_blocks: usize,
+    mut load: impl FnMut(usize, &mut [[u64; WIDE]]),
+    mut visit: impl FnMut(usize, &[u64]),
+) {
+    assert_outputs_fit(netlist);
+    let outputs = netlist.outputs();
+    let mut values = vec![[0u64; WIDE]; netlist.net_count()];
+    let mut words = [0u64; 64];
+    for group in 0..n_blocks.div_ceil(WIDE) {
+        load(group, &mut values[..netlist.input_count()]);
+        eval_gates(netlist, &mut values);
+        for (w, block) in (WIDE * group..n_blocks).take(WIDE).enumerate() {
+            for (word, o) in words.iter_mut().zip(outputs) {
+                *word = values[o.index()][w];
+            }
+            visit(block, &words[..outputs.len()]);
+        }
     }
-    transpose64(&mut m);
-    out.copy_from_slice(&m[..out.len()]);
 }
 
 /// Evaluates a netlist as a two-operand arithmetic circuit on a single
@@ -122,8 +178,63 @@ pub fn eval_binop(netlist: &Netlist, wa: u32, wb: u32, a: u64, b: u64) -> u64 {
     r
 }
 
+/// Operand pairs packed once into the input words of the batch pass, so
+/// any number of netlists with one `(wa, wb)` interface can be simulated
+/// on the same stimulus without packing it again.
+pub(crate) struct PackedPairs {
+    n_in: usize,
+    len: usize,
+    /// `n_in` entries per group of [`WIDE`] blocks.
+    words: Vec<[u64; WIDE]>,
+}
+
+impl PackedPairs {
+    /// Packs `len` operand pairs, `pair(k)` for `k < len`, pair `k` into
+    /// lane `k % 64` of block `k / 64`: the first `wa` inputs take the
+    /// bits of `a` (LSB first), the next `wb` those of `b`. Operand bits
+    /// above each width are ignored, and the lanes of a partial last block
+    /// hold zero operands.
+    pub(crate) fn new(wa: u32, wb: u32, len: usize, pair: impl Fn(usize) -> (u64, u64)) -> Self {
+        let (wa, n_in) = (wa as usize, (wa + wb) as usize);
+        let mut words = vec![[0u64; WIDE]; len.div_ceil(64 * WIDE) * n_in];
+        for k in 0..len {
+            let (a, b) = pair(k);
+            let (group, w, lane) = (k / (64 * WIDE), k / 64 % WIDE, k % 64);
+            let (a_words, b_words) = words[group * n_in..][..n_in].split_at_mut(wa);
+            for (i, word) in a_words.iter_mut().enumerate() {
+                word[w] |= ((a >> i) & 1) << lane;
+            }
+            for (i, word) in b_words.iter_mut().enumerate() {
+                word[w] |= ((b >> i) & 1) << lane;
+            }
+        }
+        PackedPairs { n_in, len, words }
+    }
+}
+
+/// Simulates a netlist on packed operand pairs, streamed: hands
+/// `visit(block, words)` the output words of each 64-pair block in order,
+/// lane `l` of `words[o]` being output `o` for pair `64 * block + l`.
+/// Lanes past the last pair simulate zero operands.
+///
+/// # Panics
+/// Panics if the netlist's input count differs from the packed width, or
+/// it has more than 64 outputs.
+pub(crate) fn packed_words(
+    netlist: &Netlist,
+    packed: &PackedPairs,
+    visit: impl FnMut(usize, &[u64]),
+) {
+    let n_in = packed.n_in;
+    assert_eq!(netlist.input_count(), n_in, "packed input width mismatch");
+    let load = |group: usize, inputs: &mut [[u64; WIDE]]| {
+        inputs.copy_from_slice(&packed.words[group * n_in..][..n_in]);
+    };
+    wide_pass(netlist, packed.len.div_ceil(64), load, visit);
+}
+
 /// Evaluates a netlist as a two-operand arithmetic circuit on a batch of
-/// operand pairs, 64 pairs per simulation pass.
+/// operand pairs, 256 pairs per simulation pass.
 ///
 /// # Panics
 /// Panics if the netlist does not have exactly `wa + wb` inputs, or has
@@ -162,8 +273,8 @@ pub fn eval_binop_plane(
     binop_passes(netlist, wa, wb, out.len(), pair, |k, r| out[k] = r as u32);
 }
 
-/// Simulates `len` operand pairs, `pair(k)` for `k < len`, 64 per pass
-/// through one net-value buffer, and hands each result to `emit(k, r)`.
+/// Packs `len` operand pairs, `pair(k)` for `k < len`, simulates them and
+/// hands each result to `emit(k, r)` in order.
 fn binop_passes(
     netlist: &Netlist,
     wa: u32,
@@ -172,31 +283,15 @@ fn binop_passes(
     pair: impl Fn(usize) -> (u64, u64),
     mut emit: impl FnMut(usize, u64),
 ) {
-    assert_eq!(netlist.input_count() as u32, wa + wb);
-    assert_outputs_fit(netlist);
-    let (wa, n_in) = (wa as usize, (wa + wb) as usize);
-    let mut values = vec![0u64; netlist.net_count()];
+    let packed = PackedPairs::new(wa, wb, len, pair);
     let mut results = [0u64; 64];
-    for start in (0..len).step_by(64) {
-        let lanes = (len - start).min(64);
-        let (a_words, b_words) = values[..n_in].split_at_mut(wa);
-        a_words.fill(0);
-        b_words.fill(0);
-        for lane in 0..lanes {
-            let (a, b) = pair(start + lane);
-            for (i, w) in a_words.iter_mut().enumerate() {
-                *w |= ((a >> i) & 1) << lane;
-            }
-            for (i, w) in b_words.iter_mut().enumerate() {
-                *w |= ((b >> i) & 1) << lane;
-            }
+    packed_words(netlist, &packed, |block, words| {
+        block_results(words, &mut results);
+        let first = 64 * block;
+        for (k, &r) in (first..len).zip(&results) {
+            emit(k, r);
         }
-        eval_gates(netlist, &mut values);
-        lanes_to_results(netlist, &values, &mut results[..lanes]);
-        for (lane, &r) in results[..lanes].iter().enumerate() {
-            emit(start + lane, r);
-        }
-    }
+    });
 }
 
 /// The canonical word patterns that enumerate all assignments of the lowest
@@ -210,11 +305,37 @@ const LOW_PATTERNS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
+/// Exhaustively simulates a netlist with `k = input_count() ≤ 26` inputs,
+/// streamed: hands `visit(block, words)` the output words of each block
+/// of 64 assignments in order, lane `l` of `words[o]` being output `o`
+/// under assignment `64 * block + l` (input 0 = LSB of the assignment).
+/// Below six inputs there is one block, whose lanes past `2^k` repeat the
+/// first `2^k`.
+///
+/// # Panics
+/// Panics if the netlist has more than 26 inputs or more than 64 outputs.
+pub(crate) fn exhaustive_words(netlist: &Netlist, visit: impl FnMut(usize, &[u64])) {
+    let k = netlist.input_count();
+    assert!(k <= 26, "exhaustive evaluation limited to 26 inputs");
+    let load = |group: usize, inputs: &mut [[u64; WIDE]]| {
+        for (i, word) in inputs.iter_mut().enumerate() {
+            *word = match i.checked_sub(6) {
+                None => [LOW_PATTERNS[i]; WIDE],
+                // Inputs 6 and up spell the block index.
+                Some(bit) => {
+                    std::array::from_fn(|w| (((WIDE * group + w) >> bit) as u64 & 1).wrapping_neg())
+                }
+            };
+        }
+    };
+    wide_pass(netlist, (1usize << k).div_ceil(64), load, visit);
+}
+
 /// Exhaustively evaluates a netlist with `k = input_count() ≤ 26` inputs,
 /// returning one integer result per input assignment, ordered by the
 /// assignment value (input 0 = LSB of the assignment index).
 ///
-/// For a 16-input circuit this performs only 1024 bit-parallel passes.
+/// For a 16-input circuit this performs only 256 bit-parallel passes.
 ///
 /// # Panics
 /// Panics if the netlist has more than 26 inputs (the result vector would
@@ -225,30 +346,20 @@ pub fn exhaustive_outputs(netlist: &Netlist) -> Vec<u64> {
     results
 }
 
-/// The streaming form of [`exhaustive_outputs`]: hands the results of
-/// each 64-assignment pass, in assignment order, to `visit(first, block)`
-/// (`first` is the block's first assignment), so only the net-value
-/// buffer is allocated.
+/// The streaming form of [`exhaustive_outputs`]: hands the results of each
+/// block of 64 assignments, in assignment order, to `visit(first,
+/// results)` (`first` is the block's first assignment), so only the
+/// net-value buffer is allocated.
 ///
 /// # Panics
 /// As [`exhaustive_outputs`].
 pub fn exhaustive_blocks(netlist: &Netlist, mut visit: impl FnMut(usize, &[u64])) {
-    let k = netlist.input_count();
-    assert!(k <= 26, "exhaustive evaluation limited to 26 inputs");
-    assert_outputs_fit(netlist);
-    let mut values = vec![0u64; netlist.net_count()];
+    let lanes = 1usize << netlist.input_count().min(6);
     let mut results = [0u64; 64];
-    let low = k.min(6);
-    values[..low].copy_from_slice(&LOW_PATTERNS[..low]);
-    for block in 0..(1usize << k).div_ceil(64) {
-        for (i, w) in values[low..k].iter_mut().enumerate() {
-            *w = if (block >> i) & 1 != 0 { u64::MAX } else { 0 };
-        }
-        eval_gates(netlist, &mut values);
-        let out = &mut results[..(1 << low)];
-        lanes_to_results(netlist, &values, out);
-        visit(block * 64, out);
-    }
+    exhaustive_words(netlist, |block, words| {
+        block_results(words, &mut results);
+        visit(64 * block, &results[..lanes]);
+    });
 }
 
 /// Checks functional equivalence of two netlists with identical interfaces
@@ -412,14 +523,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The block-swap transpose equals the definition, bit by bit.
+        /// The block-swap transposes equal the definition, bit by bit:
+        /// the 64×64 matrix, the four 16×16 blocks of a 16-row pass, and
+        /// the per-lane results of a block of 1-64 output words.
         #[test]
         fn transpose64_matches_the_naive_bit_loop(
             rows in proptest::collection::vec(any::<u64>(), 64),
+            n_out in 1usize..65,
         ) {
             let mut m = [0u64; 64];
             m.copy_from_slice(&rows);
-            transpose64(&mut m);
+            transpose_blocks(&mut m);
             for (j, &col) in m.iter().enumerate() {
                 let mut want = 0u64;
                 for (i, &row) in rows.iter().enumerate() {
@@ -427,19 +541,43 @@ mod tests {
                 }
                 prop_assert_eq!(col, want, "column {}", j);
             }
+
+            let mut m = [0u64; 16];
+            m.copy_from_slice(&rows[..16]);
+            transpose_blocks(&mut m);
+            for (c, &col) in m.iter().enumerate() {
+                let mut want = 0u64;
+                for j in 0..4 {
+                    for (i, &row) in rows[..16].iter().enumerate() {
+                        want |= ((row >> (16 * j + c)) & 1) << (16 * j + i);
+                    }
+                }
+                prop_assert_eq!(col, want, "16-row column {}", c);
+            }
+
+            let mut out = [0u64; 64];
+            block_results(&rows[..n_out], &mut out);
+            for (lane, &r) in out.iter().enumerate() {
+                let mut want = 0u64;
+                for (o, &row) in rows[..n_out].iter().enumerate() {
+                    want |= ((row >> lane) & 1) << o;
+                }
+                prop_assert_eq!(r, want, "lane {} of {} outputs", lane, n_out);
+            }
         }
 
-        /// Exhaustive, batched and plane simulation agree with the
+        /// Exhaustive, packed, batched and plane simulation agree with the
         /// single-pair reference on random netlists: 1-12 inputs (below
-        /// six, one partial 64-lane block), 1-64 outputs (a plane keeps
-        /// the low 32), and batch lengths that leave a partial last pass.
+        /// six, one partial 64-lane block; below eight, a partial group of
+        /// four blocks), 1-64 outputs (a plane keeps the low 32), and
+        /// batch lengths that leave a partial last block and group.
         #[test]
         fn batch_simulators_match_eval_binop(
             n_in in 1usize..13,
             n_gates in 0usize..60,
             n_out in 1usize..65,
             seed in any::<u64>(),
-            len in 1usize..300,
+            len in 1usize..600,
         ) {
             let n = random_netlist(n_in, n_gates, n_out, seed);
             let k = n_in as u32;
@@ -448,6 +586,18 @@ mod tests {
             for (v, &r) in all.iter().enumerate() {
                 prop_assert_eq!(r, eval_binop(&n, k, 0, v as u64, 0), "assignment {}", v);
             }
+            // The words themselves, lane by lane: lanes past 2^k repeat.
+            let mut blocks = 0;
+            exhaustive_words(&n, |block, words| {
+                assert_eq!((block, words.len()), (blocks, n_out));
+                blocks += 1;
+                for lane in 0..64 {
+                    let v = (64 * block + lane) % (1 << n_in);
+                    let got = words.iter().enumerate().map(|(o, w)| ((w >> lane) & 1) << o);
+                    assert_eq!(got.sum::<u64>(), all[v], "block {block} lane {lane}");
+                }
+            });
+            prop_assert_eq!(blocks, (1usize << n_in).div_ceil(64));
 
             let len = if len % 64 == 0 { len + 1 } else { len };
             let (wa, wb) = (k / 2, k - k / 2);
@@ -456,6 +606,22 @@ mod tests {
             let pairs: Vec<(u64, u64)> = (0..len)
                 .map(|_| (splitmix64(&mut st), splitmix64(&mut st)))
                 .collect();
+            let packed = PackedPairs::new(wa, wb, len, |k| pairs[k]);
+            let zero = eval_binop(&n, wa, wb, 0, 0);
+            let mut blocks = 0;
+            packed_words(&n, &packed, |block, words| {
+                assert_eq!((block, words.len()), (blocks, n_out));
+                blocks += 1;
+                for lane in 0..64 {
+                    let want = match pairs.get(64 * block + lane) {
+                        Some(&(a, b)) => eval_binop(&n, wa, wb, a, b),
+                        None => zero,
+                    };
+                    let got = words.iter().enumerate().map(|(o, w)| ((w >> lane) & 1) << o);
+                    assert_eq!(got.sum::<u64>(), want, "block {block} lane {lane}");
+                }
+            });
+            prop_assert_eq!(blocks, len.div_ceil(64));
             let batch = eval_binop_batch(&n, wa, wb, &pairs);
             prop_assert_eq!(batch.len(), len);
             for (&(a, b), &r) in pairs.iter().zip(&batch) {

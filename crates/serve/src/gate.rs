@@ -7,9 +7,17 @@
 //! immediately (the HTTP layer answers `429`) instead of parking the
 //! connection thread. The bounded queue lives one layer down in
 //! [`autoax_exec::WorkerPool`]; the gate bounds what is allowed past it.
+//!
+//! A panic while the gate's lock is held poisons it, and the gate recovers
+//! the guard instead of panicking in turn: a [`Permit`] dropped during
+//! unwinding must not panic a second time, which would abort the process.
+//! Every update is ordered so that a panic part-way through cannot leak a
+//! slot of the global count: admission records the tenant before it
+//! counts the job, and release uncounts the job before it releases the
+//! tenant.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Why admission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +84,7 @@ impl AdmissionGate {
     /// # Errors
     /// [`Refused`] naming which cap was hit; nothing is held on refusal.
     pub fn try_acquire(self: &Arc<Self>, tenant: &str) -> Result<Permit, Refused> {
-        let mut state = self.state.lock().expect("gate lock poisoned");
+        let mut state = self.lock();
         if state.total >= self.global_cap {
             return Err(Refused::ServerSaturated);
         }
@@ -84,8 +92,8 @@ impl AdmissionGate {
         if mine >= self.tenant_cap {
             return Err(Refused::TenantSaturated);
         }
-        state.total += 1;
         state.per_tenant.insert(tenant.to_string(), mine + 1);
+        state.total += 1;
         Ok(Permit {
             gate: Arc::clone(self),
             tenant: tenant.to_string(),
@@ -94,13 +102,18 @@ impl AdmissionGate {
 
     /// Jobs currently admitted.
     pub fn running(&self) -> usize {
-        self.state.lock().expect("gate lock poisoned").total
+        self.lock().total
+    }
+
+    /// The state, recovered if a panic poisoned its lock.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        let mut state = self.gate.state.lock().expect("gate lock poisoned");
+        let mut state = self.gate.lock();
         state.total -= 1;
         match state.per_tenant.get_mut(&self.tenant) {
             Some(n) if *n > 1 => *n -= 1,
@@ -137,6 +150,47 @@ mod tests {
         let a = gate.try_acquire("a").unwrap();
         assert!(gate.try_acquire("a").is_err());
         drop(a);
+        assert_eq!(gate.running(), 0);
+        let _again = gate.try_acquire("a").unwrap();
+    }
+
+    /// Panics while holding the gate's lock, poisoning it.
+    fn poison(gate: &AdmissionGate) {
+        let held = std::panic::catch_unwind(|| {
+            let _state = gate.state.lock().unwrap();
+            panic!("panic under the gate lock");
+        });
+        assert!(held.is_err() && gate.state.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_admits_and_releases() {
+        let gate = Arc::new(AdmissionGate::new(2, 1));
+        let held = gate.try_acquire("a").unwrap();
+        poison(&gate);
+        // A permit taken before the panic releases its slot without
+        // panicking, and the gate keeps admitting and counting.
+        drop(held);
+        assert_eq!(gate.running(), 0);
+        let a = gate.try_acquire("a").unwrap();
+        assert_eq!(gate.try_acquire("a").err(), Some(Refused::TenantSaturated));
+        let b = gate.try_acquire("b").unwrap();
+        assert_eq!(gate.running(), 2);
+        drop((a, b));
+        assert_eq!(gate.running(), 0);
+        assert!(gate.lock().per_tenant.is_empty());
+    }
+
+    #[test]
+    fn a_permit_dropped_while_unwinding_does_not_abort() {
+        let gate = Arc::new(AdmissionGate::new(2, 2));
+        let unwound = std::panic::catch_unwind(|| {
+            let _permit = gate.try_acquire("a").unwrap();
+            // Poison the lock, then unwind through the permit's drop.
+            let _state = gate.state.lock().unwrap();
+            panic!("panic under the gate lock");
+        });
+        assert!(unwound.is_err());
         assert_eq!(gate.running(), 0);
         let _again = gate.try_acquire("a").unwrap();
     }

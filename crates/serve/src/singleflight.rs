@@ -12,10 +12,21 @@
 //! the computation) marks the flight failed and wakes every follower —
 //! waiters never hang on an abandoned slot, and the key is always
 //! removed from the table so a retry starts a fresh flight.
+//!
+//! A panic under either lock (a key's `Hash`, a value's `Clone`) poisons
+//! it, and every later use recovers the guard instead of panicking in
+//! turn. That matters most in the leader's drop, which runs while a
+//! failed computation unwinds: a second panic there would abort the
+//! process. Each update leaves the table valid if it stops part-way.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard if a panic poisoned it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 enum FlightState<V> {
     Pending,
@@ -77,7 +88,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
     /// that leader. Once the leader publishes, the key leaves the table
     /// and the next `begin` starts a fresh flight.
     pub fn begin(&self, key: K) -> Role<'_, K, V> {
-        let mut map = self.inflight.lock().expect("single-flight lock poisoned");
+        let mut map = lock(&self.inflight);
         if let Some(flight) = map.get(&key) {
             return Role::Follower(Follower {
                 flight: Arc::clone(flight),
@@ -98,21 +109,15 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
 
     /// Keys currently in flight (tests and stats).
     pub fn in_flight(&self) -> usize {
-        self.inflight
-            .lock()
-            .expect("single-flight lock poisoned")
-            .len()
+        lock(&self.inflight).len()
     }
 
     fn publish(&self, key: &K, flight: &Flight<V>, state: FlightState<V>) {
         // Remove first, then publish: a caller that misses the table
         // entry starts a fresh flight, which is correct — the result is
         // (or will be) also in the engine's result cache.
-        self.inflight
-            .lock()
-            .expect("single-flight lock poisoned")
-            .remove(key);
-        *flight.state.lock().expect("flight lock poisoned") = state;
+        lock(&self.inflight).remove(key);
+        *lock(&flight.state) = state;
         flight.ready.notify_all();
     }
 }
@@ -152,11 +157,15 @@ impl<V: Clone> Follower<V> {
     /// The leader's [`Leader::fail`] message (or the abandonment message
     /// if the leader was dropped unpublished).
     pub fn wait(self) -> Result<V, String> {
-        let mut state = self.flight.state.lock().expect("flight lock poisoned");
+        let mut state = lock(&self.flight.state);
         loop {
             match &*state {
                 FlightState::Pending => {
-                    state = self.flight.ready.wait(state).expect("flight lock poisoned");
+                    state = self
+                        .flight
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
                 FlightState::Done(v) => return Ok(v.clone()),
                 FlightState::Failed(e) => return Err(e.clone()),
@@ -243,6 +252,78 @@ mod tests {
         let err = follower.wait().unwrap_err();
         assert!(err.contains("abandoned"), "{err}");
         assert_eq!(sf.in_flight(), 0, "abandoned slot must not leak");
+    }
+
+    /// Panics while holding `mutex`, poisoning it.
+    fn poison<T>(mutex: &Mutex<T>) {
+        let held = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = mutex.lock().unwrap();
+            panic!("panic under a single-flight lock");
+        }));
+        assert!(held.is_err() && mutex.is_poisoned());
+    }
+
+    fn lead(sf: &SingleFlight<u32, u64>, key: u32) -> Leader<'_, u32, u64> {
+        match sf.begin(key) {
+            Role::Leader(l) => l,
+            Role::Follower(_) => panic!("{key} must lead"),
+        }
+    }
+
+    fn follow(sf: &SingleFlight<u32, u64>, key: u32) -> Follower<u64> {
+        match sf.begin(key) {
+            Role::Follower(f) => f,
+            Role::Leader(_) => panic!("{key} must follow"),
+        }
+    }
+
+    #[test]
+    fn poisoned_locks_still_fly_and_fan_out() {
+        let sf: Arc<SingleFlight<u32, u64>> = Arc::new(SingleFlight::new());
+        poison(&sf.inflight);
+        // A new flight on the poisoned table, with a follower already
+        // waiting on another thread when its flight lock gets poisoned.
+        let leader = lead(&sf, 1);
+        let follower = follow(&sf, 1);
+        assert_eq!(sf.in_flight(), 1);
+        let waiter = std::thread::spawn(move || follower.wait());
+        // Time for the follower to park in the condition wait, so that it
+        // wakes to a poisoned lock (had it not parked yet, it would find
+        // the lock poisoned on entry, the other recovered path).
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        poison(&leader.flight.state);
+        leader.complete(7);
+        assert_eq!(waiter.join().unwrap(), Ok(7));
+        assert_eq!(sf.in_flight(), 0);
+        // The next flight on the same key, and an abandoned one.
+        lead(&sf, 1).complete(8);
+        let abandoned = lead(&sf, 2);
+        let follower = follow(&sf, 2);
+        poison(&abandoned.flight.state);
+        drop(abandoned);
+        assert!(follower.wait().unwrap_err().contains("abandoned"));
+        assert_eq!(sf.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_leader_dropped_while_unwinding_does_not_abort() {
+        let sf: SingleFlight<u32, u64> = SingleFlight::new();
+        let follower = {
+            let leader = lead(&sf, 3);
+            let follower = follow(&sf, 3);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _leader = leader;
+                // Poison the table's lock, then unwind through the
+                // leader's drop.
+                let _map = sf.inflight.lock().unwrap();
+                panic!("panic under the single-flight lock");
+            }));
+            assert!(unwound.is_err());
+            follower
+        };
+        assert!(follower.wait().unwrap_err().contains("abandoned"));
+        assert_eq!(sf.in_flight(), 0);
+        lead(&sf, 3).complete(1);
     }
 
     #[test]

@@ -166,6 +166,18 @@ fn traced_library_build_records_one_span_per_class() {
         assert_eq!(field(s, "kept"), lib.class_size(sig).to_string());
         let characterized: usize = field(s, "characterized").parse().unwrap();
         assert!(characterized >= target, "{sig}: {characterized} < {target}");
+        // Operand pairs simulated: every assignment of the exhaustive
+        // classes (add8, add9, mul8), the fixed sample of the others.
+        let per_candidate = if sig.input_bits() <= cfg.max_exhaustive_bits {
+            1 << sig.input_bits()
+        } else {
+            cfg.char_samples
+        };
+        assert_eq!(
+            field(s, "assignments"),
+            (characterized * per_candidate).to_string(),
+            "{sig}"
+        );
     }
     // add9's round 0 holds 642 candidates; the class fills long before.
     let add9 = classes
