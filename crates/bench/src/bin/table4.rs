@@ -22,7 +22,7 @@ use autoax::evaluate::Evaluator;
 use autoax::model::{fit_models, EvaluatedSet, ModelEstimator};
 use autoax::pareto::{front_distances, joint_hypervolumes, TradeoffPoint};
 use autoax::preprocess::{preprocess, PreprocessOptions};
-use autoax::search::{exhaustive_front, run_search, uniform_selection, SearchAlgo, SearchOptions};
+use autoax::search::{run_search, uniform_selection, SearchAlgo, SearchOptions};
 use autoax_accel::sobel::SobelEd;
 use autoax_bench::{sobel_image_suite, write_csv, Scale};
 use autoax_circuit::charlib::build_library;
@@ -66,7 +66,11 @@ fn main() {
 
     println!("computing the optimal front by exhaustive enumeration ...");
     let t0 = Instant::now();
-    let optimal = exhaustive_front(&pre.space, &estimator);
+    let exhaustive = SearchOptions {
+        strategy: SearchAlgo::Exhaustive,
+        ..SearchOptions::default()
+    };
+    let optimal = run_search(&pre.space, &estimator, &exhaustive);
     println!(
         "  optimal Pareto: {} members in {:.1?} ({} evaluations)",
         optimal.len(),

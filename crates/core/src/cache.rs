@@ -138,7 +138,7 @@ fn put_pmf(e: &mut Encoder, pmf: &Pmf) {
 
 fn take_pmf(d: &mut Decoder<'_>) -> Result<Pmf, StoreError> {
     let n = d.take_len()?;
-    let mut counts = Vec::with_capacity(n);
+    let mut counts = Vec::new();
     for _ in 0..n {
         let a = d.take_u32()?;
         let b = d.take_u32()?;
@@ -170,7 +170,7 @@ fn put_preprocessed(e: &mut Encoder, pre: &Preprocessed) {
 fn take_preprocessed(d: &mut Decoder<'_>) -> Result<Preprocessed, StoreError> {
     use crate::config::{ConfigSpace, SlotChoices, SlotMember};
     let n_slots = d.take_len()?;
-    let mut slots = Vec::with_capacity(n_slots);
+    let mut slots = Vec::new();
     for _ in 0..n_slots {
         let name = d.take_str()?;
         let signature = take_signature(d)?;
@@ -178,7 +178,7 @@ fn take_preprocessed(d: &mut Decoder<'_>) -> Result<Preprocessed, StoreError> {
         if n_members == 0 {
             return Err(StoreError::Invalid(format!("slot {name} has no members")));
         }
-        let mut members = Vec::with_capacity(n_members);
+        let mut members = Vec::new();
         for _ in 0..n_members {
             members.push(SlotMember {
                 id: CircuitId(d.take_u32()?),
@@ -192,7 +192,7 @@ fn take_preprocessed(d: &mut Decoder<'_>) -> Result<Preprocessed, StoreError> {
         });
     }
     let n_pmfs = d.take_len()?;
-    let mut pmfs = Vec::with_capacity(n_pmfs);
+    let mut pmfs = Vec::new();
     for _ in 0..n_pmfs {
         pmfs.push(take_pmf(d)?);
     }

@@ -11,7 +11,7 @@
 //!
 //! A [`CancelToken`] is a shared flag the search strategies poll at
 //! round/epoch boundaries (see
-//! [`crate::search::SearchStrategy::search_cancellable`]) and
+//! [`crate::search::run_search_cancellable`]) and
 //! [`crate::pipeline::run_pipeline`] checks between stages — a server
 //! shutting down stops multi-second jobs within one round instead of
 //! after the full eval budget.

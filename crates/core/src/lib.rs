@@ -15,13 +15,13 @@
 //! 2. **Model construction** — [`model`]: train QoR and hardware-cost
 //!    estimators (any [`autoax_ml::EngineKind`]) on a few hundred fully
 //!    evaluated random configurations; quality criterion is *fidelity*.
-//! 3. **Model-based design space exploration** — [`search`]: a pluggable
-//!    [`search::SearchStrategy`] engine over an allocation-free columnar
-//!    candidate plane ([`search::ConfigBatch`]), shipping the paper's
-//!    Algorithm 1 (island hill climbing), NSGA-II, random-sampling /
-//!    uniform-selection baselines and exhaustive enumeration — followed
-//!    by real evaluation of the pseudo-Pareto set ([`evaluate`]) and
-//!    final Pareto filtering ([`pareto`]).
+//! 3. **Model-based design space exploration** — [`search`]: the paper's
+//!    Algorithm 1 (island hill climbing), NSGA-II, the random-sampling /
+//!    uniform-selection baselines and exhaustive enumeration, selected by
+//!    [`search::SearchAlgo`] in one [`search::run_search`] over an
+//!    allocation-free columnar candidate plane ([`search::ConfigBatch`])
+//!    — followed by real evaluation of the pseudo-Pareto set
+//!    ([`evaluate`]) and final Pareto filtering ([`pareto`]).
 //!
 //! [`pipeline::run_pipeline`] chains all three steps, producing the data
 //! behind every table and figure of the paper (regenerated by the

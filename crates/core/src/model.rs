@@ -168,30 +168,6 @@ impl FittedModels {
             self.hw.predict_row(&hw_features(space, lib, c)),
         )
     }
-
-    /// Estimates a batch of configurations with one batched prediction
-    /// per model: all features are encoded into a single [`Matrix`] and
-    /// [`Regressor::predict`] runs once for QoR and once for hardware —
-    /// amortizing feature construction and dynamic dispatch, and letting
-    /// the ML layer parallelize across rows.
-    ///
-    /// Per-configuration results are bitwise identical to
-    /// [`FittedModels::estimate`].
-    pub fn estimate_batch(
-        &self,
-        space: &ConfigSpace,
-        lib: &ComponentLibrary,
-        configs: &[Configuration],
-    ) -> Vec<(f64, f64)> {
-        if configs.is_empty() {
-            return Vec::new();
-        }
-        let qor_rows: Vec<Vec<f64>> = configs.iter().map(|c| qor_features(space, c)).collect();
-        let hw_rows: Vec<Vec<f64>> = configs.iter().map(|c| hw_features(space, lib, c)).collect();
-        let q = self.qor.predict(&Matrix::from_rows(&qor_rows));
-        let h = self.hw.predict(&Matrix::from_rows(&hw_rows));
-        q.into_iter().zip(h).collect()
-    }
 }
 
 /// [`crate::search::Estimator`] adapter over fitted models: the glue
@@ -291,12 +267,6 @@ impl<'a> ModelEstimator<'a> {
         }
     }
 
-    /// Whether the `(qor, hw)` models run on the fused compiled-forest
-    /// kernel (forest/tree engines) instead of the matrix path.
-    pub fn fused(&self) -> (bool, bool) {
-        (self.qor_fused.is_some(), self.hw_fused.is_some())
-    }
-
     /// Node encoding each model runs on: `"mask32"` or `"quant"` when it
     /// is fused, `"matrix"` when it is not — hot-path observability for
     /// benches and the pipeline record.
@@ -333,19 +303,6 @@ fn compile_tree_model(r: &dyn Regressor) -> Option<autoax_ml::CompiledForest> {
 }
 
 impl crate::search::Estimator for ModelEstimator<'_> {
-    fn estimate(&self, c: &Configuration) -> crate::pareto::TradeoffPoint {
-        let (q, hw) = self.models.estimate(self.space, self.lib, c);
-        crate::pareto::TradeoffPoint::new(q, hw)
-    }
-
-    fn estimate_batch(&self, configs: &[Configuration]) -> Vec<crate::pareto::TradeoffPoint> {
-        self.models
-            .estimate_batch(self.space, self.lib, configs)
-            .into_iter()
-            .map(|(q, hw)| crate::pareto::TradeoffPoint::new(q, hw))
-            .collect()
-    }
-
     fn estimate_slice(
         &self,
         rows: crate::search::ConfigSlice<'_>,
@@ -605,82 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn estimate_batch_is_bitwise_identical_for_every_engine() {
-        // Property: batch estimation == per-row estimation, for every
-        // learning engine of Table 3 and the naive models, over random
-        // configurations.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let s = setup();
-        let ev = Evaluator::new(&s.accel, &s.lib, &s.pre.space, &s.images);
-        let train = EvaluatedSet::generate(&ev, &s.pre.space, 40, 1);
-        let mut rng = StdRng::seed_from_u64(99);
-        let configs: Vec<Configuration> = (0..33).map(|_| s.pre.space.random(&mut rng)).collect();
-        let mut all_models: Vec<(String, FittedModels)> =
-            vec![("Naive".into(), naive_models(&s.pre.space))];
-        for kind in EngineKind::ALL {
-            let models = fit_models(kind, &s.pre.space, &s.lib, &train, 7)
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
-            all_models.push((kind.name().into(), models));
-        }
-        for (name, models) in &all_models {
-            let batch = models.estimate_batch(&s.pre.space, &s.lib, &configs);
-            assert_eq!(batch.len(), configs.len(), "{name}: wrong batch length");
-            for (c, (bq, bh)) in configs.iter().zip(batch.iter()) {
-                let (q, h) = models.estimate(&s.pre.space, &s.lib, c);
-                assert_eq!(q.to_bits(), bq.to_bits(), "{name}: qor diverged on {c:?}");
-                assert_eq!(h.to_bits(), bh.to_bits(), "{name}: hw diverged on {c:?}");
-            }
-        }
-        // empty batch is a no-op, not a panic
-        assert!(all_models[0]
-            .1
-            .estimate_batch(&s.pre.space, &s.lib, &[])
-            .is_empty());
-    }
-
-    #[test]
-    fn model_estimator_batch_matches_scalar_trait_path() {
-        use crate::search::Estimator;
-        let s = setup();
-        let ev = Evaluator::new(&s.accel, &s.lib, &s.pre.space, &s.images);
-        let train = EvaluatedSet::generate(&ev, &s.pre.space, 40, 2);
-        let models = fit_models(EngineKind::RandomForest, &s.pre.space, &s.lib, &train, 3).unwrap();
-        let est = ModelEstimator::new(&models, &s.pre.space, &s.lib);
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(5);
-        let configs: Vec<Configuration> = (0..17).map(|_| s.pre.space.random(&mut rng)).collect();
-        let batch = est.estimate_batch(&configs);
-        for (c, b) in configs.iter().zip(batch.iter()) {
-            let one = est.estimate(c);
-            assert_eq!(one.qor.to_bits(), b.qor.to_bits());
-            assert_eq!(one.cost.to_bits(), b.cost.to_bits());
-        }
-        // The columnar slab path (table gather) is bitwise identical too,
-        // at any slice granularity.
-        let slab = crate::search::ConfigBatch::from_configs(&configs);
-        for chunk in [1, 5, 17] {
-            let mut columnar = Vec::new();
-            let mut start = 0;
-            while start < slab.len() {
-                let end = (start + chunk).min(slab.len());
-                est.estimate_slice(slab.slice(start..end), &mut columnar);
-                start = end;
-            }
-            assert_eq!(columnar.len(), batch.len());
-            for (a, b) in columnar.iter().zip(batch.iter()) {
-                assert_eq!(a.qor.to_bits(), b.qor.to_bits(), "chunk={chunk}");
-                assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "chunk={chunk}");
-            }
-        }
-    }
-
-    #[test]
     fn fused_kernel_engages_for_tree_models_and_matches_matrix_path() {
-        // The scalar `Estimator::estimate` (one `predict_row` per model)
-        // is the oracle of the fused kernels, the neighbour tables and
-        // the matrix path.
+        // The scalar `FittedModels::estimate` (one `predict_row` per
+        // model) is the oracle of the fused kernels, the neighbour tables
+        // and the matrix path, for every engine and the naive models.
         use crate::search::Estimator;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -698,13 +583,20 @@ mod tests {
             configs.push(Configuration::from_genes(genes));
         }
         let slab = crate::search::ConfigBatch::from_configs(&configs);
+        let mut all_models: Vec<(String, FittedModels, bool)> =
+            vec![("Naive".into(), naive_models(&s.pre.space), false)];
         for kind in EngineKind::ALL {
             let models = fit_models(kind, &s.pre.space, &s.lib, &train, 9)
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
-            let est = ModelEstimator::new(&models, &s.pre.space, &s.lib);
             let tree_like = matches!(kind, EngineKind::RandomForest | EngineKind::DecisionTree);
+            all_models.push((kind.name().into(), models, tree_like));
+        }
+        for (kind, models, tree_like) in &all_models {
+            let est = ModelEstimator::new(models, &s.pre.space, &s.lib);
+            let tree_like = *tree_like;
+            let (qor_engine, hw_engine) = est.engines();
             assert_eq!(
-                est.fused(),
+                (qor_engine != "matrix", hw_engine != "matrix"),
                 (tree_like, tree_like),
                 "{kind}: fusion must engage exactly for forest/tree models"
             );
@@ -724,15 +616,11 @@ mod tests {
                 assert_eq!(a.len(), configs.len());
                 assert_eq!(b.len(), configs.len());
                 for ((c, fa), fb) in configs.iter().zip(&a).zip(&b) {
-                    let one = est.estimate(c);
+                    let (q, hw) = models.estimate(&s.pre.space, &s.lib, c);
                     for (path, f) in [("slice", fa), ("neighbours", fb)] {
+                        assert_eq!(q.to_bits(), f.qor.to_bits(), "{kind} {path} chunk {chunk}");
                         assert_eq!(
-                            one.qor.to_bits(),
-                            f.qor.to_bits(),
-                            "{kind} {path} chunk {chunk}"
-                        );
-                        assert_eq!(
-                            one.cost.to_bits(),
+                            hw.to_bits(),
                             f.cost.to_bits(),
                             "{kind} {path} chunk {chunk}"
                         );
@@ -740,10 +628,6 @@ mod tests {
                 }
             }
         }
-        // naive fixed-weight models go down the matrix path untouched
-        let naive = naive_models(&s.pre.space);
-        let est = ModelEstimator::new(&naive, &s.pre.space, &s.lib);
-        assert_eq!(est.fused(), (false, false));
     }
 
     #[test]

@@ -190,21 +190,6 @@ pub struct PipelineTimings {
     /// and the real row count for the ones that ignore it (`uniform`
     /// estimates its level grid, `exhaustive` the whole space).
     pub search_evals_per_sec: f64,
-    /// Candidate rows actually sent through the estimator during Step 3
-    /// (the [`PipelineTimings::search_evals_per_sec`] numerator).
-    pub search_estimates: u64,
-    /// Search time spent generating candidates (summed across worker
-    /// threads; see [`crate::search::SearchTimings`]).
-    pub search_propose: Duration,
-    /// Search time spent in batched model estimation (summed across
-    /// worker threads).
-    pub search_estimate: Duration,
-    /// Search time spent in Pareto-front / selection bookkeeping (summed
-    /// across worker threads).
-    pub search_insert: Duration,
-    /// Node encoding the fused QoR/hardware kernels dispatched to during
-    /// Step 3 (see [`crate::model::ModelEstimator::engines`]).
-    pub search_engines: (&'static str, &'static str),
     /// Real evaluation of the pseudo-Pareto set.
     pub final_eval: Duration,
 }
@@ -423,8 +408,8 @@ pub fn run_pipeline<W: Workload + ?Sized>(
         }
     }
 
-    // Step 3a: model-based Pareto construction — the selected
-    // SearchStrategy over the batched columnar model estimator. (The
+    // Step 3a: model-based Pareto construction — the selected strategy
+    // over the batched columnar model estimator. (The
     // guard re-runs here for the warm-start path, where Steps 1–2 were
     // loaded in milliseconds.)
     exhaustive_guard(pre.space.size())?;
@@ -433,12 +418,12 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     }
     let mut sp_search = telemetry::span("pipeline.step3.search");
     sp_search.field("strategy", opts.search.strategy.name());
-    let phases_at_t3 = crate::search::SearchTimings::snapshot();
+    let estimates_at_t3 = crate::search::SearchTimings::snapshot();
     let search_opts = SearchOptions {
         seed: opts.seed.wrapping_add(2),
         ..opts.search
     };
-    let (pseudo_front, search_engines) = {
+    let pseudo_front = {
         let estimator = ModelEstimator::new(&models, &pre.space, lib);
         // Which kernel each model runs: its node encoding (or the matrix
         // path) and whether the hill climb gets a neighbour table.
@@ -448,11 +433,12 @@ pub fn run_pipeline<W: Workload + ?Sized>(
         sp_search.field("hw_engine", hw_engine);
         sp_search.field("qor_neighbour_table", qor_table);
         sp_search.field("hw_neighbour_table", hw_table);
-        let front = run_search_cancellable(&pre.space, &estimator, &search_opts, &opts.cancel);
-        (front, (qor_engine, hw_engine))
+        run_search_cancellable(&pre.space, &estimator, &search_opts, &opts.cancel)
     };
     let t_search = sp_search.finish();
-    let phases = crate::search::SearchTimings::snapshot().since(&phases_at_t3);
+    let estimates = crate::search::SearchTimings::snapshot()
+        .since(&estimates_at_t3)
+        .estimates;
     // A mid-search cancellation leaves a truncated front; refuse to pass
     // it off as a result.
     if opts.cancel.is_cancelled() {
@@ -462,7 +448,7 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     // strategies this equals max_evals; uniform and exhaustive get their
     // real denominators (level grid / space size) instead of the
     // historical hardcoded 0.
-    let search_evals_per_sec = phases.estimates as f64 / t_search.as_secs_f64().max(1e-12);
+    let search_evals_per_sec = estimates as f64 / t_search.as_secs_f64().max(1e-12);
 
     // Step 3b: real evaluation of the pseudo-Pareto set (capped), final
     // Pareto filtering on real SSIM, area and energy. A warm run builds
@@ -541,11 +527,6 @@ pub fn run_pipeline<W: Workload + ?Sized>(
             search: t_search,
             search_strategy: opts.search.strategy.name(),
             search_evals_per_sec,
-            search_estimates: phases.estimates,
-            search_propose: Duration::from_nanos(phases.propose_ns),
-            search_estimate: Duration::from_nanos(phases.estimate_ns),
-            search_insert: Duration::from_nanos(phases.insert_ns),
-            search_engines,
             final_eval: t_final,
         },
     })

@@ -115,8 +115,7 @@ impl ConfigBatch {
     }
 
     /// Rows `range` as a borrowed view (the unit
-    /// [`crate::search::Estimator::estimate_slice`] consumes — searches
-    /// chunk their rounds by `SearchOptions::batch_size` through this).
+    /// [`crate::search::Estimator::estimate_slice`] consumes).
     ///
     /// # Panics
     /// Panics when the range exceeds the row count.

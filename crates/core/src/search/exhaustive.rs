@@ -3,7 +3,7 @@
 //! enumerates all 4.92·10^7 reduced Sobel configurations.
 
 use super::hill::SearchOptions;
-use super::{ConfigBatch, Estimator, SearchStrategy};
+use super::{ConfigBatch, Estimator};
 use crate::config::{ConfigSpace, Configuration, MAX_ENUMERABLE_CONFIGS};
 use crate::job::CancelToken;
 use crate::pareto::{ParetoFront, TradeoffPoint};
@@ -13,94 +13,70 @@ use crate::pareto::{ParetoFront, TradeoffPoint};
 /// fixed 32-candidate rounds the slab can be as large as cache economics
 /// allow: big slabs amortize the per-call overhead of the fused forest
 /// kernel (dispatch, scratch setup, block fill) over thousands of rows.
-/// Results are bitwise invariant to the slab size — batch estimates equal
-/// per-row estimates and insertion order is the enumeration order — so
-/// this is a pure throughput knob; [`SearchOptions::batch_size`] still
-/// wins when the caller asks for even bigger slices.
+/// Results are bitwise invariant to the slab size — a row's estimate does
+/// not depend on its slab, and insertion order is the enumeration order.
 const SLAB: usize = 4096;
 
-/// Full enumeration as a [`SearchStrategy`]: every configuration of the
-/// space, in lexicographic order, estimated in columnar slabs (the
-/// odometer advances in place — no per-candidate allocation) and
-/// Pareto-filtered in one batched insert per slab.
-/// [`SearchOptions::max_evals`] is ignored — the budget is the space
-/// itself.
-pub struct ExhaustiveEnumeration;
-
-impl SearchStrategy for ExhaustiveEnumeration {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
-    fn search_cancellable(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &SearchOptions,
-        cancel: &CancelToken,
-    ) -> ParetoFront<Configuration> {
-        assert!(
-            space.size() <= MAX_ENUMERABLE_CONFIGS,
-            "space too large for exhaustive enumeration ({:.2e})",
-            space.size()
-        );
-        let mut sp = autoax_telemetry::span("search.exhaustive");
-        sp.field("space", space.size());
-        let sizes = space.sizes();
-        let stride = space.slot_count();
-        let chunk = opts.batch_size.max(SLAB);
-        let mut front = ParetoFront::new();
-        let mut batch = ConfigBatch::with_capacity(stride, chunk);
-        let mut estimates: Vec<TradeoffPoint> = Vec::with_capacity(chunk);
-        let mut odometer = vec![0u16; stride];
-        let mut done = false;
-        while !done && !cancel.is_cancelled() {
-            {
-                let _t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
-                batch.clear();
-                while batch.len() < chunk && !done {
-                    batch.push_genes(&odometer);
-                    // advance the odometer (least-significant slot first,
-                    // as ConfigSpace::iter_all does)
-                    let mut i = 0;
-                    loop {
-                        if i == stride {
-                            done = true;
-                            break;
-                        }
-                        odometer[i] += 1;
-                        if (odometer[i] as usize) < sizes[i] {
-                            break;
-                        }
-                        odometer[i] = 0;
-                        i += 1;
-                    }
-                }
-            }
-            estimates.clear();
-            super::estimate_chunked(estimator, &batch, None, batch.len(), &mut estimates);
-            debug_assert_eq!(estimates.len(), batch.len());
-            // Batched offer — identical members and order to replaying
-            // `try_insert_with` per candidate in enumeration order.
-            let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
-            front.insert_batch_with(&estimates, |i| batch.to_configuration(i));
-        }
-        front
-    }
-}
-
-/// Enumerates the whole space and returns its exact Pareto front under the
-/// estimator — the historical free-function entry point for
-/// [`ExhaustiveEnumeration`].
+/// Full enumeration: every configuration of the space, in lexicographic
+/// order, estimated in columnar slabs (the odometer advances in place —
+/// no per-candidate allocation) and Pareto-filtered in one batched insert
+/// per slab. [`SearchOptions::max_evals`] is ignored — the budget is the
+/// space itself.
 ///
 /// # Panics
 /// Panics if the space exceeds [`MAX_ENUMERABLE_CONFIGS`] (see
 /// [`ConfigSpace::iter_all`]).
-pub fn exhaustive_front(
+pub(crate) fn search(
     space: &ConfigSpace,
-    estimator: &impl Estimator,
+    estimator: &dyn Estimator,
+    _opts: &SearchOptions,
+    cancel: &CancelToken,
 ) -> ParetoFront<Configuration> {
-    ExhaustiveEnumeration.search(space, estimator, &SearchOptions::default())
+    assert!(
+        space.size() <= MAX_ENUMERABLE_CONFIGS,
+        "space too large for exhaustive enumeration ({:.2e})",
+        space.size()
+    );
+    let mut sp = autoax_telemetry::span("search.exhaustive");
+    sp.field("space", space.size());
+    let sizes = space.sizes();
+    let stride = space.slot_count();
+    let mut front = ParetoFront::new();
+    let mut batch = ConfigBatch::with_capacity(stride, SLAB);
+    let mut estimates: Vec<TradeoffPoint> = Vec::with_capacity(SLAB);
+    let mut odometer = vec![0u16; stride];
+    let mut done = false;
+    while !done && !cancel.is_cancelled() {
+        {
+            let _t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
+            batch.clear();
+            while batch.len() < SLAB && !done {
+                batch.push_genes(&odometer);
+                // advance the odometer (least-significant slot first,
+                // as ConfigSpace::iter_all does)
+                let mut i = 0;
+                loop {
+                    if i == stride {
+                        done = true;
+                        break;
+                    }
+                    odometer[i] += 1;
+                    if (odometer[i] as usize) < sizes[i] {
+                        break;
+                    }
+                    odometer[i] = 0;
+                    i += 1;
+                }
+            }
+        }
+        estimates.clear();
+        super::estimate_round(estimator, &batch, None, &mut estimates);
+        // Batched offer — identical members and order to replaying
+        // `try_insert_with` per candidate in enumeration order.
+        let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
+        front.insert_batch_with(&estimates, |i| batch.to_configuration(i));
+    }
+    front
 }
 
 #[cfg(test)]
@@ -108,7 +84,18 @@ mod tests {
     use super::*;
     use crate::pareto::TradeoffPoint;
     use crate::search::testutil::toy_space;
-    use crate::search::{heuristic_pareto, SearchOptions};
+    use crate::search::{run_search, SearchAlgo};
+
+    fn enumerate(
+        space: &ConfigSpace,
+        estimator: impl Fn(&Configuration) -> TradeoffPoint + Sync,
+    ) -> ParetoFront<Configuration> {
+        let opts = SearchOptions {
+            strategy: SearchAlgo::Exhaustive,
+            ..SearchOptions::default()
+        };
+        run_search(space, &estimator, &opts)
+    }
 
     fn estimator(c: &Configuration) -> TradeoffPoint {
         let t: f64 = c.genes().iter().map(|&v| v as f64 * v as f64).sum();
@@ -127,7 +114,7 @@ mod tests {
             let est = estimator(&c);
             reference.try_insert(est, c);
         }
-        let front = exhaustive_front(&space, &estimator);
+        let front = enumerate(&space, estimator);
         let snap = |f: &ParetoFront<Configuration>| {
             f.iter()
                 .map(|(p, c)| (p.qor.to_bits(), p.cost.to_bits(), c.genes().to_vec()))
@@ -139,10 +126,10 @@ mod tests {
     #[test]
     fn heuristic_front_converges_to_exhaustive_optimum() {
         let space = toy_space(4, 4); // 256 configs
-        let optimal = exhaustive_front(&space, &estimator);
+        let optimal = enumerate(&space, estimator);
         // With a budget far above the space size the heuristic visits
         // everything reachable and its front matches the optimum.
-        let heuristic = heuristic_pareto(
+        let heuristic = run_search(
             &space,
             &estimator,
             &SearchOptions {
@@ -167,7 +154,7 @@ mod tests {
             let t: f64 = c.genes().iter().map(|&v| v as f64).sum();
             TradeoffPoint::new(-t, 10.0 - t)
         };
-        let front = exhaustive_front(&space, &est);
+        let front = enumerate(&space, est);
         let mut costs: Vec<f64> = front.points().iter().map(|p| p.cost).collect();
         costs.sort_by(f64::total_cmp);
         costs.dedup();

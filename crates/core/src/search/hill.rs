@@ -18,7 +18,7 @@
 //! # Parallel island search
 //!
 //! The paper runs 10⁵ (Sobel) to 10⁶ (GF) estimates per search, which
-//! makes estimation throughput the Step-3 bottleneck. [`HillClimb`]
+//! makes estimation throughput the Step-3 bottleneck. The search
 //! therefore runs a **multi-start island** variant: `islands` independent
 //! copies of Algorithm 1, each with its own RNG stream derived from the
 //! master seed, executed on scoped worker threads. Each island proposes
@@ -44,13 +44,9 @@
 //!   islands)`;
 //! * the worker-thread count ([`SearchOptions::threads`] /
 //!   `AUTOAX_THREADS`) never changes the result — islands are
-//!   deterministic in isolation and merged in island order;
-//! * the estimation batch granularity ([`SearchOptions::batch_size`])
-//!   never changes the result — a round's candidates are fixed before
-//!   estimation, and batch estimates are bitwise equal to per-row
-//!   estimates.
+//!   deterministic in isolation and merged in island order.
 
-use super::{ConfigBatch, Estimator, SearchAlgo, SearchStrategy};
+use super::{ConfigBatch, Estimator, SearchAlgo};
 use crate::config::{ConfigSpace, Configuration};
 use crate::job::CancelToken;
 use crate::pareto::{ParetoFront, TradeoffPoint};
@@ -67,8 +63,7 @@ const ROUND: usize = 32;
 /// merged front is shared back for the next epoch's restarts.
 const SYNC_EPOCHS: usize = 4;
 
-/// Search budget and behaviour knobs shared by every
-/// [`super::SearchStrategy`].
+/// Search budget and behaviour knobs shared by every strategy.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
     /// Which strategy [`super::run_search`] dispatches to.
@@ -85,12 +80,8 @@ pub struct SearchOptions {
     /// across islands.
     pub islands: usize,
     /// Error levels of the manual uniform-selection baseline
-    /// ([`super::UniformSelection`] only).
+    /// ([`super::uniform`] only).
     pub uniform_levels: usize,
-    /// Maximum genomes per [`Estimator::estimate_slice`] (or
-    /// [`Estimator::estimate_neighbours`]) call. Pure throughput knob —
-    /// any value produces identical results.
-    pub batch_size: usize,
     /// Worker threads for the island search; `0` = the execution layer's
     /// default ([`autoax_exec::thread_count`]). Pure throughput knob —
     /// any value produces identical results.
@@ -106,7 +97,6 @@ impl Default for SearchOptions {
             seed: 0,
             islands: 8,
             uniform_levels: 25,
-            batch_size: ROUND,
             threads: 0,
         }
     }
@@ -170,8 +160,7 @@ impl Island {
             let r = ROUND.min(remaining);
             // Propose the whole round up front (all neighbours of the
             // current parent), written straight into the columnar arena:
-            // the trajectory is fixed before estimation, which is what
-            // makes the batch granularity inert.
+            // the trajectory is fixed before estimation.
             {
                 let _t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
                 self.round.clear();
@@ -182,11 +171,10 @@ impl Island {
             // Every row is a one-slot neighbour of the parent, which
             // selects the estimator's neighbour kernel.
             self.estimates.clear();
-            super::estimate_chunked(
+            super::estimate_round(
                 estimator,
                 &self.round,
                 Some(&self.parent),
-                opts.batch_size,
                 &mut self.estimates,
             );
             // Replay the round through the sequential Algorithm-1 logic;
@@ -217,107 +205,87 @@ impl Island {
 }
 
 /// The batched, multi-core island variant of Algorithm 1 — the paper's
-/// search, ported onto the [`super::SearchStrategy`] engine.
+/// search.
 ///
 /// The result is byte-identical for a given `(seed, max_evals,
-/// stagnation_limit, islands)` regardless of [`SearchOptions::threads`]
-/// and [`SearchOptions::batch_size`]; see the module docs for the
-/// guarantees. A golden parity test pins the output bit-for-bit to the
-/// pre-engine `heuristic_pareto` implementation.
-pub struct HillClimb;
-
-impl SearchStrategy for HillClimb {
-    fn name(&self) -> &'static str {
-        "hill"
-    }
-
-    fn search_cancellable(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &SearchOptions,
-        cancel: &CancelToken,
-    ) -> ParetoFront<Configuration> {
-        let mut sp = autoax_telemetry::span("search.hill");
-        sp.field("max_evals", opts.max_evals);
-        let islands = opts.islands.max(1);
-        let threads = if opts.threads == 0 {
-            autoax_exec::thread_count()
-        } else {
-            opts.threads
-        };
-        // Split the eval budget across islands: the first
-        // `max_evals % islands` islands take one extra eval.
-        let base = opts.max_evals / islands;
-        let extra = opts.max_evals % islands;
-        let mut states: Vec<Island> = (0..islands)
-            .map(|i| {
-                let budget = base + usize::from(i < extra);
-                Island::new(space, island_seed(opts.seed, i as u64), budget)
-            })
-            .collect();
-        let mut global: ParetoFront<Configuration> = ParetoFront::new();
-        // Every trade-off point ever offered to `global`, by bit pattern.
-        // Once `try_insert` has seen a point it will reject that point
-        // forever (a rejecting member can only be evicted by a
-        // transitively dominating one), so the merge can skip re-offers —
-        // in particular the shared front cloned back to every island — in
-        // O(1) instead of replaying an O(|front|) scan per member per
-        // epoch.
-        let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-        for epoch in 0..SYNC_EPOCHS {
-            if cancel.is_cancelled() {
-                break;
-            }
-            for st in &mut states {
-                // Spend 1/SYNC_EPOCHS of the island budget per epoch; the
-                // last epoch takes the remainder.
-                st.epoch_budget = if epoch + 1 == SYNC_EPOCHS {
-                    st.budget
-                } else {
-                    st.budget / (SYNC_EPOCHS - epoch)
-                };
-                st.budget -= st.epoch_budget;
-            }
-            states = autoax_exec::par_map_owned_with(threads.min(islands), states, |mut st| {
-                st.run_epoch(space, estimator, opts, cancel);
-                st
-            });
-            // Deterministic merge: island order, then each island's
-            // insertion order. `try_insert` rejects duplicates and evicts
-            // dominated members, so the global front stays minimal.
-            for st in &states {
-                for (p, c) in st.front.iter() {
-                    if seen.insert((p.qor.to_bits(), p.cost.to_bits())) {
-                        global.try_insert(*p, c.clone());
-                    }
+/// stagnation_limit, islands)` regardless of [`SearchOptions::threads`];
+/// see the module docs for the guarantees. A golden parity test pins the
+/// output bit for bit to the original sequential implementation.
+pub(crate) fn search(
+    space: &ConfigSpace,
+    estimator: &dyn Estimator,
+    opts: &SearchOptions,
+    cancel: &CancelToken,
+) -> ParetoFront<Configuration> {
+    let mut sp = autoax_telemetry::span("search.hill");
+    sp.field("max_evals", opts.max_evals);
+    let islands = opts.islands.max(1);
+    let threads = if opts.threads == 0 {
+        autoax_exec::thread_count()
+    } else {
+        opts.threads
+    };
+    // Split the eval budget across islands: the first
+    // `max_evals % islands` islands take one extra eval.
+    let base = opts.max_evals / islands;
+    let extra = opts.max_evals % islands;
+    let mut states: Vec<Island> = (0..islands)
+        .map(|i| {
+            let budget = base + usize::from(i < extra);
+            Island::new(space, island_seed(opts.seed, i as u64), budget)
+        })
+        .collect();
+    let mut global: ParetoFront<Configuration> = ParetoFront::new();
+    // Every trade-off point ever offered to `global`, by bit pattern.
+    // Once `try_insert` has seen a point it will reject that point
+    // forever (a rejecting member can only be evicted by a
+    // transitively dominating one), so the merge can skip re-offers —
+    // in particular the shared front cloned back to every island — in
+    // O(1) instead of replaying an O(|front|) scan per member per
+    // epoch.
+    let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
+    for epoch in 0..SYNC_EPOCHS {
+        if cancel.is_cancelled() {
+            break;
+        }
+        for st in &mut states {
+            // Spend 1/SYNC_EPOCHS of the island budget per epoch; the
+            // last epoch takes the remainder.
+            st.epoch_budget = if epoch + 1 == SYNC_EPOCHS {
+                st.budget
+            } else {
+                st.budget / (SYNC_EPOCHS - epoch)
+            };
+            st.budget -= st.epoch_budget;
+        }
+        states = autoax_exec::par_map_owned_with(threads.min(islands), states, |mut st| {
+            st.run_epoch(space, estimator, opts, cancel);
+            st
+        });
+        // Deterministic merge: island order, then each island's
+        // insertion order. `try_insert` rejects duplicates and evicts
+        // dominated members, so the global front stays minimal.
+        for st in &states {
+            for (p, c) in st.front.iter() {
+                if seen.insert((p.qor.to_bits(), p.cost.to_bits())) {
+                    global.try_insert(*p, c.clone());
                 }
             }
-            // Share the merged knowledge back so later-epoch stagnation
-            // restarts can jump to any island's discoveries.
-            for st in &mut states {
-                st.front = global.clone();
-            }
         }
-        global
+        // Share the merged knowledge back so later-epoch stagnation
+        // restarts can jump to any island's discoveries.
+        for st in &mut states {
+            st.front = global.clone();
+        }
     }
-}
-
-/// Runs the island [`HillClimb`] strategy — kept as the historical free-
-/// function entry point; new code selects strategies through
-/// [`super::run_search`] / [`SearchAlgo`].
-pub fn heuristic_pareto(
-    space: &ConfigSpace,
-    estimator: &impl Estimator,
-    opts: &SearchOptions,
-) -> ParetoFront<Configuration> {
-    HillClimb.search(space, estimator, opts)
+    global
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pareto::TradeoffPoint;
+    use crate::search::run_search;
     use crate::search::testutil::{snapshot, toy_space};
 
     fn toy_estimator(c: &Configuration) -> TradeoffPoint {
@@ -334,7 +302,7 @@ mod tests {
             seed: 3,
             ..SearchOptions::default()
         };
-        let front = heuristic_pareto(&space, &toy_estimator, &opts);
+        let front = run_search(&space, &toy_estimator, &opts);
         // with qor = -t and cost = 100 - t, every distinct t is
         // non-dominated; the search should discover most of the 21 levels
         assert!(front.len() >= 15, "only {} levels found", front.len());
@@ -348,8 +316,8 @@ mod tests {
             seed: 9,
             ..SearchOptions::default()
         };
-        let f1 = heuristic_pareto(&space, &toy_estimator, &opts);
-        let f2 = heuristic_pareto(&space, &toy_estimator, &opts);
+        let f1 = run_search(&space, &toy_estimator, &opts);
+        let f2 = run_search(&space, &toy_estimator, &opts);
         assert_eq!(f1.len(), f2.len());
         let p1: Vec<_> = f1.points().iter().map(|p| (p.qor, p.cost)).collect();
         let p2: Vec<_> = f2.points().iter().map(|p| (p.qor, p.cost)).collect();
@@ -360,7 +328,7 @@ mod tests {
     fn identical_fronts_for_thread_counts_1_2_8() {
         let space = toy_space(5, 7);
         let run = |threads: usize| {
-            heuristic_pareto(
+            run_search(
                 &space,
                 &toy_estimator,
                 &SearchOptions {
@@ -378,34 +346,13 @@ mod tests {
     }
 
     #[test]
-    fn identical_fronts_for_any_batch_size() {
-        let space = toy_space(4, 6);
-        let run = |batch_size: usize| {
-            heuristic_pareto(
-                &space,
-                &toy_estimator,
-                &SearchOptions {
-                    max_evals: 4_000,
-                    seed: 23,
-                    batch_size,
-                    ..SearchOptions::default()
-                },
-            )
-        };
-        let reference = snapshot(&run(1));
-        for batch in [3, 7, 32, 1000] {
-            assert_eq!(reference, snapshot(&run(batch)), "batch={batch} diverged");
-        }
-    }
-
-    #[test]
     fn island_count_is_a_semantic_knob() {
         // Different island counts are allowed to (and generally do)
         // explore different trajectories — but each must be internally
         // deterministic.
         let space = toy_space(4, 6);
         let run = |islands: usize| {
-            heuristic_pareto(
+            run_search(
                 &space,
                 &toy_estimator,
                 &SearchOptions {
@@ -435,7 +382,7 @@ mod tests {
             let d = c.genes()[2] as f64;
             TradeoffPoint::new((a - b).abs() + d, a + b + 2.0 * d)
         };
-        let front = heuristic_pareto(
+        let front = run_search(
             &space,
             &estimator,
             &SearchOptions {
@@ -459,7 +406,7 @@ mod tests {
     fn more_evals_do_not_shrink_front_quality() {
         let space = toy_space(5, 8);
         let run = |evals: usize| {
-            heuristic_pareto(
+            run_search(
                 &space,
                 &toy_estimator,
                 &SearchOptions {

@@ -1,11 +1,11 @@
-//! Step 3 of the methodology: model-based design space exploration,
-//! unified behind the pluggable [`SearchStrategy`] engine.
+//! Step 3 of the methodology: model-based design space exploration.
 //!
-//! Every algorithm implements one trait over one candidate representation
-//! (the columnar [`ConfigBatch`] plane of [`batch`]) and is driven by one
-//! option set ([`SearchOptions`]), so pipelines, benches and examples
-//! select a strategy by name ([`SearchAlgo`]) instead of hard-wiring a
-//! free function:
+//! The paper's Step 3 is one algorithm compared against fixed baselines.
+//! Each lives in its own module behind one entry point,
+//! `search(space, estimator, opts, cancel)`, over one candidate
+//! representation (the columnar [`ConfigBatch`] plane of [`batch`]) and
+//! one option set ([`SearchOptions`]). [`run_search`] picks the module
+//! named by [`SearchAlgo`] in one `match`:
 //!
 //! * [`hill`] — the paper's Algorithm 1 (stochastic hill climbing with
 //!   `ParetoInsert` and stagnation restarts), as the parallel island
@@ -23,12 +23,13 @@
 //!
 //! # Adding a strategy
 //!
-//! Implement [`SearchStrategy`] (generate candidates into a
-//! [`ConfigBatch`], estimate them through
-//! [`Estimator::estimate_slice`], keep the non-dominated set in a
-//! [`ParetoFront`]), add a variant to [`SearchAlgo`], and every entry
-//! point — `run_pipeline`, the bench binaries, the examples'
-//! `--strategy` flag — can select it.
+//! Write a module with a `pub(crate) fn search(space, &dyn Estimator,
+//! opts, cancel)` that generates candidates into a [`ConfigBatch`],
+//! estimates each round in one [`Estimator::estimate_slice`] call and
+//! keeps the non-dominated set in a [`ParetoFront`]. Then add a
+//! [`SearchAlgo`] variant and its arm in [`run_search_cancellable`]:
+//! `run_pipeline`, the bench binaries and the examples' `--strategy`
+//! flag can then select it.
 
 pub mod batch;
 pub mod exhaustive;
@@ -39,12 +40,9 @@ pub mod random;
 pub mod uniform;
 
 pub use batch::{ConfigBatch, ConfigSlice};
-pub use exhaustive::{exhaustive_front, ExhaustiveEnumeration};
-pub use hill::{heuristic_pareto, HillClimb, SearchOptions};
-pub use nsga2::Nsga2;
+pub use hill::SearchOptions;
 pub use phase::SearchTimings;
-pub use random::{random_sampling, RandomSampling};
-pub use uniform::{uniform_selection, UniformSelection};
+pub use uniform::uniform_selection;
 
 use crate::config::{ConfigSpace, Configuration};
 use crate::job::CancelToken;
@@ -55,40 +53,15 @@ use autoax_telemetry::ax_warn;
 /// pipeline this is a pair of fitted models, in tests a closed form.
 ///
 /// Estimators are immutable (`Sync`) so the island search can share one
-/// instance across worker threads.
+/// instance across worker threads. Every closure
+/// `Fn(&Configuration) -> TradeoffPoint` is one.
 pub trait Estimator: Sync {
-    /// Estimates the trade-off point of a configuration.
-    fn estimate(&self, c: &Configuration) -> TradeoffPoint;
-
-    /// Estimates a batch of configurations at once.
-    ///
-    /// The default loops over [`Estimator::estimate`]; model-backed
-    /// estimators override this to encode all features into one matrix
-    /// and run a single batched prediction per model (see
-    /// [`crate::model::ModelEstimator`]). Implementations must return
-    /// exactly `configs.len()` points, bitwise equal to what per-row
-    /// estimation would produce, so batch granularity never changes
-    /// search results.
-    fn estimate_batch(&self, configs: &[Configuration]) -> Vec<TradeoffPoint> {
-        configs.iter().map(|c| self.estimate(c)).collect()
-    }
-
     /// Estimates a columnar slice of candidate genomes, appending one
-    /// point per row to `out` — the allocation-free hot path every
-    /// [`SearchStrategy`] drives.
-    ///
-    /// The default materializes configurations and delegates to
-    /// [`Estimator::estimate_batch`] (correct for ad-hoc closures, but
-    /// allocating); [`crate::model::ModelEstimator`] overrides it to
-    /// gather features straight from the slab. Results must be bitwise
-    /// equal to per-row estimation.
-    fn estimate_slice(&self, rows: ConfigSlice<'_>, out: &mut Vec<TradeoffPoint>) {
-        let configs: Vec<Configuration> = rows
-            .rows()
-            .map(|r| Configuration::from_genes(r.to_vec()))
-            .collect();
-        out.extend(self.estimate_batch(&configs));
-    }
+    /// point per row to `out` — the hot path every strategy drives, one
+    /// call per round. [`crate::model::ModelEstimator`] gathers features
+    /// straight from the slab. A row's point must not depend on the other
+    /// rows of the slice or on its length.
+    fn estimate_slice(&self, rows: ConfigSlice<'_>, out: &mut Vec<TradeoffPoint>);
 
     /// [`Estimator::estimate_slice`] for rows that are mostly one-slot
     /// neighbours of `parent` — a hill-climb round. The parent only
@@ -112,44 +85,12 @@ impl<F> Estimator for F
 where
     F: Fn(&Configuration) -> TradeoffPoint + Sync,
 {
-    fn estimate(&self, c: &Configuration) -> TradeoffPoint {
-        self(c)
+    fn estimate_slice(&self, rows: ConfigSlice<'_>, out: &mut Vec<TradeoffPoint>) {
+        out.extend(
+            rows.rows()
+                .map(|r| self(&Configuration::from_genes(r.to_vec()))),
+        );
     }
-}
-
-/// A Step-3 search algorithm: drives an [`Estimator`] over a
-/// [`ConfigSpace`] within the budget of a [`SearchOptions`] and reports
-/// the non-dominated set it found.
-///
-/// Implementations must be deterministic functions of
-/// `(space, estimator, opts)` — the throughput knobs
-/// ([`SearchOptions::batch_size`], [`SearchOptions::threads`]) never
-/// change the result.
-pub trait SearchStrategy: Sync {
-    /// Stable lowercase name (CLI flags, bench labels, timing reports).
-    fn name(&self) -> &'static str;
-
-    /// Runs the search and returns the pseudo-Pareto set.
-    fn search(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &SearchOptions,
-    ) -> ParetoFront<Configuration> {
-        self.search_cancellable(space, estimator, opts, &CancelToken::new())
-    }
-
-    /// [`SearchStrategy::search`] with cooperative cancellation: the
-    /// strategy polls `cancel` at round/epoch boundaries and returns the
-    /// front accumulated so far once it fires. An un-cancelled token
-    /// must produce exactly the [`SearchStrategy::search`] result.
-    fn search_cancellable(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &SearchOptions,
-        cancel: &CancelToken,
-    ) -> ParetoFront<Configuration>;
 }
 
 /// The registry of built-in strategies — the `search_strategy` scenario
@@ -179,16 +120,8 @@ impl SearchAlgo {
         SearchAlgo::Exhaustive,
     ];
 
-    /// True for strategies that spend exactly [`SearchOptions::max_evals`]
-    /// model estimates. [`SearchAlgo::Uniform`] (level-grid-sized) and
-    /// [`SearchAlgo::Exhaustive`] (space-sized) ignore the budget;
-    /// throughput metrics count actual estimator rows
-    /// ([`SearchTimings::estimates`]) so they stay meaningful either way.
-    pub fn budgeted(self) -> bool {
-        !matches!(self, SearchAlgo::Uniform | SearchAlgo::Exhaustive)
-    }
-
-    /// The stable lowercase name (matches [`SearchStrategy::name`]).
+    /// The stable lowercase name (CLI flags, bench labels, timing
+    /// reports).
     pub fn name(self) -> &'static str {
         match self {
             SearchAlgo::Hill => "hill",
@@ -245,17 +178,6 @@ impl SearchAlgo {
         }
         None
     }
-
-    /// The strategy implementation behind the name.
-    pub fn strategy(self) -> &'static dyn SearchStrategy {
-        match self {
-            SearchAlgo::Hill => &HillClimb,
-            SearchAlgo::Nsga2 => &Nsga2,
-            SearchAlgo::Random => &RandomSampling,
-            SearchAlgo::Uniform => &UniformSelection,
-            SearchAlgo::Exhaustive => &ExhaustiveEnumeration,
-        }
-    }
 }
 
 impl std::fmt::Display for SearchAlgo {
@@ -264,60 +186,63 @@ impl std::fmt::Display for SearchAlgo {
     }
 }
 
-/// Runs the strategy selected by [`SearchOptions::strategy`] — the single
-/// Step-3 entry point the pipeline and the bench binaries share.
+/// Runs the strategy selected by [`SearchOptions::strategy`] and returns
+/// its pseudo-Pareto set — the single Step-3 entry point the pipeline,
+/// the bench binaries and the examples share.
+///
+/// Every strategy is a deterministic function of `(space, estimator,
+/// opts)` minus the throughput knob [`SearchOptions::threads`].
 pub fn run_search(
     space: &ConfigSpace,
     estimator: &impl Estimator,
     opts: &SearchOptions,
 ) -> ParetoFront<Configuration> {
-    opts.strategy.strategy().search(space, estimator, opts)
+    run_search_cancellable(space, estimator, opts, &CancelToken::new())
 }
 
 /// [`run_search`] with cooperative cancellation — what the service tier
 /// drives so a shutdown or client disconnect stops a job within one
-/// search round.
+/// search round. The strategy polls `cancel` at round/epoch boundaries
+/// and returns the front accumulated so far once it fires; an
+/// un-cancelled token gives exactly the [`run_search`] result.
 pub fn run_search_cancellable(
     space: &ConfigSpace,
     estimator: &impl Estimator,
     opts: &SearchOptions,
     cancel: &CancelToken,
 ) -> ParetoFront<Configuration> {
-    opts.strategy
-        .strategy()
-        .search_cancellable(space, estimator, opts, cancel)
+    match opts.strategy {
+        SearchAlgo::Hill => hill::search(space, estimator, opts, cancel),
+        SearchAlgo::Nsga2 => nsga2::search(space, estimator, opts, cancel),
+        SearchAlgo::Random => random::search(space, estimator, opts, cancel),
+        SearchAlgo::Uniform => uniform::search(space, estimator, opts, cancel),
+        SearchAlgo::Exhaustive => exhaustive::search(space, estimator, opts, cancel),
+    }
 }
 
-/// Estimates every row of `batch` in `chunk`-row slices, appending to
-/// `out` — the one chunked driver loop every strategy shares. With a
-/// `parent` (the hill climb's round, all neighbours of it) the slices go
+/// Estimates one round — every row of `batch` — in one estimator call,
+/// appending to `out`, and charges it to the estimate phase. With a
+/// `parent` (the hill climb's round, all neighbours of it) the rows go
 /// through [`Estimator::estimate_neighbours`], otherwise through
-/// [`Estimator::estimate_slice`]. Results are invariant to `chunk` (a
-/// zero chunk is treated as 1) and to `parent`; exactly `batch.len()`
-/// points are appended.
-pub fn estimate_chunked(
+/// [`Estimator::estimate_slice`].
+pub(crate) fn estimate_round(
     estimator: &dyn Estimator,
     batch: &ConfigBatch,
     parent: Option<&[u16]>,
-    chunk: usize,
     out: &mut Vec<TradeoffPoint>,
 ) {
-    let n = batch.len();
-    let chunk = chunk.max(1);
     let before = out.len();
     let _t = phase::PhaseTimer::start(phase::Phase::Estimate);
-    let mut start = 0;
-    while start < n {
-        let end = (start + chunk).min(n);
-        let rows = batch.slice(start..end);
-        match parent {
-            Some(parent) => estimator.estimate_neighbours(parent, rows, out),
-            None => estimator.estimate_slice(rows, out),
-        }
-        start = end;
+    match parent {
+        Some(parent) => estimator.estimate_neighbours(parent, batch.as_slice(), out),
+        None => estimator.estimate_slice(batch.as_slice(), out),
     }
-    phase::count_estimates(n);
-    debug_assert_eq!(out.len() - before, n, "estimator returned wrong count");
+    phase::count_estimates(batch.len());
+    debug_assert_eq!(
+        out.len() - before,
+        batch.len(),
+        "estimator returned wrong count"
+    );
 }
 
 /// Shared fixtures for the per-strategy test modules.
@@ -379,7 +304,6 @@ mod tests {
     fn algo_names_round_trip_through_parse() {
         for algo in SearchAlgo::ALL {
             assert_eq!(SearchAlgo::parse(algo.name()), Some(algo));
-            assert_eq!(algo.strategy().name(), algo.name());
             assert_eq!(algo.to_string(), algo.name());
         }
         assert_eq!(SearchAlgo::parse("NSGA-II"), Some(SearchAlgo::Nsga2));
@@ -388,9 +312,30 @@ mod tests {
 
     #[test]
     fn budgeted_marks_the_fixed_cost_strategies() {
+        // Hill, NSGA-II and random sampling spend exactly `max_evals`
+        // estimates; uniform estimates its level grid and exhaustive the
+        // whole space, whatever the budget.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let space = testutil::toy_space(3, 4);
         for algo in SearchAlgo::ALL {
-            let expect = !matches!(algo, SearchAlgo::Uniform | SearchAlgo::Exhaustive);
-            assert_eq!(algo.budgeted(), expect, "{algo}");
+            let calls = AtomicUsize::new(0);
+            let estimator = |c: &Configuration| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                testutil::needle_estimator(c)
+            };
+            let opts = SearchOptions {
+                strategy: algo,
+                max_evals: 1_000,
+                uniform_levels: 8,
+                ..SearchOptions::default()
+            };
+            let _front = run_search(&space, &estimator, &opts);
+            let expect = match algo {
+                SearchAlgo::Uniform => uniform_selection(&space, 8).len(),
+                SearchAlgo::Exhaustive => 64,
+                _ => opts.max_evals,
+            };
+            assert_eq!(calls.load(Ordering::Relaxed), expect, "{algo}");
         }
     }
 

@@ -12,8 +12,7 @@
 //!    one-gene-expected mutation (the same neighbourhood move as
 //!    Algorithm 1, applied per gene with probability `1/slots`);
 //! 3. estimate the offspring in one columnar
-//!    [`Estimator::estimate_slice`] sweep (chunked by
-//!    [`super::SearchOptions::batch_size`] — a pure throughput knob);
+//!    [`Estimator::estimate_slice`] call;
 //! 4. environmental selection: keep the best `POP` of parents ∪ offspring
 //!    by `(rank, crowding)`.
 //!
@@ -28,10 +27,9 @@
 //! Determinism: the algorithm is a pure function of `(space, estimator,
 //! seed, max_evals)`. It runs single-threaded on top of the (internally
 //! parallel, thread-invariant) batched estimator, so
-//! [`super::SearchOptions::threads`] and [`super::SearchOptions::batch_size`]
-//! never change the result.
+//! [`super::SearchOptions::threads`] never changes the result.
 
-use super::{ConfigBatch, Estimator, SearchStrategy};
+use super::{ConfigBatch, Estimator};
 use crate::config::{ConfigSpace, Configuration};
 use crate::job::CancelToken;
 use crate::pareto::{ParetoFront, TradeoffPoint};
@@ -41,9 +39,6 @@ use rand::{Rng, SeedableRng};
 /// Population size. Fixed (like the hill climb's round size) so results
 /// depend only on the semantic options.
 const POP: usize = 64;
-
-/// NSGA-II with crowding distance.
-pub struct Nsga2;
 
 /// Scratch buffers reused across generations.
 struct Scratch {
@@ -169,118 +164,112 @@ fn better(s: &Scratch, a: usize, b: usize) -> bool {
     s.crowd[a] > s.crowd[b]
 }
 
-impl SearchStrategy for Nsga2 {
-    fn name(&self) -> &'static str {
-        "nsga2"
+/// NSGA-II with crowding distance: `opts.max_evals` estimates in
+/// generations of [`POP`] offspring.
+pub(crate) fn search(
+    space: &ConfigSpace,
+    estimator: &dyn Estimator,
+    opts: &super::SearchOptions,
+    cancel: &CancelToken,
+) -> ParetoFront<Configuration> {
+    let mut sp = autoax_telemetry::span("search.nsga2");
+    sp.field("max_evals", opts.max_evals);
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let stride = space.slot_count();
+    let pop = POP.min(opts.max_evals.max(2));
+    let mut global: ParetoFront<Configuration> = ParetoFront::new();
+
+    let mut parents = ConfigBatch::with_capacity(stride, pop);
+    for _ in 0..pop {
+        space.random_into(parents.push_row(), &mut rng);
     }
+    let mut par_pts: Vec<TradeoffPoint> = Vec::with_capacity(pop);
+    super::estimate_round(estimator, &parents, None, &mut par_pts);
+    offer_all(&mut global, &parents, &par_pts);
+    let mut evals = pop;
 
-    fn search_cancellable(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &super::SearchOptions,
-        cancel: &CancelToken,
-    ) -> ParetoFront<Configuration> {
-        let mut sp = autoax_telemetry::span("search.nsga2");
-        sp.field("max_evals", opts.max_evals);
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let stride = space.slot_count();
-        let chunk = opts.batch_size.max(1);
-        let pop = POP.min(opts.max_evals.max(2));
-        let mut global: ParetoFront<Configuration> = ParetoFront::new();
+    let mut offspring = ConfigBatch::with_capacity(stride, pop);
+    let mut off_pts: Vec<TradeoffPoint> = Vec::with_capacity(pop);
+    let mut next = ConfigBatch::with_capacity(stride, pop);
+    let mut next_pts: Vec<TradeoffPoint> = Vec::with_capacity(pop);
+    let mut s = Scratch::with_capacity(2 * pop);
+    let pm = 1.0 / stride as f64;
 
-        let mut parents = ConfigBatch::with_capacity(stride, pop);
-        for _ in 0..pop {
-            space.random_into(parents.push_row(), &mut rng);
-        }
-        let mut par_pts: Vec<TradeoffPoint> = Vec::with_capacity(pop);
-        super::estimate_chunked(estimator, &parents, None, chunk, &mut par_pts);
-        offer_all(&mut global, &parents, &par_pts);
-        let mut evals = pop;
-
-        let mut offspring = ConfigBatch::with_capacity(stride, pop);
-        let mut off_pts: Vec<TradeoffPoint> = Vec::with_capacity(pop);
-        let mut next = ConfigBatch::with_capacity(stride, pop);
-        let mut next_pts: Vec<TradeoffPoint> = Vec::with_capacity(pop);
-        let mut s = Scratch::with_capacity(2 * pop);
-        let pm = 1.0 / stride as f64;
-
-        while evals < opts.max_evals && !cancel.is_cancelled() {
-            let r = pop.min(opts.max_evals - evals);
-            // Rank the current parents for tournament selection.
-            let propose_t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
-            s.objs.clear();
-            s.objs.extend(par_pts.iter().map(|p| (-p.qor, p.cost)));
-            rank_and_crowd(&mut s);
-            // Offspring: tournament → uniform crossover → per-gene mutation.
-            offspring.clear();
-            for _ in 0..r {
-                let pick = |rng: &mut StdRng, s: &Scratch| {
-                    let a = rng.gen_range(0..pop);
-                    let b = rng.gen_range(0..pop);
-                    if better(s, b, a) {
-                        b
-                    } else {
-                        a
-                    }
-                };
-                let pa = pick(&mut rng, &s);
-                let pb = pick(&mut rng, &s);
-                let child = offspring.push_row();
-                for (g, (x, y)) in child
-                    .iter_mut()
-                    .zip(parents.row(pa).iter().zip(parents.row(pb).iter()))
-                {
-                    *g = if rng.gen_bool(0.5) { *x } else { *y };
-                }
-                for (slot, g) in child.iter_mut().enumerate() {
-                    if rng.gen_bool(pm) {
-                        let n = space.slots()[slot].members.len();
-                        *g = rng.gen_range(0..n) as u16;
-                    }
-                }
-            }
-            drop(propose_t);
-            off_pts.clear();
-            super::estimate_chunked(estimator, &offspring, None, chunk, &mut off_pts);
-            offer_all(&mut global, &offspring, &off_pts);
-            evals += r;
-
-            // Environmental selection over parents ∪ offspring.
-            let _select_t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
-            s.objs.clear();
-            s.objs.extend(par_pts.iter().map(|p| (-p.qor, p.cost)));
-            s.objs.extend(off_pts.iter().map(|p| (-p.qor, p.cost)));
-            rank_and_crowd(&mut s);
-            let total = pop + r;
-            s.selected.clear();
-            s.selected.extend(0..total);
-            // Stable sort by (rank asc, crowding desc): equal keys keep
-            // pool order (parents before offspring), so selection is
-            // deterministic.
-            let (ranks, crowds) = (&s.rank, &s.crowd);
-            s.selected.sort_by(|&a, &b| {
-                ranks[a]
-                    .cmp(&ranks[b])
-                    .then_with(|| crowds[b].total_cmp(&crowds[a]))
-            });
-            s.selected.truncate(pop);
-            next.clear();
-            next_pts.clear();
-            for &i in &s.selected {
-                if i < pop {
-                    next.push_genes(parents.row(i));
-                    next_pts.push(par_pts[i]);
+    while evals < opts.max_evals && !cancel.is_cancelled() {
+        let r = pop.min(opts.max_evals - evals);
+        // Rank the current parents for tournament selection.
+        let propose_t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
+        s.objs.clear();
+        s.objs.extend(par_pts.iter().map(|p| (-p.qor, p.cost)));
+        rank_and_crowd(&mut s);
+        // Offspring: tournament → uniform crossover → per-gene mutation.
+        offspring.clear();
+        for _ in 0..r {
+            let pick = |rng: &mut StdRng, s: &Scratch| {
+                let a = rng.gen_range(0..pop);
+                let b = rng.gen_range(0..pop);
+                if better(s, b, a) {
+                    b
                 } else {
-                    next.push_genes(offspring.row(i - pop));
-                    next_pts.push(off_pts[i - pop]);
+                    a
+                }
+            };
+            let pa = pick(&mut rng, &s);
+            let pb = pick(&mut rng, &s);
+            let child = offspring.push_row();
+            for (g, (x, y)) in child
+                .iter_mut()
+                .zip(parents.row(pa).iter().zip(parents.row(pb).iter()))
+            {
+                *g = if rng.gen_bool(0.5) { *x } else { *y };
+            }
+            for (slot, g) in child.iter_mut().enumerate() {
+                if rng.gen_bool(pm) {
+                    let n = space.slots()[slot].members.len();
+                    *g = rng.gen_range(0..n) as u16;
                 }
             }
-            std::mem::swap(&mut parents, &mut next);
-            std::mem::swap(&mut par_pts, &mut next_pts);
         }
-        global
+        drop(propose_t);
+        off_pts.clear();
+        super::estimate_round(estimator, &offspring, None, &mut off_pts);
+        offer_all(&mut global, &offspring, &off_pts);
+        evals += r;
+
+        // Environmental selection over parents ∪ offspring.
+        let _select_t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
+        s.objs.clear();
+        s.objs.extend(par_pts.iter().map(|p| (-p.qor, p.cost)));
+        s.objs.extend(off_pts.iter().map(|p| (-p.qor, p.cost)));
+        rank_and_crowd(&mut s);
+        let total = pop + r;
+        s.selected.clear();
+        s.selected.extend(0..total);
+        // Stable sort by (rank asc, crowding desc): equal keys keep
+        // pool order (parents before offspring), so selection is
+        // deterministic.
+        let (ranks, crowds) = (&s.rank, &s.crowd);
+        s.selected.sort_by(|&a, &b| {
+            ranks[a]
+                .cmp(&ranks[b])
+                .then_with(|| crowds[b].total_cmp(&crowds[a]))
+        });
+        s.selected.truncate(pop);
+        next.clear();
+        next_pts.clear();
+        for &i in &s.selected {
+            if i < pop {
+                next.push_genes(parents.row(i));
+                next_pts.push(par_pts[i]);
+            } else {
+                next.push_genes(offspring.row(i - pop));
+                next_pts.push(off_pts[i - pop]);
+            }
+        }
+        std::mem::swap(&mut parents, &mut next);
+        std::mem::swap(&mut par_pts, &mut next_pts);
     }
+    global
 }
 
 /// Offers every estimated candidate to the global front in one batched
@@ -295,31 +284,38 @@ fn offer_all(global: &mut ParetoFront<Configuration>, batch: &ConfigBatch, pts: 
 mod tests {
     use super::*;
     use crate::search::testutil::{needle_estimator as needle, snapshot, toy_space};
-    use crate::search::{RandomSampling, SearchOptions};
+    use crate::search::{run_search, SearchAlgo, SearchOptions};
+
+    /// NSGA-II options: `max_evals` estimates from `seed`.
+    fn nsga2(max_evals: usize, seed: u64) -> SearchOptions {
+        SearchOptions {
+            strategy: SearchAlgo::Nsga2,
+            max_evals,
+            seed,
+            ..SearchOptions::default()
+        }
+    }
 
     #[test]
     fn deterministic_given_seed_and_invariant_to_throughput_knobs() {
         let space = toy_space(5, 6);
-        let run = |threads: usize, batch_size: usize| {
-            Nsga2.search(
+        let run = |threads: usize| {
+            run_search(
                 &space,
                 &needle,
                 &SearchOptions {
-                    max_evals: 3_000,
-                    seed: 21,
                     threads,
-                    batch_size,
-                    ..SearchOptions::default()
+                    ..nsga2(3_000, 21)
                 },
             )
         };
-        let reference = snapshot(&run(1, 1));
+        let reference = snapshot(&run(1));
         assert!(!reference.is_empty());
-        for (threads, batch) in [(1, 1), (2, 7), (8, 32), (4, 1000)] {
+        for threads in [1, 2, 4, 8] {
             assert_eq!(
                 reference,
-                snapshot(&run(threads, batch)),
-                "threads={threads} batch={batch} diverged"
+                snapshot(&run(threads)),
+                "threads={threads} diverged"
             );
         }
     }
@@ -327,17 +323,7 @@ mod tests {
     #[test]
     fn different_seeds_explore_different_trajectories() {
         let space = toy_space(5, 6);
-        let run = |seed: u64| {
-            Nsga2.search(
-                &space,
-                &needle,
-                &SearchOptions {
-                    max_evals: 2_000,
-                    seed,
-                    ..SearchOptions::default()
-                },
-            )
-        };
+        let run = |seed: u64| run_search(&space, &needle, &nsga2(2_000, seed));
         // not a hard requirement of the algorithm, but with a 6^5 space
         // two seeds virtually never retrace each other exactly
         assert_ne!(snapshot(&run(1)), snapshot(&run(2)));
@@ -346,15 +332,7 @@ mod tests {
     #[test]
     fn front_members_are_mutually_nondominated() {
         let space = toy_space(4, 5);
-        let front = Nsga2.search(
-            &space,
-            &needle,
-            &SearchOptions {
-                max_evals: 2_000,
-                seed: 3,
-                ..SearchOptions::default()
-            },
-        );
+        let front = run_search(&space, &needle, &nsga2(2_000, 3));
         let pts = front.points();
         assert!(!pts.is_empty());
         for (i, a) in pts.iter().enumerate() {
@@ -369,18 +347,17 @@ mod tests {
     #[test]
     fn beats_random_sampling_on_the_needle_landscape() {
         use crate::pareto::joint_hypervolumes;
-        use crate::search::SearchStrategy;
         let space = toy_space(6, 5);
         let mut nsga_total = 0.0;
         let mut rs_total = 0.0;
         for seed in 0..3 {
-            let opts = SearchOptions {
-                max_evals: 2_000,
-                seed,
-                ..SearchOptions::default()
+            let opts = nsga2(2_000, seed);
+            let random = SearchOptions {
+                strategy: SearchAlgo::Random,
+                ..opts
             };
-            let a = Nsga2.search(&space, &needle, &opts).points();
-            let b = RandomSampling.search(&space, &needle, &opts).points();
+            let a = run_search(&space, &needle, &opts).points();
+            let b = run_search(&space, &needle, &random).points();
             let hv = joint_hypervolumes(&[&a, &b]);
             nsga_total += hv[0];
             rs_total += hv[1];
@@ -394,15 +371,8 @@ mod tests {
     #[test]
     fn tiny_budget_still_returns_a_front() {
         let space = toy_space(3, 4);
-        let front = Nsga2.search(
-            &space,
-            &needle,
-            &SearchOptions {
-                max_evals: 10, // below the population size
-                seed: 1,
-                ..SearchOptions::default()
-            },
-        );
+        // a budget below the population size
+        let front = run_search(&space, &needle, &nsga2(10, 1));
         assert!(!front.is_empty());
     }
 

@@ -1,54 +1,45 @@
-//! Hot-path observability: process-wide per-phase counters for the three
-//! phases every [`super::SearchStrategy`] cycles through —
+//! Hot-path observability: the three phases every strategy cycles
+//! through, recorded into the metrics registry —
 //!
 //! * **propose** — generating candidate genomes (neighbour moves, RNG
 //!   sampling, odometer advance, NSGA-II variation);
 //! * **estimate** — model inference over the proposed slab
-//!   ([`super::estimate_chunked`] / [`super::Estimator::estimate_slice`] /
+//!   ([`super::Estimator::estimate_slice`] /
 //!   [`super::Estimator::estimate_neighbours`]);
 //! * **insert** — Pareto-front bookkeeping (`try_insert` replay,
 //!   [`crate::pareto::ParetoFront::insert_batch_with`], NSGA-II
 //!   rank/crowd selection).
 //!
-//! The counters are relaxed atomics accumulated from every worker thread,
-//! so a snapshot taken around a search measures *summed* thread time (on
-//! one worker it equals wall time; with N workers it can exceed wall time
-//! by up to N×). Timers wrap whole per-round loops, never individual
-//! candidates: at the hill climb's fixed 32-candidate round size the
-//! bookkeeping adds two `Instant` reads per phase per round — well under
-//! 1% of the round's work.
+//! Each phase of each round records its duration into the
+//! `autoax_search_phase_round_ns{phase}` histogram, and every estimated
+//! row counts into `autoax_search_estimates_total`. Timers wrap whole
+//! per-round loops, never individual candidates, and read no clock while
+//! the registry is unsubscribed.
 //!
-//! Usage is snapshot-diff:
+//! [`SearchTimings`] keeps one process-wide count: the rows sent through
+//! the estimator, the honest denominator for evals/s even for strategies
+//! that ignore [`super::SearchOptions::max_evals`] (uniform's level grid,
+//! exhaustive's full enumeration). Usage is snapshot-diff:
 //!
 //! ```
 //! use autoax::search::SearchTimings;
 //! let before = SearchTimings::snapshot();
 //! // ... run a search ...
-//! let spent = SearchTimings::snapshot().since(&before);
-//! let per_phase = (spent.propose_s(), spent.estimate_s(), spent.insert_s());
-//! # let _ = per_phase;
+//! let estimated = SearchTimings::snapshot().since(&before).estimates;
+//! # let _ = estimated;
 //! ```
-//!
-//! `estimates` counts the rows actually sent through the estimator — the
-//! honest denominator for evals/s even for strategies that ignore
-//! [`super::SearchOptions::max_evals`] (uniform's level grid, exhaustive's
-//! full enumeration).
 
 use autoax_telemetry as telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-static PROPOSE_NS: AtomicU64 = AtomicU64::new(0);
-static ESTIMATE_NS: AtomicU64 = AtomicU64::new(0);
-static INSERT_NS: AtomicU64 = AtomicU64::new(0);
 static ESTIMATES: AtomicU64 = AtomicU64::new(0);
 
-/// Registry-side mirror of the phase counters: per-phase round-duration
-/// histograms plus the estimated-rows counter. Bridged from the same
-/// [`PhaseTimer`] drops that feed [`SearchTimings`], so every strategy is
-/// covered without extra call sites; when the registry is unsubscribed
-/// the bridge costs one relaxed load per phase per round.
+/// The registry handles: per-phase round-duration histograms plus the
+/// estimated-rows counter, shared by every strategy through
+/// [`PhaseTimer`] and [`count_estimates`]. While the registry is
+/// unsubscribed each call site costs one relaxed load.
 struct PhaseMetrics {
     round_ns: [telemetry::Histogram; 3],
     estimates: telemetry::Counter,
@@ -66,95 +57,52 @@ fn phase_metrics() -> &'static PhaseMetrics {
     })
 }
 
-/// A monotonic snapshot of the per-phase counters (cumulative since
+/// A monotonic snapshot of the estimated-rows count (cumulative since
 /// process start). Subtract two snapshots with [`SearchTimings::since`] to
-/// attribute time to a region.
+/// attribute estimates to a region.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchTimings {
-    /// Nanoseconds spent generating candidates.
-    pub propose_ns: u64,
-    /// Nanoseconds spent in batched model estimation.
-    pub estimate_ns: u64,
-    /// Nanoseconds spent in Pareto-front / selection bookkeeping.
-    pub insert_ns: u64,
     /// Candidate rows estimated (one per genome row, every strategy).
     pub estimates: u64,
 }
 
 impl SearchTimings {
-    /// Reads the current cumulative counters.
+    /// Reads the current cumulative count.
     pub fn snapshot() -> SearchTimings {
         SearchTimings {
-            propose_ns: PROPOSE_NS.load(Ordering::Relaxed),
-            estimate_ns: ESTIMATE_NS.load(Ordering::Relaxed),
-            insert_ns: INSERT_NS.load(Ordering::Relaxed),
             estimates: ESTIMATES.load(Ordering::Relaxed),
         }
     }
 
-    /// The counter deltas accumulated since `earlier` was taken.
+    /// The count accumulated since `earlier` was taken.
     pub fn since(&self, earlier: &SearchTimings) -> SearchTimings {
         SearchTimings {
-            propose_ns: self.propose_ns.wrapping_sub(earlier.propose_ns),
-            estimate_ns: self.estimate_ns.wrapping_sub(earlier.estimate_ns),
-            insert_ns: self.insert_ns.wrapping_sub(earlier.insert_ns),
             estimates: self.estimates.wrapping_sub(earlier.estimates),
         }
-    }
-
-    /// Propose time in seconds.
-    pub fn propose_s(&self) -> f64 {
-        self.propose_ns as f64 * 1e-9
-    }
-
-    /// Estimate time in seconds.
-    pub fn estimate_s(&self) -> f64 {
-        self.estimate_ns as f64 * 1e-9
-    }
-
-    /// Insert/selection time in seconds.
-    pub fn insert_s(&self) -> f64 {
-        self.insert_ns as f64 * 1e-9
     }
 }
 
 /// Which phase a [`PhaseTimer`] charges.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Phase {
-    Propose,
-    Estimate,
-    Insert,
+    Propose = 0,
+    Estimate = 1,
+    Insert = 2,
 }
 
-impl Phase {
-    fn sink(self) -> &'static AtomicU64 {
-        match self {
-            Phase::Propose => &PROPOSE_NS,
-            Phase::Estimate => &ESTIMATE_NS,
-            Phase::Insert => &INSERT_NS,
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Propose => 0,
-            Phase::Estimate => 1,
-            Phase::Insert => 2,
-        }
-    }
-}
-
-/// Scope guard charging its lifetime to one phase counter. Created at the
-/// top of a per-round loop; the `Drop` adds the elapsed nanoseconds.
+/// Scope guard recording its lifetime into one phase's histogram.
+/// Created at the top of a per-round loop; the `Drop` records the
+/// elapsed nanoseconds. Started while the registry is unsubscribed, it
+/// reads no clock and records nothing.
 pub(crate) struct PhaseTimer {
-    t0: Instant,
+    t0: Option<Instant>,
     phase: Phase,
 }
 
 impl PhaseTimer {
     pub(crate) fn start(phase: Phase) -> Self {
         PhaseTimer {
-            t0: Instant::now(),
+            t0: telemetry::metrics_enabled().then(Instant::now),
             phase,
         }
     }
@@ -162,10 +110,9 @@ impl PhaseTimer {
 
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
-        let ns = self.t0.elapsed().as_nanos() as u64;
-        self.phase.sink().fetch_add(ns, Ordering::Relaxed);
-        if telemetry::metrics_enabled() {
-            phase_metrics().round_ns[self.phase.index()].record(ns);
+        if let Some(t0) = self.t0 {
+            let ns = t0.elapsed().as_nanos() as u64;
+            phase_metrics().round_ns[self.phase as usize].record(ns);
         }
     }
 }
@@ -181,43 +128,50 @@ pub(crate) fn count_estimates(n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::testutil::{needle_estimator, toy_space};
+    use crate::search::{run_search, SearchAlgo, SearchOptions};
 
     #[test]
     fn timers_accumulate_into_their_phase() {
-        let before = SearchTimings::snapshot();
-        {
-            let _t = PhaseTimer::start(Phase::Propose);
-            std::thread::sleep(std::time::Duration::from_millis(2));
+        // With the registry subscribed, every strategy records all three
+        // phases and counts each estimated row, in the registry and in
+        // `SearchTimings`. Nothing else in this binary unsubscribes it,
+        // and concurrent tests only add, so the deltas are lower bounds.
+        use std::sync::atomic::AtomicUsize;
+        let was = telemetry::metrics_enabled();
+        telemetry::set_metrics(true);
+        let space = toy_space(3, 4);
+        let m = phase_metrics();
+        for algo in SearchAlgo::ALL {
+            let rounds = m.round_ns.each_ref().map(|h| h.count());
+            let (counted, before) = (m.estimates.get(), SearchTimings::snapshot());
+            let calls = AtomicUsize::new(0);
+            let estimator = |c: &crate::config::Configuration| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                needle_estimator(c)
+            };
+            let opts = SearchOptions {
+                strategy: algo,
+                max_evals: 500,
+                ..SearchOptions::default()
+            };
+            let _front = run_search(&space, &estimator, &opts);
+            let calls = calls.into_inner() as u64;
+            assert!(calls > 0, "{algo}");
+            let spent = SearchTimings::snapshot().since(&before).estimates;
+            assert!(spent >= calls, "{algo}: {spent} of {calls} estimates");
+            assert!(m.estimates.get() - counted >= calls, "{algo}");
+            for (phase, (h, n)) in m.round_ns.iter().zip(rounds).enumerate() {
+                assert!(h.count() > n, "{algo}: phase {phase} recorded nothing");
+            }
         }
-        {
-            let _t = PhaseTimer::start(Phase::Insert);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        count_estimates(17);
-        let d = SearchTimings::snapshot().since(&before);
-        assert!(d.propose_ns >= 1_000_000, "propose {:?}", d);
-        assert!(d.insert_ns >= 500_000, "insert {:?}", d);
-        assert!(d.estimates >= 17, "estimates {:?}", d);
+        telemetry::set_metrics(was);
     }
 
     #[test]
     fn since_is_componentwise_difference() {
-        let a = SearchTimings {
-            propose_ns: 10,
-            estimate_ns: 20,
-            insert_ns: 30,
-            estimates: 40,
-        };
-        let b = SearchTimings {
-            propose_ns: 1,
-            estimate_ns: 2,
-            insert_ns: 3,
-            estimates: 4,
-        };
-        let d = a.since(&b);
-        assert_eq!(
-            (d.propose_ns, d.estimate_ns, d.insert_ns, d.estimates),
-            (9, 18, 27, 36)
-        );
+        let a = SearchTimings { estimates: 40 };
+        let b = SearchTimings { estimates: 4 };
+        assert_eq!(a.since(&b).estimates, 36);
     }
 }

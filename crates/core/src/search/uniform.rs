@@ -9,51 +9,42 @@
 //! configuration per level.
 
 use super::hill::SearchOptions;
-use super::{ConfigBatch, Estimator, SearchStrategy};
+use super::{ConfigBatch, Estimator};
 use crate::config::{ConfigSpace, Configuration};
 use crate::job::CancelToken;
 use crate::pareto::{ParetoFront, TradeoffPoint};
 
-/// The manual uniform-WMED-level selection as a [`SearchStrategy`]: the
-/// [`uniform_selection`] configurations (one per error level,
-/// [`SearchOptions::uniform_levels`] levels) are estimated in one columnar
-/// sweep and Pareto-filtered. Deterministic and RNG-free; the eval budget
-/// is ignored beyond capping the level count.
-pub struct UniformSelection;
-
-impl SearchStrategy for UniformSelection {
-    fn name(&self) -> &'static str {
-        "uniform"
+/// The manual uniform-WMED-level selection: the [`uniform_selection`]
+/// configurations (one per error level, [`SearchOptions::uniform_levels`]
+/// levels) are estimated in one call and Pareto-filtered. Deterministic
+/// and RNG-free; the eval budget is ignored beyond capping the level
+/// count.
+pub(crate) fn search(
+    space: &ConfigSpace,
+    estimator: &dyn Estimator,
+    opts: &SearchOptions,
+    cancel: &CancelToken,
+) -> ParetoFront<Configuration> {
+    if cancel.is_cancelled() {
+        return ParetoFront::new();
     }
-
-    fn search_cancellable(
-        &self,
-        space: &ConfigSpace,
-        estimator: &dyn Estimator,
-        opts: &SearchOptions,
-        cancel: &CancelToken,
-    ) -> ParetoFront<Configuration> {
-        if cancel.is_cancelled() {
-            return ParetoFront::new();
-        }
-        let levels = opts.uniform_levels.max(2).min(opts.max_evals.max(2));
-        let mut sp = autoax_telemetry::span("search.uniform");
-        sp.field("levels", levels);
-        let (configs, batch) = {
-            let _t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
-            let configs = uniform_selection(space, levels);
-            let batch = ConfigBatch::from_configs(&configs);
-            (configs, batch)
-        };
-        let mut estimates: Vec<TradeoffPoint> = Vec::with_capacity(batch.len());
-        super::estimate_chunked(estimator, &batch, None, opts.batch_size, &mut estimates);
-        let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
-        configs
-            .into_iter()
-            .zip(estimates)
-            .map(|(c, p)| (p, c))
-            .collect()
-    }
+    let levels = opts.uniform_levels.max(2).min(opts.max_evals.max(2));
+    let mut sp = autoax_telemetry::span("search.uniform");
+    sp.field("levels", levels);
+    let (configs, batch) = {
+        let _t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
+        let configs = uniform_selection(space, levels);
+        let batch = ConfigBatch::from_configs(&configs);
+        (configs, batch)
+    };
+    let mut estimates: Vec<TradeoffPoint> = Vec::with_capacity(batch.len());
+    super::estimate_round(estimator, &batch, None, &mut estimates);
+    let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
+    configs
+        .into_iter()
+        .zip(estimates)
+        .map(|(c, p)| (p, c))
+        .collect()
 }
 
 /// Generates `levels` configurations with uniformly spaced relative-WMED

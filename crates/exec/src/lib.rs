@@ -15,9 +15,8 @@
 //!
 //! The default worker count is [`std::thread::available_parallelism`],
 //! overridable with the `AUTOAX_THREADS` environment variable (clamped to
-//! at least 1). Every primitive also has a `*_with` variant taking an
-//! explicit thread count, which the determinism tests use to avoid racing
-//! on the process environment.
+//! at least 1). [`par_map_owned_with`] takes an explicit count, which the
+//! island search passes down from its options.
 //!
 //! ## Execution substrate
 //!
@@ -39,7 +38,7 @@
 //! let inputs: Vec<u64> = (0..100).collect();
 //! let squares = autoax_exec::par_map(&inputs, |&x| x * x);
 //! assert_eq!(squares[7], 49);
-//! assert_eq!(squares, autoax_exec::par_map_with(1, &inputs, |&x| x * x));
+//! assert_eq!(squares, inputs.iter().map(|&x| x * x).collect::<Vec<_>>());
 //! ```
 
 pub mod fork;
@@ -85,17 +84,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_with(thread_count(), items, f)
-}
-
-/// [`par_map`] with an explicit worker-thread count.
-pub fn par_map_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_impl(threads, items, f, PAR_MAP_MIN_LEN)
+    par_map_impl(thread_count(), items, f, PAR_MAP_MIN_LEN)
 }
 
 /// [`par_map`] for *coarse-grained* items (whole images, circuits):
@@ -152,14 +141,10 @@ where
     U: Send,
     F: Fn(std::ops::Range<usize>) -> U + Sync,
 {
-    par_map_range_with(thread_count(), n, block, f)
+    par_map_range_impl(thread_count(), n, block, f)
 }
 
-/// [`par_map_range`] with an explicit worker-thread count.
-///
-/// # Panics
-/// Panics when `block` is zero.
-pub fn par_map_range_with<U, F>(threads: usize, n: usize, block: usize, f: F) -> Vec<U>
+fn par_map_range_impl<U, F>(threads: usize, n: usize, block: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(std::ops::Range<usize>) -> U + Sync,
@@ -189,7 +174,7 @@ where
 
 /// Maps `f` over owned `items` in parallel, preserving order.
 ///
-/// Unlike [`par_map_with`] this is meant for a *small number of expensive,
+/// Unlike [`par_map`] this is meant for a *small number of expensive,
 /// stateful* tasks (e.g. search islands carrying their own RNG): it
 /// parallelizes from two items up and hands each worker ownership of its
 /// chunk.
@@ -243,20 +228,9 @@ where
     M: Fn(&T) -> U + Sync,
     R: Fn(U, U) -> U,
 {
-    map_reduce_with(thread_count(), items, map, fold)
-}
-
-/// [`map_reduce`] with an explicit worker-thread count.
-pub fn map_reduce_with<T, U, M, R>(threads: usize, items: &[T], map: M, fold: R) -> Option<U>
-where
-    T: Sync,
-    U: Send,
-    M: Fn(&T) -> U + Sync,
-    R: Fn(U, U) -> U,
-{
     // The map phase is assumed coarse-grained (images, circuits):
     // parallelize from two items up, one contiguous chunk per worker.
-    par_map_impl(threads, items, map, 2)
+    par_map_impl(thread_count(), items, map, 2)
         .into_iter()
         .reduce(fold)
 }
@@ -285,7 +259,7 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|x| x ^ 0xA5).collect();
         for threads in [1, 2, 3, 8, 64] {
             assert_eq!(
-                par_map_with(threads, &items, |x| x ^ 0xA5),
+                par_map_impl(threads, &items, |x| x ^ 0xA5, PAR_MAP_MIN_LEN),
                 expect,
                 "threads={threads}"
             );
@@ -326,10 +300,10 @@ mod tests {
 
     #[test]
     fn par_map_range_is_thread_invariant() {
-        let expect: Vec<usize> = par_map_range_with(1, 1000, 7, |r| r.end * 3 - r.start);
+        let expect: Vec<usize> = par_map_range_impl(1, 1000, 7, |r| r.end * 3 - r.start);
         for threads in [2, 3, 8, 64] {
             assert_eq!(
-                par_map_range_with(threads, 1000, 7, |r| r.end * 3 - r.start),
+                par_map_range_impl(threads, 1000, 7, |r| r.end * 3 - r.start),
                 expect,
                 "threads={threads}"
             );
@@ -353,7 +327,10 @@ mod tests {
             .reduce(|a, b| a + b)
             .unwrap();
         for threads in [1, 2, 3, 7, 16] {
-            let par = map_reduce_with(threads, &items, |&x| x * 1.000001, |a, b| a + b).unwrap();
+            let par = par_map_impl(threads, &items, |&x| x * 1.000001, 2)
+                .into_iter()
+                .reduce(|a, b| a + b)
+                .unwrap();
             assert_eq!(par.to_bits(), seq.to_bits(), "threads={threads}");
         }
     }
@@ -361,7 +338,9 @@ mod tests {
     #[test]
     fn map_reduce_two_items_parallelizes() {
         // Coarse-grained threshold: two items are enough to fan out.
-        let got = map_reduce_with(4, &[10u64, 32], |&x| x, |a, b| a + b);
+        let got = par_map_impl(4, &[10u64, 32], |&x| x, 2)
+            .into_iter()
+            .reduce(|a, b| a + b);
         assert_eq!(got, Some(42));
     }
 
@@ -370,12 +349,12 @@ mod tests {
         // Repeated bursts reuse pool threads: after a warm-up round the
         // worker count stays put no matter how many more calls follow.
         let items: Vec<u64> = (0..256).collect();
-        let _ = par_map_with(4, &items, |x| x + 1);
+        let _ = par_map_impl(4, &items, |x| x + 1, PAR_MAP_MIN_LEN);
         let after_first = pool_workers();
         assert!(after_first >= 1, "burst must have grown the pool");
         for _ in 0..50 {
-            let _ = par_map_with(4, &items, |x| x + 1);
-            let _ = par_map_range_with(4, 256, 8, |r| r.len());
+            let _ = par_map_impl(4, &items, |x| x + 1, PAR_MAP_MIN_LEN);
+            let _ = par_map_range_impl(4, 256, 8, |r| r.len());
             let _ = par_map_owned_with(4, items.clone(), |x| x * 2);
         }
         assert!(

@@ -83,7 +83,7 @@ fn put_fa_cells(e: &mut Encoder, cells: &[FaCell]) {
 
 fn take_fa_cells(d: &mut Decoder<'_>) -> Result<Arc<[FaCell]>, StoreError> {
     let n = d.take_len()?;
-    let mut v = Vec::with_capacity(n);
+    let mut v = Vec::new();
     for _ in 0..n {
         v.push(take_fa_cell(d)?);
     }
@@ -144,7 +144,7 @@ pub fn take_netlist(d: &mut Decoder<'_>) -> Result<Netlist, StoreError> {
     }
     let n_outs = d.take_len()?;
     let net_count = out.net_count() as u32;
-    let mut outputs = Vec::with_capacity(n_outs);
+    let mut outputs = Vec::new();
     for _ in 0..n_outs {
         let o = d.take_u32()?;
         if o >= net_count {
@@ -466,7 +466,7 @@ pub fn take_library(d: &mut Decoder<'_>) -> Result<ComponentLibrary, StoreError>
     for _ in 0..n_classes {
         let sig = take_signature(d)?;
         let n = d.take_len()?;
-        let mut entries = Vec::with_capacity(n);
+        let mut entries = Vec::new();
         for _ in 0..n {
             entries.push(take_circuit_entry(d)?);
         }

@@ -160,11 +160,13 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads a collection length, bounded by the remaining stream so a
-    /// corrupt length cannot trigger a huge allocation.
+    /// Reads a collection's element count. Every encoded element takes at
+    /// least one byte, so a count above the remaining stream is corrupt.
+    /// Callers still grow their collections as elements decode rather than
+    /// reserve the claimed count, which a crafted blob controls.
     pub fn take_len(&mut self) -> Result<usize, StoreError> {
         let n = self.take_u64()?;
-        if n > self.remaining() as u64 * 8 + 64 {
+        if n > self.remaining() as u64 {
             return Err(StoreError::Invalid(format!("implausible length {n}")));
         }
         Ok(n as usize)

@@ -36,7 +36,7 @@ fn put_f64_slice(e: &mut Encoder, v: &[f64]) {
 
 fn take_f64_vec(d: &mut Decoder<'_>) -> Result<Vec<f64>, StoreError> {
     let n = d.take_len()?;
-    let mut v = Vec::with_capacity(n);
+    let mut v = Vec::new();
     for _ in 0..n {
         v.push(d.take_f64()?);
     }
@@ -105,7 +105,7 @@ fn put_tree(e: &mut Encoder, t: &DecisionTree) {
 fn take_tree(d: &mut Decoder<'_>) -> Result<DecisionTree, StoreError> {
     let config = take_tree_config(d)?;
     let n = d.take_len()?;
-    let mut nodes = Vec::with_capacity(n);
+    let mut nodes = Vec::new();
     for _ in 0..n {
         nodes.push(match d.take_u8()? {
             0 => NodeRepr::Leaf {
@@ -213,7 +213,7 @@ pub fn take_regressor(d: &mut Decoder<'_>) -> Result<Box<dyn Regressor>, StoreEr
             let seed = d.take_u64()?;
             let tree_config = take_tree_config(d)?;
             let n = d.take_len()?;
-            let mut trees = Vec::with_capacity(n);
+            let mut trees = Vec::new();
             for _ in 0..n {
                 trees.push(take_tree(d)?);
             }

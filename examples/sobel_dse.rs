@@ -15,7 +15,7 @@
 use autoax::evaluate::Evaluator;
 use autoax::model::{fidelity_report, fit_models, naive_models, EvaluatedSet};
 use autoax::preprocess::{preprocess, PreprocessOptions};
-use autoax::search::{random_sampling, run_search, SearchAlgo, SearchOptions};
+use autoax::search::{run_search, SearchAlgo, SearchOptions};
 use autoax::Configuration;
 use autoax_accel::sobel::SobelEd;
 use autoax_accel::Accelerator;
@@ -106,7 +106,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SearchOptions::default()
     };
     let hill = run_search(&pre.space, &estimator, &opts);
-    let rs = random_sampling(&pre.space, &estimator, &opts);
+    let random = SearchOptions {
+        strategy: SearchAlgo::Random,
+        ..opts
+    };
+    let rs = run_search(&pre.space, &estimator, &random);
     println!(
         "  {strategy}: {} pseudo-Pareto members; random sampling: {}",
         hill.len(),

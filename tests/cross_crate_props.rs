@@ -456,30 +456,26 @@ proptest! {
 
     #[test]
     fn estimate_batch_equals_per_row_estimate_for_every_engine(seed in any::<u64>()) {
-        // Property: for every learning engine of Table 3, the batched
-        // estimation path (one feature matrix + one predict per model)
-        // returns bitwise the same trade-off points as per-row estimation,
-        // for arbitrary configuration batches. This is the invariant that
-        // makes the island search's batch granularity semantically inert.
+        // Property: for every learning engine of Table 3, the slab path
+        // the search consumes (one `estimate_slice` over the whole batch)
+        // returns bitwise the same trade-off points as the scalar
+        // per-row `FittedModels::estimate`, for arbitrary batches. This
+        // is the invariant that makes a strategy's round size
+        // semantically inert.
         let (space, lib, fitted) = fitted_engine_zoo();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = 1 + (seed % 40) as usize;
         let configs: Vec<Configuration> = (0..n).map(|_| space.random(&mut rng)).collect();
+        let slab = autoax::search::ConfigBatch::from_configs(&configs);
         for (kind, models) in fitted {
-            let batch = models.estimate_batch(space, lib, &configs);
-            prop_assert_eq!(batch.len(), configs.len());
-            for (c, (bq, bh)) in configs.iter().zip(batch.iter()) {
-                let (q, h) = models.estimate(space, lib, c);
-                prop_assert_eq!(q.to_bits(), bq.to_bits(), "{}: qor diverged", kind);
-                prop_assert_eq!(h.to_bits(), bh.to_bits(), "{}: hw diverged", kind);
-            }
-            // and through the Estimator trait the search consumes
             let est = autoax::model::ModelEstimator::new(models, space, lib);
-            let pts = est.estimate_batch(&configs);
+            let mut pts = Vec::new();
+            est.estimate_slice(slab.as_slice(), &mut pts);
+            prop_assert_eq!(pts.len(), configs.len());
             for (c, p) in configs.iter().zip(pts.iter()) {
-                let one = est.estimate(c);
-                prop_assert_eq!(one.qor.to_bits(), p.qor.to_bits(), "{}", kind);
-                prop_assert_eq!(one.cost.to_bits(), p.cost.to_bits(), "{}", kind);
+                let (q, h) = models.estimate(space, lib, c);
+                prop_assert_eq!(q.to_bits(), p.qor.to_bits(), "{}: qor diverged", kind);
+                prop_assert_eq!(h.to_bits(), p.cost.to_bits(), "{}: hw diverged", kind);
             }
         }
     }

@@ -6,7 +6,8 @@ use autoax::evaluate::Evaluator;
 use autoax::model::{fidelity_report, fit_models, naive_models, EvaluatedSet};
 use autoax::pipeline::{run_pipeline, PipelineOptions};
 use autoax::preprocess::{preprocess, PreprocessOptions};
-use autoax::search::uniform_selection;
+use autoax::search::{run_search, uniform_selection, ConfigSlice, Estimator};
+use autoax::TradeoffPoint;
 use autoax_accel::gaussian_fixed::FixedGaussian;
 use autoax_accel::gaussian_generic::GenericGaussian;
 use autoax_accel::sobel::SobelEd;
@@ -177,6 +178,19 @@ fn hardware_netlists_of_configurations_are_simulable() {
     }
 }
 
+/// Hands every row to the model estimator in its own call: the finest
+/// estimation batch a strategy could use.
+struct RowByRow<'a>(autoax::model::ModelEstimator<'a>);
+
+impl Estimator for RowByRow<'_> {
+    fn estimate_slice(&self, rows: ConfigSlice<'_>, out: &mut Vec<TradeoffPoint>) {
+        for i in 0..rows.len() {
+            let row = ConfigSlice::new(rows.row(i), rows.stride());
+            self.0.estimate_slice(row, out);
+        }
+    }
+}
+
 #[test]
 fn pipeline_search_is_thread_and_batch_invariant() {
     // The island search must produce a byte-identical pseudo-Pareto set
@@ -185,7 +199,8 @@ fn pipeline_search_is_thread_and_batch_invariant() {
     let lib = tiny_lib();
     let imgs = images();
     let accel = SobelEd::new();
-    let run = |threads: usize, batch: usize| {
+    let quick = PipelineOptions::quick();
+    let run = |threads: usize| {
         run_pipeline(
             &accel,
             &lib,
@@ -193,31 +208,41 @@ fn pipeline_search_is_thread_and_batch_invariant() {
             &PipelineOptions {
                 search: autoax::SearchOptions {
                     threads,
-                    batch_size: batch,
-                    ..PipelineOptions::quick().search
+                    ..quick.search
                 },
                 ..PipelineOptions::quick()
             },
         )
         .expect("pipeline run")
     };
-    let reference = run(1, 1);
-    assert!(reference.timings.search_evals_per_sec > 0.0);
-    let ref_pseudo: Vec<(u64, u64, autoax::Configuration)> = reference
-        .pseudo_front
-        .iter()
-        .map(|(p, c)| (p.qor.to_bits(), p.cost.to_bits(), c.clone()))
-        .collect();
-    for (threads, batch) in [(2, 17), (8, 256)] {
-        let other = run(threads, batch);
-        let other_pseudo: Vec<(u64, u64, autoax::Configuration)> = other
-            .pseudo_front
+    let bits = |front: &autoax::ParetoFront<autoax::Configuration>| {
+        front
             .iter()
             .map(|(p, c)| (p.qor.to_bits(), p.cost.to_bits(), c.clone()))
-            .collect();
+            .collect::<Vec<_>>()
+    };
+    let reference = run(1);
+    assert!(reference.timings.search_evals_per_sec > 0.0);
+    let ref_pseudo = bits(&reference.pseudo_front);
+    // The pipeline's search, one row per estimator call.
+    let space = &reference.preprocessed.space;
+    let estimator = autoax::model::ModelEstimator::new(&reference.models, space, &lib);
+    let search = autoax::SearchOptions {
+        seed: quick.seed.wrapping_add(2),
+        ..quick.search
+    };
+    let row_by_row = run_search(space, &RowByRow(estimator), &search);
+    assert_eq!(
+        ref_pseudo,
+        bits(&row_by_row),
+        "one row per call moved the front"
+    );
+    for threads in [2, 8] {
+        let other = run(threads);
         assert_eq!(
-            ref_pseudo, other_pseudo,
-            "pseudo front diverged at threads={threads} batch={batch}"
+            ref_pseudo,
+            bits(&other.pseudo_front),
+            "pseudo front diverged at threads={threads}"
         );
         assert_eq!(reference.final_front.len(), other.final_front.len());
         for (a, b) in reference.final_front.iter().zip(other.final_front.iter()) {

@@ -1,9 +1,9 @@
-//! Tests of the Step-3 search engine: golden parity of the trait-based
-//! hill strategy against the pre-refactor `heuristic_pareto`, the hill
-//! front through the neighbour tables against the gather kernel,
-//! strategy selection through the pipeline, the pinned NSGA-II pipeline
-//! front and the NSGA-II hypervolume guarantee on the quick pipeline
-//! configuration.
+//! Tests of the Step-3 search engine: golden parity of the island hill
+//! climb against the original sequential implementation, the hill front
+//! through the neighbour tables against the gather kernel, every
+//! strategy's pinned front on the quick models, strategy selection
+//! through the pipeline, the pinned NSGA-II pipeline front and the
+//! NSGA-II hypervolume guarantee on the quick pipeline configuration.
 
 use autoax::config::{ConfigSpace, SlotChoices, SlotMember};
 use autoax::model::{fit_models, EvaluatedSet, ModelEstimator};
@@ -51,11 +51,11 @@ fn front_digest(front: &autoax::ParetoFront<Configuration>) -> u64 {
 
 #[test]
 fn hill_strategy_is_byte_identical_to_pre_refactor_heuristic_pareto() {
-    // Golden parity: these digests were captured from the pre-engine
-    // `heuristic_pareto` (commit 95a5961, before the SearchStrategy /
+    // Golden parity: these digests were captured from the original
+    // sequential hill climb (commit 95a5961, before the columnar
     // ConfigBatch refactor) on this exact space, estimator and options.
-    // The trait-based island hill climb must reproduce them bit for bit —
-    // points *and* payload genomes.
+    // The island hill climb must reproduce them bit for bit — points
+    // *and* payload genomes.
     let estimator = |c: &Configuration| {
         let a: f64 = c.genes().iter().map(|&v| (v as f64 + 1.0).ln()).sum();
         let b: f64 = c
@@ -116,16 +116,12 @@ fn quick_models() -> QuickModels {
     QuickModels { lib, pre, models }
 }
 
-/// Forwards only `estimate` and `estimate_slice` to a model estimator, so
-/// the trait's default `estimate_neighbours` sends every hill round to
-/// the gather kernel instead of the neighbour tables.
+/// Forwards only `estimate_slice` to a model estimator, so the trait's
+/// default `estimate_neighbours` sends every hill round to the gather
+/// kernel instead of the neighbour tables.
 struct SliceOnly<'a>(&'a ModelEstimator<'a>);
 
 impl Estimator for SliceOnly<'_> {
-    fn estimate(&self, c: &Configuration) -> TradeoffPoint {
-        self.0.estimate(c)
-    }
-
     fn estimate_slice(&self, rows: ConfigSlice<'_>, out: &mut Vec<TradeoffPoint>) {
         self.0.estimate_slice(rows, out);
     }
@@ -172,17 +168,14 @@ fn nsga2_hypervolume_at_least_random_sampling_on_quick_config() {
     // baseline, measured on jointly normalized estimated fronts.
     let q = quick_models();
     let estimator = ModelEstimator::new(&q.models, &q.pre.space, &q.lib);
-    let opts = SearchOptions {
+    let opts = |strategy| SearchOptions {
+        strategy,
         max_evals: PipelineOptions::quick().search.max_evals,
         seed: 42,
         ..SearchOptions::default()
     };
-    let nsga = SearchAlgo::Nsga2
-        .strategy()
-        .search(&q.pre.space, &estimator, &opts);
-    let rs = SearchAlgo::Random
-        .strategy()
-        .search(&q.pre.space, &estimator, &opts);
+    let nsga = run_search(&q.pre.space, &estimator, &opts(SearchAlgo::Nsga2));
+    let rs = run_search(&q.pre.space, &estimator, &opts(SearchAlgo::Random));
     assert!(!nsga.is_empty() && !rs.is_empty());
     let hv = joint_hypervolumes(&[&nsga.points(), &rs.points()]);
     assert!(
@@ -197,11 +190,14 @@ fn nsga2_hypervolume_at_least_random_sampling_on_quick_config() {
 fn every_strategy_produces_a_nonempty_minimal_front_on_quick_models() {
     let q = quick_models();
     let estimator = ModelEstimator::new(&q.models, &q.pre.space, &q.lib);
-    for algo in SearchAlgo::ALL {
-        // exhaustive only when the reduced space is small enough
-        if algo == SearchAlgo::Exhaustive && q.pre.space.size() > 1e6 {
-            continue;
-        }
+    // Pinned fronts: length and digest of each strategy's output.
+    for (algo, len, digest) in [
+        (SearchAlgo::Hill, 40, 0x4729_1b3a_5a05_db4e_u64),
+        (SearchAlgo::Nsga2, 63, 0x58f7_cec9_e61a_7575),
+        (SearchAlgo::Random, 27, 0x728d_926f_2cc1_9dcb),
+        (SearchAlgo::Uniform, 5, 0x17a9_452c_0a15_ad89),
+        (SearchAlgo::Exhaustive, 80, 0xba5c_76ce_7f60_69ab),
+    ] {
         let opts = SearchOptions {
             strategy: algo,
             max_evals: 2000,
@@ -210,6 +206,8 @@ fn every_strategy_produces_a_nonempty_minimal_front_on_quick_models() {
         };
         let front = run_search(&q.pre.space, &estimator, &opts);
         assert!(!front.is_empty(), "{algo}: empty front");
+        assert_eq!(front.len(), len, "{algo}: front size changed");
+        assert_eq!(front_digest(&front), digest, "{algo}: front drifted");
         let pts = front.points();
         for (i, a) in pts.iter().enumerate() {
             for (j, b) in pts.iter().enumerate() {
@@ -246,15 +244,14 @@ fn nsga2_pipeline_is_deterministic_and_thread_invariant() {
     let lib =
         autoax_circuit::charlib::build_library(&autoax_circuit::charlib::LibraryConfig::tiny());
     let images = autoax_image::synthetic::benchmark_suite(2, 64, 48, 9);
-    let run = |threads: usize, batch: usize| {
+    let run = |threads: usize| {
         let mut opts = PipelineOptions::quick().with_strategy(SearchAlgo::Nsga2);
         opts.search.threads = threads;
-        opts.search.batch_size = batch;
         run_pipeline(&accel, &lib, &images, &opts).expect("nsga2 pipeline")
     };
-    let reference = run(1, 1);
+    let reference = run(1);
     // Pinned plain NSGA-II output on this setup; the loop below holds
-    // every other threads/batch setting to the same fronts.
+    // every other thread count to the same fronts.
     assert_eq!(reference.pseudo_front.len(), 109, "nsga2 pseudo front size");
     assert_eq!(reference.final_front.len(), 18, "nsga2 final front size");
     assert_eq!(
@@ -267,8 +264,8 @@ fn nsga2_pipeline_is_deterministic_and_thread_invariant() {
         .iter()
         .map(|(p, c)| (p.qor.to_bits(), p.cost.to_bits(), c.clone()))
         .collect();
-    for (threads, batch) in [(2, 17), (8, 256)] {
-        let other = run(threads, batch);
+    for threads in [2, 8] {
+        let other = run(threads);
         let other_pseudo: Vec<(u64, u64, Configuration)> = other
             .pseudo_front
             .iter()
@@ -276,7 +273,7 @@ fn nsga2_pipeline_is_deterministic_and_thread_invariant() {
             .collect();
         assert_eq!(
             ref_pseudo, other_pseudo,
-            "nsga2 pseudo front diverged at threads={threads} batch={batch}"
+            "nsga2 pseudo front diverged at threads={threads}"
         );
         assert_eq!(reference.final_front.len(), other.final_front.len());
         for (a, b) in reference.final_front.iter().zip(other.final_front.iter()) {
