@@ -27,7 +27,7 @@
 //! ```
 
 use crate::accelerator::{OpSet, OpSlot};
-use crate::profile::Pmf;
+use crate::profile::{absorb_slots, Pmf};
 use autoax_circuit::netlist::{Bus, Netlist};
 use autoax_circuit::util::mask;
 use autoax_circuit::OpSignature;
@@ -254,34 +254,27 @@ impl Dataflow {
     /// Step 1a: runs the exact software model over every image and mode
     /// and returns each slot's operand-pair [`Pmf`].
     ///
-    /// Images are profiled in parallel through the execution layer's
-    /// chunked map-reduce; the per-image counts merge commutatively, so
-    /// the result is identical at any thread count.
+    /// Images are profiled in parallel and their per-image counts merged
+    /// in input order ([`absorb_slots`]), so the result is identical at
+    /// any thread count.
     pub fn profile(&self, images: &[GrayImage]) -> Vec<Pmf> {
         let exact = OpSet::exact_slots(&self.slots);
         let empty = || -> Vec<Pmf> { self.slots.iter().map(|_| Pmf::new()).collect() };
-        autoax_exec::map_reduce(
-            images,
-            |img| {
-                let taps = gather(img);
-                let mut pmfs = empty();
-                for mode in 0..self.modes.len() {
-                    self.execute(&taps, mode, &exact, |slot, a, b| {
-                        let pmf = &mut pmfs[slot];
-                        for (&x, &y) in a.iter().zip(b) {
-                            pmf.add(x, y);
-                        }
-                    });
-                }
-                pmfs
-            },
-            |mut acc, next| {
-                for (a, b) in acc.iter_mut().zip(next) {
-                    a.absorb(b);
-                }
-                acc
-            },
-        )
+        autoax_exec::par_map(images, |img| {
+            let taps = gather(img);
+            let mut pmfs = empty();
+            for mode in 0..self.modes.len() {
+                self.execute(&taps, mode, &exact, |slot, a, b| {
+                    let pmf = &mut pmfs[slot];
+                    for (&x, &y) in a.iter().zip(b) {
+                        pmf.add(x, y);
+                    }
+                });
+            }
+            pmfs
+        })
+        .into_iter()
+        .reduce(absorb_slots)
         .unwrap_or_else(empty)
     }
 

@@ -52,5 +52,5 @@ pub mod workload;
 
 pub use accelerator::{Accelerator, CompiledOp, OpSet, OpSlot};
 pub use dataflow::Dataflow;
-pub use profile::{Pmf, PmfRecorder};
+pub use profile::{absorb_slots, Pmf, PmfRecorder};
 pub use workload::Workload;

@@ -131,6 +131,15 @@ impl Pmf {
     }
 }
 
+/// Merges `next` into `acc` slot by slot: the fold over per-sample
+/// profiles that a parallel Step-1 run reduces in input order.
+pub fn absorb_slots(mut acc: Vec<Pmf>, next: Vec<Pmf>) -> Vec<Pmf> {
+    for (a, b) in acc.iter_mut().zip(next) {
+        a.absorb(b);
+    }
+    acc
+}
+
 /// An [`OpObserver`] that accumulates one [`Pmf`] per slot — the Step-1
 /// profiling hook, public so non-image workloads (e.g. `autoax-nn`) can
 /// drive their own exact runs through it.

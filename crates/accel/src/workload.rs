@@ -111,7 +111,7 @@ impl<A: Accelerator + ?Sized> Workload for A {
     fn golden(&self, samples: &[GrayImage]) -> Vec<Vec<SsimReference>> {
         let df = self.dataflow();
         let exact = OpSet::exact_slots(df.slots());
-        autoax_exec::par_map_coarse(samples, |img| {
+        autoax_exec::par_map(samples, |img| {
             df.run(img, &exact).iter().map(SsimReference::new).collect()
         })
     }

@@ -56,7 +56,8 @@ use crate::sim;
 use crate::synth::{self, HwReport};
 use crate::util::{mask, splitmix64, stimulus_pairs};
 use crate::{OpKind, OpSignature};
-use autoax_exec::par_map_coarse;
+use autoax_exec::hash::Fnv64;
+use autoax_exec::par_map;
 use autoax_telemetry as telemetry;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -347,7 +348,7 @@ fn build_class_chunked(
             if entries.len() >= target {
                 break;
             }
-            let results = par_map_coarse(part, |b| bench.characterize(b));
+            let results = par_map(part, |b| bench.characterize(b));
             characterized += part.len();
             for (behavior, (err, hw, fingerprint)) in part.iter().zip(results) {
                 if entries.len() >= target {
@@ -469,9 +470,9 @@ impl ClassBench {
                 })
             }),
         }
-        fold.hash((hw.area * 16.0).round() as u64);
-        fold.hash((hw.delay * 1024.0).round() as u64);
-        (fold.stats.finish(), hw, fold.fp)
+        fold.fp.word((hw.area * 16.0).round() as u64);
+        fold.fp.word((hw.delay * 1024.0).round() as u64);
+        (fold.stats.finish(), hw, fold.fp.finish())
     }
 
     /// Simulates a netlist on the class's stimulus, handing each block's
@@ -503,7 +504,7 @@ fn exact_block(block: usize, wa: u32, op: impl Fn(u32, u32) -> u32) -> [u32; 64]
 struct Fold {
     stats: ErrorStats,
     /// Word-level FNV-1a.
-    fp: u64,
+    fp: Fnv64,
     assignments: usize,
 }
 
@@ -511,14 +512,9 @@ impl Fold {
     fn new(assignments: usize) -> Self {
         Fold {
             stats: ErrorStats::new(),
-            fp: 0xcbf2_9ce4_8422_2325, // FNV offset basis
+            fp: Fnv64::new(),
             assignments,
         }
-    }
-
-    #[inline]
-    fn hash(&mut self, word: u64) {
-        self.fp = (self.fp ^ word).wrapping_mul(0x100_0000_01b3);
     }
 
     /// Folds block `block`, where `words[o]` holds output `o` in all 64
@@ -529,7 +525,7 @@ impl Fold {
         let first = 64 * block;
         let lanes = (self.assignments - first).min(64);
         for &word in words {
-            self.hash(word & mask(lanes as u32));
+            self.fp.word(word & mask(lanes as u32));
         }
         let mut results = [0u64; 64];
         sim::block_results(words, &mut results);
@@ -852,7 +848,6 @@ fn fill_candidates(sig: OpSignature, n: usize, cfg: &LibraryConfig, seed: u64) -
 mod tests {
     use super::*;
     use crate::error::tests::{metric_bits, SequentialStats};
-    use autoax_exec::par_map;
     use proptest::prelude::*;
     use std::collections::HashMap;
 

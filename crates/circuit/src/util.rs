@@ -1,8 +1,4 @@
 //! Small shared helpers: bit masks and deterministic stimulus generation.
-//!
-//! The parallel map that used to live here moved to the dedicated
-//! execution-layer crate ([`autoax_exec::par_map`]) so every layer of the
-//! stack (circuit, ml, core, accel) can share one thread-count knob.
 
 /// Returns a mask with the lowest `w` bits set (`w == 64` returns all ones).
 ///
@@ -19,16 +15,7 @@ pub const fn mask(w: u32) -> u64 {
     }
 }
 
-/// SplitMix64 step — a tiny, high-quality deterministic PRNG used for
-/// reproducible stimulus streams without threading `rand` state everywhere.
-#[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use autoax_exec::hash::splitmix64;
 
 /// Deterministic stream of operand pairs for an `(wa, wb)`-bit binary
 /// operation, seeded by `seed`.

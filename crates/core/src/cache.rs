@@ -314,6 +314,7 @@ mod tests {
         let images = benchmark_suite(2, 48, 32, 5);
         let opts = PipelineOptions::quick();
         let base = pipeline_cache_key(&accel, &lib, &images, &opts);
+        assert_eq!(base.hex(), "5854a71cb0e7ce042d9ca81e9b5cc33f");
 
         // same inputs -> same key
         assert_eq!(base, pipeline_cache_key(&accel, &lib, &images, &opts));

@@ -132,7 +132,7 @@ impl<'a, W: Workload + ?Sized> Evaluator<'a, W> {
         };
         let mut span = telemetry::span("evaluate.batch");
         let before = cached();
-        let evals = autoax_exec::par_map_coarse(configs, |c| self.evaluate(c));
+        let evals = autoax_exec::par_map(configs, |c| self.evaluate(c));
         span.field("configs", configs.len());
         span.field("compiled", cached() - before);
         evals

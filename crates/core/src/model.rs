@@ -23,6 +23,7 @@ use autoax_ml::linalg::Matrix;
 use autoax_ml::linear::LinearFixed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// QoR model features of a configuration: per-slot WMED.
 pub fn qor_features(space: &ConfigSpace, c: &Configuration) -> Vec<f64> {
@@ -189,9 +190,12 @@ impl FittedModels {
 /// `estimate_neighbours` runs the forest's leaf-bitvector neighbour
 /// table where the bake built one. Other engines keep the
 /// matrix path: features are gathered into reused scratch and predicted
-/// with one batched [`Regressor::predict_into`] per model. Every path is
+/// with one batched [`Regressor::predict`] per model. Every path is
 /// bitwise identical to the scalar [`qor_features`]/[`hw_features`]
 /// estimation.
+///
+/// The adapter counts the rows it estimates ([`ModelEstimator::estimates`]),
+/// so a run's search throughput counts that run's estimates alone.
 pub struct ModelEstimator<'a> {
     /// The fitted QoR and hardware models.
     pub models: &'a FittedModels,
@@ -207,6 +211,8 @@ pub struct ModelEstimator<'a> {
     qor_fused: Option<autoax_ml::GatherForest>,
     /// Fused hardware kernel (compiled forest with baked hw tables).
     hw_fused: Option<autoax_ml::GatherForest>,
+    /// Rows estimated so far, by every thread.
+    estimates: AtomicU64,
 }
 
 impl<'a> ModelEstimator<'a> {
@@ -264,7 +270,14 @@ impl<'a> ModelEstimator<'a> {
             hw_table,
             qor_fused,
             hw_fused,
+            estimates: AtomicU64::new(0),
         }
+    }
+
+    /// Rows estimated so far through this adapter, by every thread: the
+    /// numerator of the pipeline's search throughput.
+    pub fn estimates(&self) -> u64 {
+        self.estimates.load(Ordering::Relaxed)
     }
 
     /// Node encoding each model runs on: `"mask32"` or `"quant"` when it
@@ -337,12 +350,13 @@ impl ModelEstimator<'_> {
         if n == 0 {
             return;
         }
+        self.estimates.fetch_add(n as u64, Ordering::Relaxed);
         let slots = rows.stride();
         debug_assert_eq!(slots, self.space.slot_count(), "genome shape mismatch");
         // Per-thread scratch reused across calls (a search makes tens of
         // thousands of slice calls; neither the feature gather nor the
-        // prediction output may allocate per round): feature slabs for
-        // the matrix path, prediction vectors for both paths.
+        // fused kernels' output may allocate per round): feature slabs for
+        // the matrix path, prediction vectors for the fused kernels.
         thread_local! {
             #[allow(clippy::type_complexity)]
             static SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>)> =
@@ -365,7 +379,7 @@ impl ModelEstimator<'_> {
                         }
                     }
                     let qm = Matrix::from_vec(n, slots, std::mem::take(&mut qdata));
-                    self.models.qor.predict_into(&qm, &mut qpred);
+                    qpred = self.models.qor.predict(&qm);
                     qdata = qm.into_vec();
                 }
             }
@@ -380,7 +394,7 @@ impl ModelEstimator<'_> {
                         }
                     }
                     let hm = Matrix::from_vec(n, slots * 3, std::mem::take(&mut hdata));
-                    self.models.hw.predict_into(&hm, &mut hpred);
+                    hpred = self.models.hw.predict(&hm);
                     hdata = hm.into_vec();
                 }
             }

@@ -23,6 +23,7 @@ use crate::preprocess::{preprocess_with_pmfs, PreprocessOptions, Preprocessed};
 use crate::search::{run_search_cancellable, SearchAlgo, SearchOptions};
 use autoax_accel::Workload;
 use autoax_circuit::charlib::ComponentLibrary;
+use autoax_exec::hash::Fnv64;
 use autoax_ml::EngineKind;
 use autoax_store::cache::{BlobStore, CacheMode, Loaded, Store};
 use autoax_telemetry as telemetry;
@@ -45,7 +46,7 @@ pub struct PipelineOptions {
     /// The complete Step-3 search configuration: strategy
     /// ([`SearchOptions::strategy`]), estimate budget
     /// ([`SearchOptions::max_evals`]; paper: 10^5 Sobel, 10^6 GF),
-    /// stagnation limit, islands, batch size and worker threads — one
+    /// stagnation limit, islands, uniform levels and worker threads — one
     /// embedded [`SearchOptions`] instead of field-by-field re-declared
     /// knobs. [`SearchOptions::seed`] is ignored: the pipeline derives
     /// the search seed from [`PipelineOptions::seed`].
@@ -184,8 +185,8 @@ pub struct PipelineTimings {
     /// Name of the [`SearchAlgo`] that produced the pseudo front.
     pub search_strategy: &'static str,
     /// Search estimate throughput: model evaluations per second of wall
-    /// clock, with the numerator counted at the estimator
-    /// ([`crate::search::SearchTimings::estimates`]): the
+    /// clock, with the numerator counted by this run's estimator
+    /// ([`ModelEstimator::estimates`]): the
     /// [`SearchOptions::max_evals`] budget for the budgeted strategies,
     /// and the real row count for the ones that ignore it (`uniform`
     /// estimates its level grid, `exhaustive` the whole space).
@@ -230,8 +231,8 @@ pub struct PipelineResult {
 }
 
 impl PipelineResult {
-    /// FNV-style digest of the final front: the bit patterns of every
-    /// member's QoR, area and energy, in front order.
+    /// FNV-1a digest of the final front, one word step per value: the bit
+    /// patterns of every member's QoR, area and energy, in front order.
     ///
     /// This is the byte-identity fingerprint the examples print as
     /// `front-digest:` and the CI cache-smoke jobs and the golden-parity
@@ -239,17 +240,13 @@ impl PipelineResult {
     /// implementation so the pinned values can never drift apart from
     /// what the examples report.
     pub fn front_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut push = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
+        let mut h = Fnv64::new();
         for m in &self.final_front {
-            push(m.qor.to_bits());
-            push(m.area.to_bits());
-            push(m.energy.to_bits());
+            h.word(m.qor.to_bits());
+            h.word(m.area.to_bits());
+            h.word(m.energy.to_bits());
         }
-        h
+        h.finish()
     }
 
     /// Table 5 row: `log10` sizes after each reduction step.
@@ -418,12 +415,11 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     }
     let mut sp_search = telemetry::span("pipeline.step3.search");
     sp_search.field("strategy", opts.search.strategy.name());
-    let estimates_at_t3 = crate::search::SearchTimings::snapshot();
     let search_opts = SearchOptions {
         seed: opts.seed.wrapping_add(2),
         ..opts.search
     };
-    let pseudo_front = {
+    let (pseudo_front, estimates) = {
         let estimator = ModelEstimator::new(&models, &pre.space, lib);
         // Which kernel each model runs: its node encoding (or the matrix
         // path) and whether the hill climb gets a neighbour table.
@@ -433,21 +429,18 @@ pub fn run_pipeline<W: Workload + ?Sized>(
         sp_search.field("hw_engine", hw_engine);
         sp_search.field("qor_neighbour_table", qor_table);
         sp_search.field("hw_neighbour_table", hw_table);
-        run_search_cancellable(&pre.space, &estimator, &search_opts, &opts.cancel)
+        let front = run_search_cancellable(&pre.space, &estimator, &search_opts, &opts.cancel);
+        (front, estimator.estimates())
     };
     let t_search = sp_search.finish();
-    let estimates = crate::search::SearchTimings::snapshot()
-        .since(&estimates_at_t3)
-        .estimates;
     // A mid-search cancellation leaves a truncated front; refuse to pass
     // it off as a result.
     if opts.cancel.is_cancelled() {
         return Err(AutoAxError::Cancelled);
     }
-    // Throughput over the rows the estimator actually saw — for budgeted
+    // Throughput over the rows this run's estimator saw — for budgeted
     // strategies this equals max_evals; uniform and exhaustive get their
-    // real denominators (level grid / space size) instead of the
-    // historical hardcoded 0.
+    // real denominators (level grid / space size).
     let search_evals_per_sec = estimates as f64 / t_search.as_secs_f64().max(1e-12);
 
     // Step 3b: real evaluation of the pseudo-Pareto set (capped), final

@@ -21,7 +21,8 @@
 //! makes estimation throughput the Step-3 bottleneck. The search
 //! therefore runs a **multi-start island** variant: `islands` independent
 //! copies of Algorithm 1, each with its own RNG stream derived from the
-//! master seed, executed on scoped worker threads. Each island proposes
+//! master seed, executed in parallel on the execution layer's persistent
+//! worker pool ([`autoax_exec::par_map_owned_with`]). Each island proposes
 //! candidates in fixed-size *rounds* — every candidate of a round is a
 //! neighbour of the island's current parent, generated before any of the
 //! round's estimates are consumed — so the round can be estimated with one
@@ -50,6 +51,7 @@ use super::{ConfigBatch, Estimator, SearchAlgo};
 use crate::config::{ConfigSpace, Configuration};
 use crate::job::CancelToken;
 use crate::pareto::{ParetoFront, TradeoffPoint};
+use autoax_exec::hash::mix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,10 +124,7 @@ struct Island {
 /// SplitMix64-style per-island seed derivation: decorrelates the island
 /// RNG streams from each other and from the master seed.
 fn island_seed(master: u64, island: u64) -> u64 {
-    let mut z = master ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(island.wrapping_add(1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(master ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(island.wrapping_add(1)))
 }
 
 impl Island {

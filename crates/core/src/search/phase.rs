@@ -19,7 +19,10 @@
 //! [`SearchTimings`] keeps one process-wide count: the rows sent through
 //! the estimator, the honest denominator for evals/s even for strategies
 //! that ignore [`super::SearchOptions::max_evals`] (uniform's level grid,
-//! exhaustive's full enumeration). Usage is snapshot-diff:
+//! exhaustive's full enumeration). Being process-wide, it also counts any
+//! search running beside the one measured; a pipeline run takes its own
+//! count from [`crate::model::ModelEstimator::estimates`] instead. Usage
+//! is snapshot-diff:
 //!
 //! ```
 //! use autoax::search::SearchTimings;

@@ -1,14 +1,12 @@
-//! Persistent fork-join worker pool behind the scoped primitives.
+//! Persistent fork-join worker pool behind [`crate::par_map`] and
+//! [`crate::par_map_owned_with`].
 //!
-//! Before this module existed, every [`crate::par_map`] /
-//! [`crate::par_map_range`] / [`crate::par_map_owned_with`] call paid for
-//! `std::thread::scope` + one OS thread spawn per chunk. A search run
-//! performs thousands of such bursts (one per island epoch, one per
-//! characterization batch, one per forest-prediction slab), so the spawn
-//! cost — tens of microseconds each — was a measurable fraction of the
-//! hot path. This module keeps a process-wide set of long-lived workers
-//! behind a condvar-guarded job queue and hands them *bursts*: a fixed
-//! number of index-addressed tasks plus a completion latch.
+//! A search run performs thousands of parallel bursts (one per island
+//! epoch, one per characterization batch), and a thread spawn costs tens
+//! of microseconds, so spawning per burst would be a measurable fraction
+//! of the hot path. This module keeps a process-wide set of long-lived
+//! workers behind a condvar-guarded job queue and hands them *bursts*: a
+//! fixed number of index-addressed tasks plus a completion latch.
 //!
 //! ## Determinism contract
 //!
@@ -18,24 +16,23 @@
 //! atomic `fetch_add`, so scheduling only affects *which thread* runs a
 //! task, never the task→slot association. Combined with the fixed
 //! chunking of the callers (chunk boundaries derive from the requested
-//! thread count, not from the pool state), results are byte-identical to
-//! the old scoped-spawn implementation at every thread count.
+//! thread count, not from the pool state), results are byte-identical at
+//! every thread count.
 //!
 //! ## Blocking and nesting
 //!
 //! The submitting thread participates in its own burst (it claims indices
 //! like any worker) and only then waits on the latch. Because of that, a
 //! burst always makes progress even when every pool worker is busy — in
-//! particular a task may itself submit a nested burst (e.g. island search
-//! calling batched forest prediction) without deadlocking: the inner
-//! submitter simply runs its own tasks inline if nobody is free.
+//! particular a task may itself submit a nested burst (a parallel map
+//! whose per-item work maps in parallel again) without deadlocking: the
+//! inner submitter simply runs its own tasks inline if nobody is free.
 //!
 //! ## Panics
 //!
 //! A panicking task is caught on the worker (keeping the thread alive for
 //! future bursts), recorded on the job, and re-raised on the submitting
-//! thread once the burst completes — same observable behavior as the old
-//! `join().expect(..)`.
+//! thread once the burst completes, as joining a panicked thread would.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

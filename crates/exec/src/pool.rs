@@ -1,11 +1,11 @@
 //! A reusable fixed-size worker pool.
 //!
-//! The scoped primitives in the crate root ([`crate::par_map`] and
-//! friends) spawn threads per call — right for a single data-parallel
-//! burst, wasteful for a long-lived service that handles an open-ended
-//! stream of independent tasks (e.g. one task per accepted connection in
-//! `autoax-serve`). [`WorkerPool`] keeps `n` threads alive behind a
-//! condvar-guarded queue:
+//! The parallel maps in the crate root ([`crate::par_map`] and
+//! [`crate::par_map_owned_with`]) run fork-join bursts: the caller blocks
+//! until every task of its burst is done. A long-lived service handles an
+//! open-ended stream of independent tasks instead (e.g. one task per
+//! accepted connection in `autoax-serve`). [`WorkerPool`] keeps `n`
+//! threads alive behind a condvar-guarded queue:
 //!
 //! * [`WorkerPool::submit`] enqueues a boxed closure; a bounded queue
 //!   rejects work instead of buffering unboundedly;

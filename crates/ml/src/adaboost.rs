@@ -4,6 +4,7 @@
 use crate::engine::{Regressor, TrainError};
 use crate::linalg::Matrix;
 use crate::tree::{DecisionTree, TreeConfig};
+use autoax_exec::hash::splitmix64;
 
 /// AdaBoost.R2 regressor with linear loss.
 #[derive(Debug, Clone)]
@@ -52,13 +53,7 @@ impl Regressor for AdaBoost {
         self.models.clear();
         let mut weights = vec![1.0 / n as f64; n];
         let mut st = self.seed ^ 0xADA_B005_7000_0001;
-        let next = |st: &mut u64| {
-            *st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *st;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) as f64 / u64::MAX as f64
-        };
+        let next = |st: &mut u64| splitmix64(st) as f64 / u64::MAX as f64;
         for round in 0..self.n_estimators {
             // weighted bootstrap resample
             let cdf: Vec<f64> = weights

@@ -79,12 +79,12 @@
 use crate::engine::TrainError;
 use crate::forest::RandomForest;
 use crate::tree::{DecisionTree, NodeRepr};
+use autoax_exec::hash::Fnv64;
 
 /// Rows per traversal block: one tree's records are reused across this
-/// many rows before the next tree streams in. Matches the cache-blocking
-/// of [`RandomForest::predict`], comfortably covers the search layer's
-/// 32-candidate estimation rounds, and is a multiple of both AVX2 lane
-/// widths.
+/// many rows before the next tree streams in. Comfortably covers the
+/// search layer's 32-candidate estimation rounds, and is a multiple of
+/// both AVX2 lane widths.
 const BLOCK: usize = 64;
 
 /// All trees of a fitted ensemble flattened into one structure-of-arrays
@@ -219,31 +219,31 @@ impl CompiledForest {
     /// are interchangeable iff their digests match, which is how the
     /// store round-trip (compile → export → reload → recompile) is pinned.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv64::new();
         for &f in &self.feature {
-            h.u32(f);
+            h.bytes(&f.to_le_bytes());
         }
         for &t in &self.threshold {
-            h.u64(t.to_bits());
+            h.bytes(&t.to_bits().to_le_bytes());
         }
         for &l in &self.left {
-            h.u32(l);
+            h.bytes(&l.to_le_bytes());
         }
         for &r in &self.right {
-            h.u32(r);
+            h.bytes(&r.to_le_bytes());
         }
         for &v in &self.leaf {
-            h.u64(v.to_bits());
+            h.bytes(&v.to_bits().to_le_bytes());
         }
         for &r in &self.roots {
-            h.u32(r);
+            h.bytes(&r.to_le_bytes());
         }
         for &d in &self.depths {
-            h.u32(d);
+            h.bytes(&d.to_le_bytes());
         }
-        h.u64(self.n_features as u64);
-        h.u64(self.divisor.to_bits());
-        h.0
+        h.bytes(&(self.n_features as u64).to_le_bytes());
+        h.bytes(&self.divisor.to_bits().to_le_bytes());
+        h.finish()
     }
 
     /// Bakes a per-slot feature table into the arena, producing the fused
@@ -1061,28 +1061,6 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// FNV-1a 64 running hash.
-struct Fnv(u64);
-
-impl Fnv {
-    const PRIME: u64 = 0x100_0000_01B3;
-
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1258,9 +1236,9 @@ mod tests {
 
     #[test]
     fn fnv_matches_the_fnv1a_64_known_answer() {
-        let mut h = Fnv::new();
-        h.u32(u32::from_le_bytes(*b"abcd"));
-        assert_eq!(h.0, 0xfc17_9f83_ee07_24dd);
+        let mut h = Fnv64::new();
+        h.bytes(&u32::from_le_bytes(*b"abcd").to_le_bytes());
+        assert_eq!(h.finish(), 0xfc17_9f83_ee07_24dd);
     }
 
     #[test]

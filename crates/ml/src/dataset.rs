@@ -1,6 +1,7 @@
 //! Feature standardization and train/test utilities shared by the engines.
 
 use crate::linalg::Matrix;
+use autoax_exec::hash::splitmix64;
 
 /// Per-column standardization (zero mean, unit variance) fitted on
 /// training data and applied to new rows.
@@ -124,12 +125,7 @@ pub fn shuffled_indices(n: usize, seed: u64) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
     let mut st = seed ^ 0x517C_C1B7_2722_0A95;
     for i in (1..n).rev() {
-        st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = st;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let j = (z % (i as u64 + 1)) as usize;
+        let j = (splitmix64(&mut st) % (i as u64 + 1)) as usize;
         idx.swap(i, j);
     }
     idx

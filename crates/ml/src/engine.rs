@@ -42,28 +42,12 @@ pub trait Regressor: Send + Sync {
     /// Predicts the target for one feature row.
     fn predict_row(&self, row: &[f64]) -> f64;
 
-    /// Predicts targets for every row of `x`.
-    ///
-    /// The default implementation maps [`Regressor::predict_row`] over the
-    /// rows through the execution layer, parallelizing large batches
-    /// across [`autoax_exec::thread_count`] workers; per-row results are
-    /// bitwise identical to calling `predict_row` directly, at any thread
-    /// count.
+    /// Predicts targets for every row of `x`: [`Regressor::predict_row`]
+    /// mapped over the rows with [`autoax_exec::par_map`], so every value
+    /// is bitwise identical to the per-row call at any thread count.
     fn predict(&self, x: &Matrix) -> Vec<f64> {
         let rows: Vec<&[f64]> = x.rows_iter().collect();
         autoax_exec::par_map(&rows, |r| self.predict_row(r))
-    }
-
-    /// Predicts targets for every row of `x` into a caller-owned vector
-    /// (cleared first), so hot loops reuse the output allocation across
-    /// rounds the way they already reuse their feature scratch.
-    ///
-    /// The default delegates to [`Regressor::predict`]; engines with an
-    /// allocation-free batch path override this to write `out` directly.
-    /// Results are bitwise identical to [`Regressor::predict`].
-    fn predict_into(&self, x: &Matrix, out: &mut Vec<f64>) {
-        out.clear();
-        out.append(&mut self.predict(x));
     }
 
     /// Concrete-type view for serialization (`autoax-store` downcasts

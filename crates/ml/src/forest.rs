@@ -4,6 +4,7 @@
 use crate::engine::{Regressor, TrainError};
 use crate::linalg::Matrix;
 use crate::tree::{DecisionTree, TreeConfig};
+use autoax_exec::hash::splitmix64;
 
 /// Random forest regressor.
 #[derive(Debug, Clone)]
@@ -69,13 +70,7 @@ impl Regressor for RandomForest {
         for t in 0..self.n_trees {
             // bootstrap resample
             let idx: Vec<usize> = (0..n)
-                .map(|_| {
-                    st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let mut z = st;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                    ((z ^ (z >> 31)) % n as u64) as usize
-                })
+                .map(|_| (splitmix64(&mut st) % n as u64) as usize)
                 .collect();
             let mut tree = DecisionTree::new(TreeConfig {
                 seed: self.seed.wrapping_add(t as u64),
@@ -92,52 +87,6 @@ impl Regressor for RandomForest {
             return 0.0;
         }
         self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>() / self.trees.len() as f64
-    }
-
-    /// Batched prediction tuned for the estimation hot path: rows are
-    /// processed in fixed blocks (scheduled through
-    /// [`autoax_exec::par_map_range`]) and trees walk each block in the
-    /// outer loop, so one tree's nodes stay cache-hot across the whole
-    /// block. The per-row additions happen in tree order, exactly as in
-    /// [`RandomForest::predict_row`], so results are bitwise identical at
-    /// any thread count.
-    ///
-    /// The matrix is indexed directly and each block accumulates into a
-    /// stack array — no per-call row/block index vectors, no per-block
-    /// heap scratch.
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        let mut out = Vec::with_capacity(x.nrows());
-        self.predict_into(x, &mut out);
-        out
-    }
-
-    /// [`RandomForest::predict`] into a reused output vector.
-    fn predict_into(&self, x: &Matrix, out: &mut Vec<f64>) {
-        out.clear();
-        if self.trees.is_empty() {
-            out.resize(x.nrows(), 0.0);
-            return;
-        }
-        // Fixed block size: keeps results independent of the worker count
-        // and matches the search layer's estimation round granularity.
-        const BLOCK: usize = 32;
-        let n_trees = self.trees.len() as f64;
-        let parts = autoax_exec::par_map_range(x.nrows(), BLOCK, |range| {
-            let mut acc = [0.0f64; BLOCK];
-            let len = range.len();
-            for tree in &self.trees {
-                for (a, r) in acc[..len].iter_mut().zip(range.clone()) {
-                    *a += tree.predict_row(x.row(r));
-                }
-            }
-            for a in &mut acc[..len] {
-                *a /= n_trees;
-            }
-            (acc, len)
-        });
-        for (acc, len) in parts {
-            out.extend_from_slice(&acc[..len]);
-        }
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -213,21 +162,6 @@ mod tests {
                 "row {i} diverged"
             );
         }
-    }
-
-    #[test]
-    fn predict_into_reuses_the_output_allocation() {
-        let (x, y) = nonlinear_data(90);
-        let mut f = RandomForest::new(2).with_trees(10);
-        f.fit(&x, &y).unwrap();
-        let mut out = vec![99.0; 7]; // stale content must be cleared
-        f.predict_into(&x, &mut out);
-        assert_eq!(out, f.predict(&x));
-        let cap = out.capacity();
-        let ptr = out.as_ptr();
-        f.predict_into(&x, &mut out);
-        assert_eq!(out.capacity(), cap, "refill must not reallocate");
-        assert_eq!(out.as_ptr(), ptr);
     }
 
     #[test]

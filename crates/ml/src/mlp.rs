@@ -4,6 +4,7 @@
 use crate::dataset::{shuffled_indices, Standardizer, TargetScaler};
 use crate::engine::{Regressor, TrainError};
 use crate::linalg::Matrix;
+use autoax_exec::hash::splitmix64;
 
 /// MLP regressor: `d -> hidden (ReLU) -> 1`, trained with Adam on MSE.
 #[derive(Debug, Clone)]
@@ -112,11 +113,7 @@ impl Regressor for Mlp {
             // sum of 4 uniforms, roughly gaussian, scaled
             let mut s = 0.0;
             for _ in 0..4 {
-                st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = st;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                s += (z ^ (z >> 31)) as f64 / u64::MAX as f64;
+                s += splitmix64(&mut st) as f64 / u64::MAX as f64;
             }
             (s - 2.0) * 1.732 // variance ~1
         };

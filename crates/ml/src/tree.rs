@@ -188,7 +188,8 @@ impl DecisionTree {
         let n_feats = self.config.max_features.unwrap_or(d).min(d).max(1);
         let mut features: Vec<usize> = (0..d).collect();
         if n_feats < d {
-            // partial Fisher-Yates
+            // partial Fisher-Yates; the mix is a truncated SplitMix64, not
+            // `autoax_exec::hash::splitmix64`, and every fit depends on its bits
             for i in 0..n_feats {
                 *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
                 let mut z = *rng;

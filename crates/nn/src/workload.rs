@@ -6,7 +6,7 @@
 //! (Mrazek et al., 2020) on top of the autoAx pipeline.
 
 use autoax_accel::accelerator::{NoRecord, OpSet, OpSlot};
-use autoax_accel::{Pmf, PmfRecorder, Workload};
+use autoax_accel::{absorb_slots, Pmf, PmfRecorder, Workload};
 use autoax_circuit::netlist::{Bus, Netlist};
 use autoax_circuit::OpSignature;
 
@@ -89,29 +89,21 @@ impl Workload for NnAccelerator {
 
     fn profile(&self, samples: &[NnSample]) -> Vec<Pmf> {
         let exact = self.exact_ops();
-        // one exact forward pass per sample; per-sample PMFs merge
-        // commutatively through the execution layer's fixed-association
-        // map-reduce, so the result is thread-count invariant
-        autoax_exec::map_reduce(
-            samples,
-            |s| {
-                let mut rec = PmfRecorder::new(self.slots.len());
-                let _ = self.mlp.predict(&s.features, &exact, &mut rec);
-                rec.into_pmfs()
-            },
-            |mut acc, next| {
-                for (a, b) in acc.iter_mut().zip(next) {
-                    a.absorb(b);
-                }
-                acc
-            },
-        )
+        // one exact forward pass per sample; the per-sample PMFs merge in
+        // input order, so the result is thread-count invariant
+        autoax_exec::par_map(samples, |s| {
+            let mut rec = PmfRecorder::new(self.slots.len());
+            let _ = self.mlp.predict(&s.features, &exact, &mut rec);
+            rec.into_pmfs()
+        })
+        .into_iter()
+        .reduce(absorb_slots)
         .unwrap_or_else(|| (0..self.slots.len()).map(|_| Pmf::new()).collect())
     }
 
     fn golden(&self, samples: &[NnSample]) -> Vec<u8> {
         let exact = self.exact_ops();
-        autoax_exec::par_map_coarse(samples, |s| {
+        autoax_exec::par_map(samples, |s| {
             self.mlp.predict(&s.features, &exact, &mut NoRecord)
         })
     }

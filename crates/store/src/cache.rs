@@ -11,6 +11,7 @@
 
 use crate::container::{self, FORMAT_VERSION};
 use crate::StoreError;
+use autoax_exec::hash::{mix64, Fnv64};
 use autoax_telemetry::{self as telemetry, ax_warn};
 use std::path::{Path, PathBuf};
 
@@ -150,8 +151,8 @@ impl CacheKey {
 /// negligible.
 #[derive(Debug, Clone)]
 pub struct KeyHasher {
-    a: u64,
-    b: u64,
+    a: Fnv64,
+    b: Fnv64,
 }
 
 impl KeyHasher {
@@ -160,8 +161,8 @@ impl KeyHasher {
     /// domain string (so a library key can never alias a pipeline key).
     pub fn new(domain: &str) -> Self {
         let mut h = KeyHasher {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142, // distinct offset basis for lane b
+            a: Fnv64::new(),
+            b: Fnv64::with_basis(0x6c62_272e_07bb_0142), // distinct offset basis for lane b
         };
         h.write_u64(FORMAT_VERSION as u64);
         h.write_str(domain);
@@ -170,15 +171,10 @@ impl KeyHasher {
 
     /// Feeds raw bytes.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &x in bytes {
-            self.a ^= x as u64;
-            self.a = self.a.wrapping_mul(0x100_0000_01b3);
-        }
+        self.a.bytes(bytes);
         // lane b: length-prefixed so field boundaries cannot alias
-        for &x in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
-            self.b ^= x as u64;
-            self.b = self.b.wrapping_mul(0x100_0000_01b3);
-        }
+        self.b.bytes(&(bytes.len() as u64).to_le_bytes());
+        self.b.bytes(bytes);
     }
 
     /// Feeds a `u64`.
@@ -210,14 +206,9 @@ impl KeyHasher {
     /// Finalizes into a key.
     pub fn finish(&self) -> CacheKey {
         // one avalanche round per lane so short inputs spread
-        let mix = |mut z: u64| {
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
         CacheKey {
-            hi: mix(self.a),
-            lo: mix(self.b),
+            hi: mix64(self.a.finish()),
+            lo: mix64(self.b.finish()),
         }
     }
 }
@@ -459,6 +450,7 @@ mod tests {
         h2.write_str("a");
         h2.write_str("bc");
         assert_ne!(h1.finish(), h2.finish());
+        assert_eq!(h1.finish().hex(), "f9b4ec2da82a0ae23d0a79e96feb8fbc");
     }
 
     #[test]

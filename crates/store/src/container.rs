@@ -31,17 +31,10 @@ pub const FORMAT_VERSION: u32 = 1;
 
 const HEADER_LEN: usize = 20;
 
-/// FNV-1a 64-bit hash — the same construction the characterization
-/// fingerprints use, good enough for corruption *detection* (not tamper
-/// resistance, which an on-disk cache does not need).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// The container checksum: FNV-1a 64, good enough for corruption
+/// *detection* (not tamper resistance, which an on-disk cache does not
+/// need).
+pub use autoax_exec::hash::fnv1a64;
 
 fn seal_with_version(tag: [u8; 4], payload: Vec<u8>, version: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 8);

@@ -150,6 +150,7 @@ mod tests {
     #[test]
     fn different_configs_get_different_keys() {
         let a = library_key(&LibraryConfig::tiny());
+        assert_eq!(a.hex(), "ab8dbe64ed0a1f91231ad532433c87f7");
         let b = library_key(&LibraryConfig {
             seed: 43,
             ..LibraryConfig::tiny()

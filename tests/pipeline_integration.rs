@@ -16,6 +16,7 @@ use autoax_circuit::charlib::{build_library, ComponentLibrary, LibraryConfig};
 use autoax_image::synthetic::benchmark_suite;
 use autoax_image::GrayImage;
 use autoax_ml::EngineKind;
+use std::sync::mpsc::{self, TryRecvError};
 
 fn tiny_lib() -> ComponentLibrary {
     build_library(&LibraryConfig::tiny())
@@ -251,6 +252,50 @@ fn pipeline_search_is_thread_and_batch_invariant() {
             assert_eq!(a.config, b.config);
         }
     }
+}
+
+#[test]
+fn search_throughput_counts_only_its_own_estimates() {
+    // Another search looping in the same process (a concurrent serve job,
+    // a parallel test) must not leak into this run's estimate count:
+    // rate × search time gives back exactly the budget.
+    let lib = tiny_lib();
+    let imgs = images();
+    let accel = SobelEd::new();
+    let pre = preprocess(&accel, &lib, &imgs, &PreprocessOptions::default()).expect("preprocess");
+    let space = &pre.space;
+    let first_gene = |c: &autoax::Configuration| TradeoffPoint::new(f64::from(c.genes()[0]), 1.0);
+    let first_gene = &first_gene;
+    let side_search = autoax::SearchOptions {
+        max_evals: 2_000,
+        ..autoax::SearchOptions::default()
+    };
+    let opts = PipelineOptions {
+        search: autoax::SearchOptions {
+            max_evals: 200_000,
+            ..PipelineOptions::quick().search
+        },
+        ..PipelineOptions::quick()
+    };
+    let res = std::thread::scope(|s| {
+        let (running_tx, running_rx) = mpsc::channel();
+        // Dropped when this closure ends, which stops the side search.
+        let (_alive_tx, alive_rx) = mpsc::channel::<()>();
+        s.spawn(move || {
+            while let Err(TryRecvError::Empty) = alive_rx.try_recv() {
+                run_search(space, first_gene, &side_search);
+                let _ = running_tx.send(());
+            }
+        });
+        running_rx.recv().expect("side search started");
+        run_pipeline(&accel, &lib, &imgs, &opts)
+    })
+    .expect("pipeline run");
+    let t = &res.timings;
+    assert_eq!(
+        (t.search_evals_per_sec * t.search.as_secs_f64()).round(),
+        opts.search.max_evals as f64
+    );
 }
 
 #[test]
