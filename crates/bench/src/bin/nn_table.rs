@@ -19,7 +19,8 @@ use autoax::search::SearchAlgo;
 use autoax::Configuration;
 use autoax_bench::{cache_args, timings_line, write_csv, Scale};
 use autoax_nn::NnScenario;
-use autoax_store::load_or_build_library;
+use autoax_store::{load_or_build_library, Store};
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -70,7 +71,7 @@ fn main() {
             Scale::Default => 150,
             Scale::Paper => 1000,
         },
-        cache_dir: cache_dir.clone(),
+        cache_store: cache_dir.map(|dir| Arc::new(Store::new(dir)) as _),
         cache_mode,
         ..PipelineOptions::paper_sobel()
     };

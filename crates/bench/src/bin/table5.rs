@@ -22,7 +22,8 @@ use autoax_accel::sobel::SobelEd;
 use autoax_accel::Accelerator;
 use autoax_bench::{cache_args, sobel_image_suite, timings_line, write_csv, Scale};
 use autoax_image::synthetic::benchmark_suite;
-use autoax_store::load_or_build_library;
+use autoax_store::{load_or_build_library, Store};
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -39,7 +40,7 @@ fn main() {
     let (gf_imgs, gf_w, gf_h, sweep) = scale.generic_gf_setup();
     let (train_n, test_n) = scale.model_budget();
     let opts_sobel = PipelineOptions {
-        cache_dir: cache_dir.clone(),
+        cache_store: cache_dir.map(|dir| Arc::new(Store::new(dir)) as _),
         cache_mode,
         train_configs: train_n,
         test_configs: test_n,

@@ -61,7 +61,7 @@
 //!
 //! ## Warm starts
 //!
-//! With [`pipeline::PipelineOptions::cache_dir`] set, the deterministic
+//! With [`pipeline::PipelineOptions::cache_store`] set, the deterministic
 //! Steps 1–2 are persisted through `autoax-store` and skipped on repeat
 //! runs with byte-identical results (see [`cache`]).
 

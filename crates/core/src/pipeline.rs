@@ -56,15 +56,11 @@ pub struct PipelineOptions {
     pub final_eval_cap: usize,
     /// Master seed.
     pub seed: u64,
-    /// Directory of the content-addressed artifact cache. `None` disables
-    /// caching regardless of [`PipelineOptions::cache_mode`].
-    pub cache_dir: Option<PathBuf>,
-    /// A shared [`BlobStore`] to cache through instead of a fresh
-    /// [`Store`] over [`PipelineOptions::cache_dir`] — how the service
-    /// tier routes every job through one LRU-fronted
-    /// [`autoax_store::ShardedStore`]. Takes precedence over
-    /// `cache_dir`; [`PipelineOptions::cache_mode`] still gates reads
-    /// and writes.
+    /// The content-addressed artifact cache: a [`Store`] over a directory
+    /// ([`PipelineOptions::with_cache`]) or any shared [`BlobStore`], as
+    /// the service tier routes every job through one LRU-fronted
+    /// [`autoax_store::ShardedStore`]. `None` disables caching
+    /// regardless of [`PipelineOptions::cache_mode`].
     pub cache_store: Option<Arc<dyn BlobStore>>,
     /// How the pipeline interacts with the cache: warm-start Steps 1–2
     /// from disk ([`CacheMode::Read`]/[`CacheMode::ReadWrite`]) and
@@ -90,7 +86,6 @@ impl PipelineOptions {
             },
             final_eval_cap: 1000,
             seed: 42,
-            cache_dir: None,
             cache_store: None,
             cache_mode: CacheMode::Off,
             cancel: CancelToken::new(),
@@ -124,18 +119,15 @@ impl PipelineOptions {
             },
             final_eval_cap: 40,
             seed: 42,
-            cache_dir: None,
             cache_store: None,
             cache_mode: CacheMode::Off,
             cancel: CancelToken::new(),
         }
     }
 
-    /// Enables the on-disk cache (builder style).
-    pub fn with_cache(mut self, dir: impl Into<PathBuf>, mode: CacheMode) -> Self {
-        self.cache_dir = Some(dir.into());
-        self.cache_mode = mode;
-        self
+    /// Caches through a [`Store`] over `dir` (builder style).
+    pub fn with_cache(self, dir: impl Into<PathBuf>, mode: CacheMode) -> Self {
+        self.with_store(Arc::new(Store::new(dir)), mode)
     }
 
     /// Selects the Step-3 search strategy (builder style).
@@ -262,7 +254,7 @@ impl PipelineResult {
 
 /// Runs the complete three-step methodology.
 ///
-/// With a populated cache ([`PipelineOptions::cache_dir`] +
+/// With a populated cache ([`PipelineOptions::cache_store`] +
 /// [`PipelineOptions::cache_mode`]), Steps 1–2 are warm-started from disk
 /// and skipped entirely; the result is byte-identical to the cold run
 /// because every persisted float survives as its exact bit pattern.
@@ -290,24 +282,11 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     let mut sp_run = telemetry::span("pipeline.run");
     sp_run.field("strategy", opts.search.strategy.name());
     // Cache lookup: Steps 1–2 are a pure function of the key's inputs.
-    // A shared store (service tier) takes precedence over the per-run
-    // directory store.
-    let cache: Option<(Arc<dyn BlobStore>, _)> =
-        if opts.cache_mode.reads() || opts.cache_mode.writes() {
-            opts.cache_store
-                .clone()
-                .or_else(|| {
-                    opts.cache_dir
-                        .as_ref()
-                        .map(|dir| Arc::new(Store::new(dir)) as Arc<dyn BlobStore>)
-                })
-                .map(|store| {
-                    let key = pipeline_cache_key(work, lib, samples, opts);
-                    (store, key)
-                })
-        } else {
-            None
-        };
+    let cache = opts
+        .cache_store
+        .as_deref()
+        .filter(|_| opts.cache_mode.reads() || opts.cache_mode.writes())
+        .map(|store| (store, pipeline_cache_key(work, lib, samples, opts)));
     let mut t_cache_load = Duration::ZERO;
     let mut warm: Option<(Preprocessed, FidelityReport, FittedModels)> = None;
     if let Some((store, key)) = &cache {

@@ -1,12 +1,17 @@
 //! Persistent fork-join worker pool behind [`crate::par_map`] and
 //! [`crate::par_map_owned_with`].
 //!
-//! A search run performs thousands of parallel bursts (one per island
-//! epoch, one per characterization batch), and a thread spawn costs tens
-//! of microseconds, so spawning per burst would be a measurable fraction
-//! of the hot path. This module keeps a process-wide set of long-lived
-//! workers behind a condvar-guarded job queue and hands them *bursts*: a
-//! fixed number of index-addressed tasks plus a completion latch.
+//! Every parallel map over two or more items is one *burst*. Bursts are
+//! counted in tens, not thousands: at two workers a tiny-library build
+//! issues 50, a cold Sobel pipeline 14, and a Generic-GF pipeline 26 cold
+//! and 6 warm. They are still too many to spawn threads for. On a 2-core VM a two-thread
+//! burst costs 22–24 µs on this pool against 32–39 µs for a
+//! `std::thread::scope` spawned per burst, and a build that spawned per
+//! burst lost the cold Sobel benchmark (`dsebench`'s `cold_sobel`) in 9
+//! of 10 alternating pairs, 0.134 → 0.141 s. So this module keeps a
+//! process-wide set of long-lived workers behind a condvar-guarded job
+//! queue and hands them bursts: a fixed number of index-addressed tasks
+//! plus a completion latch.
 //!
 //! ## Determinism contract
 //!
@@ -274,39 +279,6 @@ where
 
     if job.panicked.load(Ordering::Relaxed) {
         panic!("pooled burst task panicked");
-    }
-}
-
-/// Shared-`&self` slot writer for disjoint-index result scatter.
-///
-/// `run_burst` tasks write their outputs into pre-sized vectors; each
-/// task owns exactly the slots derived from its index, so the writes are
-/// disjoint and the latch in [`run_burst`] orders them before the reader.
-pub(crate) struct Slots<T>(*mut T, usize);
-
-unsafe impl<T: Send> Sync for Slots<T> {}
-unsafe impl<T: Send> Send for Slots<T> {}
-
-impl<T> Slots<T> {
-    pub(crate) fn new(v: &mut [T]) -> Self {
-        Slots(v.as_mut_ptr(), v.len())
-    }
-
-    /// # Safety
-    /// Each index must be written by at most one task per burst.
-    pub(crate) unsafe fn put(&self, i: usize, val: T) {
-        debug_assert!(i < self.1);
-        *self.0.add(i) = val;
-    }
-
-    /// # Safety
-    /// Each index must be taken by at most one task per burst.
-    pub(crate) unsafe fn take(&self, i: usize) -> T
-    where
-        T: Default,
-    {
-        debug_assert!(i < self.1);
-        std::mem::take(&mut *self.0.add(i))
     }
 }
 

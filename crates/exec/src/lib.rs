@@ -22,14 +22,15 @@
 //! ## Execution substrate
 //!
 //! Both parallel maps run their chunks as a *burst* on one process-wide
-//! persistent worker pool ([`fork`]), so a search performing thousands of
-//! parallel rounds pays for thread spawns once, not per round. The thread
-//! count fixes the chunk boundaries (and hence the results,
-//! byte-for-byte) and bounds the parallelism of the burst; it does not
-//! resize the pool's worker set, which grows lazily to the largest burst
-//! seen. The same pool serves island search, library characterization and
-//! the searches spawned by `autoax-serve` jobs (whose connection handling
-//! uses the queue-of-closures [`WorkerPool`]).
+//! persistent worker pool ([`fork`]), so a burst pays for no thread
+//! spawn. The thread count fixes the chunk boundaries (and hence the
+//! results, byte-for-byte) and bounds the parallelism of the burst; it
+//! does not resize the pool's worker set, which grows lazily to the
+//! largest burst seen. Each chunk hands its results back through its own
+//! `Mutex` slot, so the crate's only `unsafe` is the lifetime erasure
+//! inside [`fork::run_burst`]. The same pool serves island search,
+//! library characterization, real evaluation and the pipelines run by
+//! `autoax-serve` jobs; it is the workspace's one thread pool.
 //!
 //! # Example
 //!
@@ -43,12 +44,10 @@
 
 pub mod fork;
 pub mod hash;
-pub mod pool;
 
 pub use fork::pool_workers;
-pub use pool::{SubmitError, WorkerPool};
 
-use fork::Slots;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Environment variable overriding the default worker-thread count.
 pub const THREADS_ENV: &str = "AUTOAX_THREADS";
@@ -91,18 +90,13 @@ where
         return items.iter().map(&f).collect();
     }
     let chunk = items.len().div_ceil(threads.min(items.len()));
-    let mut results: Vec<Option<Vec<U>>> = Vec::new();
-    results.resize_with(items.len().div_ceil(chunk), || None);
-    {
-        let slots = Slots::new(&mut results);
-        let f = &f;
-        fork::run_burst(items.len().div_ceil(chunk), |ci| {
-            let part = &items[ci * chunk..(ci * chunk + chunk).min(items.len())];
-            let out = part.iter().map(f).collect::<Vec<U>>();
-            unsafe { slots.put(ci, Some(out)) };
-        });
-    }
-    results.into_iter().flatten().flatten().collect()
+    let slots = empty_slots(items.len().div_ceil(chunk));
+    fork::run_burst(slots.len(), |ci| {
+        let part = &items[ci * chunk..(ci * chunk + chunk).min(items.len())];
+        let out = part.iter().map(&f).collect();
+        *lock(&slots[ci]) = out;
+    });
+    concat(slots)
 }
 
 /// [`par_map`] over owned `items` with an explicit thread count: each
@@ -118,29 +112,38 @@ where
         return items.into_iter().map(&f).collect();
     }
     let chunk = items.len().div_ceil(threads.min(items.len()));
-    let mut parts: Vec<Vec<T>> = Vec::new();
-    let mut it = items.into_iter();
-    loop {
-        let part: Vec<T> = it.by_ref().take(chunk).collect();
-        if part.is_empty() {
-            break;
-        }
-        parts.push(part);
-    }
-    let mut parts: Vec<Option<Vec<T>>> = parts.into_iter().map(Some).collect();
-    let mut results: Vec<Option<Vec<U>>> = Vec::new();
-    results.resize_with(parts.len(), || None);
-    {
-        let part_slots = Slots::new(&mut parts);
-        let slots = Slots::new(&mut results);
-        let f = &f;
-        fork::run_burst(results.len(), |ci| {
-            let part = unsafe { part_slots.take(ci) }.expect("owned chunk claimed twice");
-            let out = part.into_iter().map(f).collect::<Vec<U>>();
-            unsafe { slots.put(ci, Some(out)) };
-        });
-    }
-    results.into_iter().flatten().flatten().collect()
+    let mut items = items.into_iter();
+    let parts: Vec<Mutex<Vec<T>>> = std::iter::from_fn(|| {
+        let part: Vec<T> = items.by_ref().take(chunk).collect();
+        (!part.is_empty()).then(|| Mutex::new(part))
+    })
+    .collect();
+    let slots = empty_slots(parts.len());
+    fork::run_burst(parts.len(), |ci| {
+        let part = std::mem::take(&mut *lock(&parts[ci]));
+        let out = part.into_iter().map(&f).collect();
+        *lock(&slots[ci]) = out;
+    });
+    concat(slots)
+}
+
+/// One empty result slot per chunk of a burst.
+fn empty_slots<U>(chunks: usize) -> Vec<Mutex<Vec<U>>> {
+    (0..chunks).map(|_| Mutex::new(Vec::new())).collect()
+}
+
+/// A slot's guard, even if poisoned: a panicking task re-raises on the
+/// caller from [`fork::run_burst`], so a poisoned slot is never read.
+fn lock<V>(slot: &Mutex<V>) -> MutexGuard<'_, V> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The chunks' results, concatenated in chunk order.
+fn concat<U>(slots: Vec<Mutex<Vec<U>>>) -> Vec<U> {
+    slots
+        .into_iter()
+        .flat_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect()
 }
 
 #[cfg(test)]

@@ -28,13 +28,14 @@
 
 use crate::gate::AdmissionGate;
 use crate::http::ProtocolError;
-use crate::json::{obj, Json};
+use crate::json::Json;
 use crate::registry::{NamedWorkload, Registry, ResolvedJob};
 use crate::singleflight::{Role, SingleFlight};
 use autoax::pipeline::{run_pipeline, PipelineOptions, PipelineResult};
 use autoax::{AutoAxError, CancelToken, JobLimits, JobSpec, SearchAlgo};
 use autoax_store::cache::{BlobStore, CacheKey, CacheMode, KeyHasher, Loaded};
-use autoax_store::{ShardedStore, StoreStats};
+use autoax_store::codec::{Decoder, Encoder};
+use autoax_store::{ShardedStore, StoreError, StoreStats};
 use autoax_telemetry as telemetry;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,7 +44,7 @@ use std::sync::Arc;
 /// Blob kind of persisted whole-job results in the store.
 const RESULT_KIND: &str = "serve-result";
 /// Format tag of the result codec (bump on layout change).
-const RESULT_TAG: [u8; 4] = *b"SRV1";
+const RESULT_TAG: [u8; 4] = *b"SRV2";
 
 /// One tenant request: names into the registry plus the tenant-choosable
 /// pipeline knobs.
@@ -165,64 +166,53 @@ impl JobResult {
         }
     }
 
-    /// JSON form; floats round-trip bit-exactly (shortest-repr printing),
-    /// the digest travels as 16 hex digits (JSON numbers die past 2^53).
-    pub fn to_json(&self) -> Json {
-        obj([
-            ("qor_metric", Json::Str(self.qor_metric.clone())),
-            (
-                "front_digest",
-                Json::Str(format!("{:016x}", self.front_digest)),
-            ),
-            (
-                "members",
-                Json::Arr(
-                    self.members
-                        .iter()
-                        .map(|m| {
-                            obj([
-                                ("qor", Json::Num(m.qor)),
-                                ("area", Json::Num(m.area)),
-                                ("energy", Json::Num(m.energy)),
-                                (
-                                    "genes",
-                                    Json::Arr(
-                                        m.genes.iter().map(|&g| Json::Num(g as f64)).collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// The result-cache payload, in the store's codec: every float as
+    /// its IEEE-754 bit pattern, so a cached result is bit-identical to
+    /// the computed one.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_str(&self.qor_metric);
+        e.put_u64(self.front_digest);
+        e.put_len(self.members.len());
+        for m in &self.members {
+            e.put_f64(m.qor);
+            e.put_f64(m.area);
+            e.put_f64(m.energy);
+            e.put_len(m.genes.len());
+            for &g in &m.genes {
+                e.put_u16(g);
+            }
+        }
+        e.into_bytes()
     }
 
-    /// Inverse of [`JobResult::to_json`]; `None` on any shape mismatch
-    /// (a corrupt cache entry degrades to a miss, never to a panic).
-    pub fn from_json(v: &Json) -> Option<JobResult> {
-        let qor_metric = v.get("qor_metric")?.as_str()?.to_string();
-        let front_digest = u64::from_str_radix(v.get("front_digest")?.as_str()?, 16).ok()?;
+    /// Inverse of [`JobResult::encode`]; `None` for a truncated or
+    /// malformed payload (a corrupt cache entry degrades to a miss, never
+    /// to a panic).
+    pub fn decode(bytes: &[u8]) -> Option<JobResult> {
+        let mut d = Decoder::new(bytes);
+        let result = Self::take(&mut d).ok()?;
+        d.finish().ok()?;
+        Some(result)
+    }
+
+    fn take(d: &mut Decoder<'_>) -> Result<JobResult, StoreError> {
+        let qor_metric = d.take_str()?;
+        let front_digest = d.take_u64()?;
         let mut members = Vec::new();
-        for m in v.get("members")?.as_arr()? {
-            let genes = m
-                .get("genes")?
-                .as_arr()?
-                .iter()
-                .map(|g| {
-                    g.as_usize()
-                        .filter(|&n| n <= u16::MAX as usize)
-                        .map(|n| n as u16)
-                })
-                .collect::<Option<Vec<u16>>>()?;
+        for _ in 0..d.take_len()? {
+            let (qor, area, energy) = (d.take_f64()?, d.take_f64()?, d.take_f64()?);
+            let genes = (0..d.take_len()?)
+                .map(|_| d.take_u16())
+                .collect::<Result<_, _>>()?;
             members.push(FrontMember {
-                qor: m.get("qor")?.as_f64()?,
-                area: m.get("area")?.as_f64()?,
-                energy: m.get("energy")?.as_f64()?,
+                qor,
+                area,
+                energy,
                 genes,
             });
         }
-        Some(JobResult {
+        Ok(JobResult {
             qor_metric,
             members,
             front_digest,
@@ -363,11 +353,7 @@ impl JobEngine {
 
     fn load_cached(&self, key: CacheKey) -> Option<Arc<JobResult>> {
         match self.store.load_blob(RESULT_KIND, key, RESULT_TAG) {
-            Loaded::Hit(bytes) => std::str::from_utf8(&bytes)
-                .ok()
-                .and_then(|text| Json::parse(text).ok())
-                .and_then(|v| JobResult::from_json(&v))
-                .map(Arc::new),
+            Loaded::Hit(bytes) => JobResult::decode(&bytes).map(Arc::new),
             _ => None,
         }
     }
@@ -440,7 +426,7 @@ impl JobEngine {
                         let result = Arc::new(result);
                         // Persist before publishing so late arrivals that
                         // miss the flight find the cache instead.
-                        let payload = result.to_json().to_string().into_bytes();
+                        let payload = result.encode();
                         let _ = self.store.save_blob(RESULT_KIND, key, RESULT_TAG, payload);
                         leader.complete(Arc::clone(&result));
                         Ok(JobOutcome {
@@ -573,30 +559,44 @@ mod tests {
     }
 
     #[test]
-    fn result_json_round_trips_bit_exactly() {
+    fn result_codec_round_trips_bit_exactly() {
         let result = JobResult {
             qor_metric: "SSIM".into(),
-            members: vec![FrontMember {
-                qor: 0.123_456_789_123_456_78,
-                area: 1.0 / 3.0,
-                energy: 6.02e-23,
-                genes: vec![0, 3, 65535],
-            }],
+            members: vec![
+                FrontMember {
+                    qor: 0.123_456_789_123_456_78,
+                    area: 1.0 / 3.0,
+                    energy: 6.02e-23,
+                    genes: vec![0, 3, 65535],
+                },
+                FrontMember {
+                    qor: -0.0,
+                    area: f64::MIN_POSITIVE,
+                    energy: 1e300,
+                    genes: vec![],
+                },
+            ],
             front_digest: 0xDEAD_BEEF_0123_4567,
         };
-        let text = result.to_json().to_string();
-        let back = JobResult::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let bytes = result.encode();
+        let back = JobResult::decode(&bytes).unwrap();
         assert_eq!(back.front_digest, result.front_digest);
-        assert_eq!(
-            back.members[0].qor.to_bits(),
-            result.members[0].qor.to_bits()
-        );
+        for (b, r) in back.members.iter().zip(&result.members) {
+            assert_eq!(
+                [b.qor, b.area, b.energy].map(f64::to_bits),
+                [r.qor, r.area, r.energy].map(f64::to_bits)
+            );
+        }
         assert_eq!(back, result);
-        // Corrupt shapes degrade to None, not panics.
-        assert!(JobResult::from_json(&Json::parse("{}").unwrap()).is_none());
-        assert!(JobResult::from_json(
-            &Json::parse(r#"{"qor_metric":"x","front_digest":"zz","members":[]}"#).unwrap()
-        )
-        .is_none());
+        // Truncated, padded or garbage payloads degrade to None, not
+        // panics.
+        for cut in 0..bytes.len() {
+            assert!(JobResult::decode(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(JobResult::decode(&padded).is_none());
+        assert!(JobResult::decode(b"{\"qor_metric\":\"SSIM\"}").is_none());
+        assert!(JobResult::decode(&[0xFF; 64]).is_none());
     }
 }

@@ -1,12 +1,13 @@
 //! Admission control with per-tenant fairness: a global cap on
 //! concurrently *running* jobs plus a smaller per-tenant cap, so one
-//! chatty tenant can saturate neither the worker pool nor the gate —
-//! other tenants always have admission slots only they can use.
+//! chatty tenant cannot saturate the gate — other tenants always have
+//! admission slots only they can use.
 //!
 //! Load is shed, not queued: [`AdmissionGate::try_acquire`] refuses
 //! immediately (the HTTP layer answers `429`) instead of parking the
-//! connection thread. The bounded queue lives one layer down in
-//! [`autoax_exec::WorkerPool`]; the gate bounds what is allowed past it.
+//! connection thread. Connections beyond the server's handler threads
+//! wait in the kernel's listen backlog; the gate bounds how many of the
+//! accepted ones run a pipeline.
 //!
 //! A panic while the gate's lock is held poisons it, and the gate recovers
 //! the guard instead of panicking in turn: a [`Permit`] dropped during

@@ -60,7 +60,8 @@ pub enum ProtocolError {
     BadField(String),
     /// Method/path pair the server does not route.
     NotFound,
-    /// Admission control refused the job (queue full or tenant at cap).
+    /// Admission control refused the job (the server or the tenant is at
+    /// its concurrent-job cap).
     Busy(String),
     /// The job failed while running.
     JobFailed(String),
@@ -274,6 +275,7 @@ pub fn write_error(w: &mut impl Write, err: &ProtocolError) -> std::io::Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(raw: &[u8]) -> Result<Request, ProtocolError> {
@@ -411,5 +413,87 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Connection: close"));
         assert!(text.ends_with("\r\n\r\n"));
+    }
+
+    /// Limits of the fuzz target, small enough that generated inputs
+    /// cross both of them.
+    const FUZZ_LIMITS: HttpLimits = HttpLimits {
+        max_head_bytes: 256,
+        max_body_bytes: 64,
+    };
+
+    /// Fragments the parser branches on, for inputs that get past the
+    /// request line more often than uniform bytes do.
+    const TOKENS: &[&[u8]] = &[
+        b"GET",
+        b"POST",
+        b"HEAD",
+        b" ",
+        b"/jobs",
+        b"HTTP/1.1",
+        b"HTTP/2",
+        b"\r\n",
+        b"\n",
+        b"\r",
+        b":",
+        b"Content-Length: ",
+        b"content-length:",
+        b"0",
+        b"64",
+        b"65",
+        b"-1",
+        b"99999999999999999999",
+        b"{}",
+        b"\xff\xfe",
+    ];
+
+    /// A sequence of [`TOKENS`] and raw bytes.
+    fn token_soup() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0..TOKENS.len() * 2, any::<u8>()), 0..120).prop_map(|picks| {
+            let mut raw = Vec::new();
+            for (i, byte) in picks {
+                match TOKENS.get(i) {
+                    Some(token) => raw.extend_from_slice(token),
+                    None => raw.push(byte),
+                }
+            }
+            raw
+        })
+    }
+
+    /// A well-formed head declaring up to 80 body bytes, then up to 80
+    /// arbitrary bytes: complete, truncated and oversized bodies.
+    fn post_with_body() -> impl Strategy<Value = Vec<u8>> {
+        (0usize..=80, prop::collection::vec(any::<u8>(), 0..=80)).prop_map(|(declared, body)| {
+            let mut raw =
+                format!("POST /jobs HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n").into_bytes();
+            raw.extend_from_slice(&body);
+            raw
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any byte stream up to twice the head limit parses or fails
+        /// with a typed 4xx error; it never panics, and a parsed body
+        /// never exceeds the body limit.
+        #[test]
+        fn arbitrary_bytes_parse_or_fail_typed(
+            raw in prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..=2 * FUZZ_LIMITS.max_head_bytes),
+                token_soup(),
+                post_with_body(),
+            ]
+        ) {
+            let raw = &raw[..raw.len().min(2 * FUZZ_LIMITS.max_head_bytes)];
+            match read_request(&mut BufReader::new(raw), &FUZZ_LIMITS) {
+                Ok(req) => prop_assert!(req.body.len() <= FUZZ_LIMITS.max_body_bytes),
+                Err(e) => {
+                    let (code, _) = e.status();
+                    prop_assert!((400..500).contains(&code), "{e}: {code}");
+                }
+            }
+        }
     }
 }

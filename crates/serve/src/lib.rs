@@ -18,13 +18,13 @@
 //!   rather than a likelihood;
 //! - a **per-tenant-fair admission gate** ([`gate::AdmissionGate`])
 //!   sheds load with `429` instead of queueing unboundedly, and
-//!   shutdown is graceful end-to-end (accept loop → worker pool →
+//!   shutdown is graceful end-to-end (connection handlers →
 //!   cancellation-aware search rounds).
 //!
 //! Module map: [`json`] (parser/printer), [`http`] (wire format +
 //! typed protocol errors), [`singleflight`], [`gate`], [`registry`]
 //! (name → artifact catalogue), [`engine`] (the dedupe/cache/run
-//! logic), [`server`] (accept loop + routes), [`client`] (blocking
+//! logic), [`server`] (connection handlers + routes), [`client`] (blocking
 //! test/demo client).
 
 #![warn(missing_docs)]

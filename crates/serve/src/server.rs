@@ -1,13 +1,15 @@
-//! The TCP front end: a non-blocking accept loop feeding an
-//! [`autoax_exec::WorkerPool`] of connection handlers.
+//! The TCP front end: four connection-handler threads, each accepting
+//! from one non-blocking listener and serving what it accepted.
 //!
 //! One connection = one request = one response (`Connection: close`);
 //! job responses stream as NDJSON so a client sees accepted front
-//! members as soon as the job resolves, without chunked encoding.
+//! members as soon as the job resolves, without chunked encoding. A
+//! connection that arrives while every handler is busy waits in the
+//! kernel's listen backlog until one is free.
 //!
 //! Shutdown is graceful and layered: cancelling the server's token stops
-//! the accept loop, the pool drains connections already accepted, and
-//! the same token — shared with the engine — makes running pipelines
+//! every handler from accepting, each finishes the connection it holds,
+//! and the same token — shared with the engine — makes running pipelines
 //! stop at their next stage/round boundary (surfacing as a `500
 //! cancelled` to those clients, never a hung socket).
 
@@ -15,23 +17,23 @@ use crate::engine::{EngineConfig, JobEngine, JobOutcome, JobRequest, Served};
 use crate::http::{read_request, write_error, write_head_with, HttpLimits, ProtocolError, Request};
 use crate::json::{obj, Json};
 use autoax::CancelToken;
-use autoax_exec::WorkerPool;
 use autoax_telemetry as telemetry;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Connection-handler threads: at most this many requests are served at
+/// once.
+const HANDLERS: usize = 4;
+
 /// Server construction knobs.
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (tests do).
     pub addr: String,
-    /// Connection-handler threads.
-    pub workers: usize,
-    /// Bounded connection-queue depth beyond the running handlers.
-    pub queue_depth: usize,
     /// Wire-format limits.
     pub http: HttpLimits,
     /// Engine knobs.
@@ -43,8 +45,6 @@ impl ServerConfig {
     pub fn on_loopback(cache_dir: impl Into<std::path::PathBuf>) -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            queue_depth: 16,
             http: HttpLimits::default(),
             engine: EngineConfig::new(cache_dir),
         }
@@ -52,6 +52,7 @@ impl ServerConfig {
 }
 
 /// A running server: its address, engine handle and stop switch.
+/// Dropping it stops the server.
 pub struct ServerHandle {
     addr: SocketAddr,
     engine: Arc<JobEngine>,
@@ -70,14 +71,11 @@ impl ServerHandle {
         &self.engine
     }
 
-    /// Graceful stop: no new connections, accepted ones drain, running
-    /// pipelines cancel at their next boundary. Blocks until the
-    /// acceptor (and through it the worker pool) has wound down.
-    pub fn stop(mut self) {
-        self.shutdown.cancel();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+    /// Graceful stop: no new connections, accepted ones finish, running
+    /// pipelines cancel at their next boundary. Blocks until every
+    /// handler has returned and the listener is closed.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
@@ -107,10 +105,21 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         let engine = Arc::clone(&engine);
         let shutdown = shutdown.clone();
         let http = cfg.http;
-        let (workers, queue_depth) = (cfg.workers, cfg.queue_depth);
         std::thread::Builder::new()
             .name("serve-accept".to_string())
-            .spawn(move || accept_loop(listener, engine, shutdown, http, workers, queue_depth))?
+            .spawn(move || {
+                let handle = |stream: TcpStream| handle_connection(stream, &engine, http);
+                std::thread::scope(|s| {
+                    for i in 0..HANDLERS {
+                        std::thread::Builder::new()
+                            .name(format!("serve-conn-{i}"))
+                            .spawn_scoped(s, || serve_connections(&listener, &shutdown, &handle))
+                            .expect("spawn a connection handler");
+                    }
+                });
+                // The scope has joined every handler; the listener closes
+                // as this thread returns.
+            })?
     };
     Ok(ServerHandle {
         addr,
@@ -120,42 +129,39 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    engine: Arc<JobEngine>,
-    shutdown: CancelToken,
-    http: HttpLimits,
-    workers: usize,
-    queue_depth: usize,
+/// One handler thread: accepts a connection, serves it inline, and
+/// repeats until `shutdown` fires. A panic in `handle` costs only the
+/// connection it was serving; the thread goes on to the next.
+fn serve_connections(
+    listener: &TcpListener,
+    shutdown: &CancelToken,
+    handle: &(impl Fn(TcpStream) + Sync),
 ) {
-    let mut pool = WorkerPool::new(workers, queue_depth);
     while !shutdown.is_cancelled() {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
-                let engine = Arc::clone(&engine);
-                // A refused submit drops the closure — and the stream
-                // inside it, which the client sees as a reset. Load is
-                // shed at the door; the accept loop never stalls.
-                let _ = pool.submit(move || handle_connection(stream, &engine, http));
+                let _ = catch_unwind(AssertUnwindSafe(|| handle(stream)));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // `WouldBlock` (nothing to accept) and transient accept
+            // failures alike: back off briefly, then re-check shutdown.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
-    pool.shutdown();
 }
 
 /// Request id for a connection: echo the client's `X-Request-Id` if it
-/// sent one (so ids correlate across proxies), otherwise mint a
+/// sent a usable one (so ids correlate across proxies), otherwise mint a
 /// process-unique `pid-sequence` id. No timestamps — ids must not
 /// perturb determinism-sensitive code paths they get threaded through.
 fn request_id(req: &Request) -> String {
     match req.header("x-request-id") {
-        // Cap echoed ids: they go back out in a header and into NDJSON.
-        Some(id) if !id.is_empty() && id.len() <= 128 => id.to_string(),
+        // Echoed ids go back out in a header and into NDJSON: cap them,
+        // and take only visible ASCII, so a CR or any other control byte
+        // can never start a header line of its own.
+        Some(id) if (1..=128).contains(&id.len()) && id.bytes().all(|b| b.is_ascii_graphic()) => {
+            id.to_string()
+        }
         _ => {
             static SEQ: AtomicU64 = AtomicU64::new(0);
             let seq = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -321,4 +327,45 @@ fn stream_outcome(w: &mut impl Write, outcome: &JobOutcome, id: &str) -> io::Res
             ("qor_metric", Json::Str(outcome.result.qor_metric.clone())),
         ])
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn a_panicking_handler_still_serves_the_next_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = CancelToken::new();
+        let calls = AtomicUsize::new(0);
+        let handle = |mut stream: TcpStream| {
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("handler panics on its first connection");
+            }
+            stream.write_all(b"served").unwrap();
+        };
+        let replies: Vec<String> = std::thread::scope(|s| {
+            // One handler thread, so the two connections are served in
+            // turn by the same thread.
+            s.spawn(|| serve_connections(&listener, &shutdown, &handle));
+            let replies = (0..2)
+                .map(|_| {
+                    let mut reply = String::new();
+                    let mut client = TcpStream::connect(addr).unwrap();
+                    // The panicking call drops its stream while
+                    // unwinding, so the first read sees the close.
+                    let _ = client.read_to_string(&mut reply);
+                    reply
+                })
+                .collect();
+            shutdown.cancel();
+            replies
+        });
+        assert_eq!(replies, ["", "served"]);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+    }
 }

@@ -23,7 +23,7 @@ use crate::cache::{BlobStore, CacheKey, Loaded, Store};
 use crate::lru::LruCache;
 use crate::StoreError;
 use autoax_telemetry as telemetry;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -201,18 +201,6 @@ impl BlobStore for ShardedStore {
         self.saves.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
-}
-
-/// Routes a key to a shard directory name without building a store —
-/// used by tooling that wants to inspect the layout.
-pub fn shard_dir(root: &Path, bits: u32, key: CacheKey) -> PathBuf {
-    let bits = bits.min(8);
-    let idx = if bits == 0 {
-        0
-    } else {
-        (key.hi >> (64 - bits)) as usize
-    };
-    root.join(format!("shard-{idx:02x}"))
 }
 
 #[cfg(test)]

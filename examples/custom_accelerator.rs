@@ -29,7 +29,8 @@ use autoax_accel::Accelerator;
 use autoax_circuit::charlib::LibraryConfig;
 use autoax_circuit::OpSignature;
 use autoax_image::synthetic::benchmark_suite;
-use autoax_store::{load_or_build_library, parse_cache_flags};
+use autoax_store::{load_or_build_library, parse_cache_flags, Store};
+use std::sync::Arc;
 
 /// A 2×2 box smoother with approximable adders.
 struct BoxSmoother {
@@ -80,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let images = benchmark_suite(3, 96, 64, 5);
     let accel = BoxSmoother::new();
     let mut opts = PipelineOptions::quick().with_strategy(strategy);
-    opts.cache_dir = cache_dir;
+    opts.cache_store = cache_dir.map(|dir| Arc::new(Store::new(dir)) as _);
     opts.cache_mode = cache_mode;
     let result = run_pipeline(&accel, &lib, &images, &opts)?;
     println!("strategy: {}", result.timings.search_strategy);

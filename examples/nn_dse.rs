@@ -23,7 +23,8 @@ use autoax::pipeline::{run_pipeline, PipelineOptions};
 use autoax::SearchAlgo;
 use autoax_circuit::charlib::LibraryConfig;
 use autoax_nn::NnScenario;
-use autoax_store::{load_or_build_library, parse_cache_flags};
+use autoax_store::{load_or_build_library, parse_cache_flags, Store};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
@@ -60,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. The three-step methodology, unchanged.
     let mut opts = PipelineOptions::quick().with_strategy(strategy);
-    opts.cache_dir = cache_dir;
+    opts.cache_store = cache_dir.map(|dir| Arc::new(Store::new(dir)) as _);
     opts.cache_mode = cache_mode;
     let result = run_pipeline(&accel, &lib, &samples, &opts)?;
     println!("strategy: {}", result.timings.search_strategy);

@@ -38,8 +38,9 @@ use autoax::SearchAlgo;
 use autoax_accel::sobel::SobelEd;
 use autoax_circuit::charlib::LibraryConfig;
 use autoax_image::synthetic::benchmark_suite;
-use autoax_store::{load_or_build_library, parse_cache_flags};
+use autoax_store::{load_or_build_library, parse_cache_flags, Store};
 use autoax_telemetry as telemetry;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     telemetry::init_from_env();
@@ -68,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Run the three-step methodology with small budgets.
     let accel = SobelEd::new();
     let mut opts = PipelineOptions::quick().with_strategy(strategy);
-    opts.cache_dir = cache_dir;
+    opts.cache_store = cache_dir.map(|dir| Arc::new(Store::new(dir)) as _);
     opts.cache_mode = cache_mode;
     let result = run_pipeline(&accel, &lib, &images, &opts)?;
     println!("strategy: {}", result.timings.search_strategy);

@@ -94,11 +94,11 @@ fn identical_concurrent_jobs_execute_exactly_once() {
     }
 
     // Every waiter got the byte-identical result: same digest, same
-    // serialized bytes.
-    let reference = outcomes[0].result.to_json().to_string();
+    // encoded bytes.
+    let reference = outcomes[0].result.encode();
     for o in &outcomes {
         assert_eq!(o.result.front_digest, outcomes[0].result.front_digest);
-        assert_eq!(o.result.to_json().to_string(), reference);
+        assert_eq!(o.result.encode(), reference);
     }
     assert!(
         !outcomes[0].result.members.is_empty(),

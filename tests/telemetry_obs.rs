@@ -309,15 +309,31 @@ mod serve_obs {
         let minted = resp2.header("x-request-id").expect("generated id");
         assert!(!minted.is_empty() && minted != "rid-1");
 
-        // Prometheus exposition with the traffic above on the counters.
-        let text = {
+        let raw = |request: &[u8]| {
             let mut s = std::net::TcpStream::connect(addr).expect("connect");
-            s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-                .expect("send");
+            s.write_all(request).expect("send");
             let mut buf = String::new();
             s.read_to_string(&mut buf).expect("read");
             buf
         };
+
+        // An id with a bare CR is replaced, not echoed: a client that
+        // breaks lines at CR would otherwise read an injected header.
+        let text = raw(b"GET /healthz HTTP/1.1\r\nX-Request-Id: abc\rX-Injected: yes\r\n\r\n");
+        let head = text.split("\r\n\r\n").next().unwrap_or_default();
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head:?}");
+        assert!(!head.contains("X-Injected"), "{head:?}");
+        let id = head
+            .split("\r\n")
+            .find_map(|line| line.strip_prefix("X-Request-Id: "))
+            .expect("a minted id");
+        assert!(
+            !id.is_empty() && id.bytes().all(|b| b.is_ascii_graphic()),
+            "{id:?}"
+        );
+
+        // Prometheus exposition with the traffic above on the counters.
+        let text = raw(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
         assert!(text.starts_with("HTTP/1.1 200 OK"));
         assert!(text.contains("# TYPE autoax_serve_jobs_total counter"));
         assert!(text.contains("autoax_serve_jobs_total{served=\"cached\"} 1"));
