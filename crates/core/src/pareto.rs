@@ -38,15 +38,26 @@ impl TradeoffPoint {
 }
 
 /// A Pareto set of payloads keyed by their trade-off points.
+///
+/// Members keep their insertion order (stagnation restarts and island
+/// merges read it). Beside them the front keeps a mirror of their
+/// points sorted by ascending qor, which both inserts use for the
+/// reject test and the eviction. Members are pairwise non-dominated and
+/// distinct, so along the mirror qor strictly ascends and so does cost.
 #[derive(Debug, Clone, Default)]
 pub struct ParetoFront<T> {
     points: Vec<(TradeoffPoint, T)>,
+    /// The members' points sorted by ascending qor.
+    by_qor: Vec<TradeoffPoint>,
 }
 
 impl<T> ParetoFront<T> {
     /// An empty front.
     pub fn new() -> Self {
-        ParetoFront { points: Vec::new() }
+        ParetoFront {
+            points: Vec::new(),
+            by_qor: Vec::new(),
+        }
     }
 
     /// The `ParetoInsert` of Algorithm 1: inserts the candidate iff it is
@@ -72,52 +83,25 @@ impl<T> ParetoFront<T> {
     /// candidate (the overwhelmingly common case at 10⁵–10⁶ evals) never
     /// materializes a [`crate::config::Configuration`].
     pub fn try_insert_with(&mut self, p: TradeoffPoint, payload: impl FnOnce() -> T) -> bool {
-        if !p.is_finite() {
-            debug_assert!(p.is_finite(), "non-finite trade-off point {p:?}");
+        let Some(evicts) = self.admit(p) else {
             return false;
+        };
+        if evicts {
+            self.points.retain(|(q, _)| !p.dominates(q));
         }
-        if self
-            .points
-            .iter()
-            .any(|(q, _)| q.dominates(&p) || (q.qor == p.qor && q.cost == p.cost))
-        {
-            return false;
-        }
-        self.points.retain(|(q, _)| !p.dominates(q));
         self.points.push((p, payload()));
+        self.debug_check_mirror();
         true
     }
 
-    /// Batched `ParetoInsert`: processes a whole slab of candidate points
-    /// with one *branch-reduced* dominance scan per candidate over a flat
-    /// SoA mirror of the front, deferring payload materialization to the
-    /// end of the batch.
-    ///
-    /// Semantics are exactly those of calling
-    /// [`ParetoFront::try_insert_with`] for each point of `pts` in order —
-    /// same final members, same order, same acceptance count — but:
-    ///
-    /// * the per-candidate reject test (the overwhelmingly common
-    ///   outcome) is one binary search instead of a front scan: the reject
-    ///   predicate `q.dominates(p) || q == p` collapses to
-    ///   `q.qor >= p.qor && q.cost <= p.cost`, so against a batch-start
-    ///   snapshot of the front sorted by `qor` it reduces to "is the
-    ///   minimal cost among members with `qor >= p.qor` at most
-    ///   `p.cost`" — `partition_point` plus a suffix-min lookup, O(log m).
-    ///   Members evicted mid-batch may legally stay in the snapshot: an
-    ///   evicted member is weakly dominated by its (checked, later)
-    ///   evictor, so it never changes a reject decision. Candidates
-    ///   accepted earlier in the batch are scanned linearly (there are
-    ///   few);
-    /// * eviction (rare: only accepted candidates evict) runs a
-    ///   branchless pass over dense `f64` columns instead of
-    ///   short-circuiting `dominates` calls;
-    /// * eviction only flips a liveness bit — the `Vec` of members is
-    ///   compacted once per batch, not once per candidate;
-    /// * `materialize(i)` runs only for batch indices that are still on
-    ///   the front **after the whole batch**: a candidate accepted
-    ///   mid-batch but evicted by a later batch member never builds its
-    ///   payload at all (with [`ParetoFront::try_insert_with`] it would).
+    /// Batched `ParetoInsert` with deferred payloads: exactly the
+    /// decisions of calling [`ParetoFront::try_insert_with`] for each
+    /// point of `pts` in order — same final members, same order, same
+    /// acceptance count — except that `materialize(i)` runs only for
+    /// batch indices still on the front **after the whole batch**. A
+    /// candidate accepted mid-batch but evicted by a later batch member
+    /// never builds its payload (with [`ParetoFront::try_insert_with`]
+    /// it would).
     ///
     /// Returns the number of accepted candidates — i.e. how many
     /// `try_insert_with` calls would have returned `true`, which can
@@ -127,106 +111,71 @@ impl<T> ParetoFront<T> {
         pts: &[TradeoffPoint],
         mut materialize: impl FnMut(usize) -> T,
     ) -> usize {
-        use std::cell::RefCell;
-        thread_local! {
-            #[allow(clippy::type_complexity)]
-            static SCRATCH: RefCell<(
-                Vec<f64>,
-                Vec<f64>,
-                Vec<u8>,
-                Vec<usize>,
-                Vec<f64>,
-                Vec<f64>,
-                Vec<usize>,
-            )> = const {
-                RefCell::new((
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                ))
+        // Candidates accepted so far, in acceptance order: they follow
+        // every earlier member, as the sequential appends would.
+        let mut pending: Vec<(TradeoffPoint, usize)> = Vec::new();
+        let mut accepted = 0;
+        for (i, &p) in pts.iter().enumerate() {
+            let Some(evicts) = self.admit(p) else {
+                continue;
             };
+            if evicts {
+                self.points.retain(|(q, _)| !p.dominates(q));
+                pending.retain(|(q, _)| !p.dominates(q));
+            }
+            pending.push((p, i));
+            accepted += 1;
         }
-        SCRATCH.with(|s| {
-            let (qs, cs, alive, origin, vq, vc, perm) = &mut *s.borrow_mut();
-            qs.clear();
-            cs.clear();
-            alive.clear();
-            origin.clear();
-            let m0 = self.points.len();
-            qs.extend(self.points.iter().map(|(q, _)| q.qor));
-            cs.extend(self.points.iter().map(|(q, _)| q.cost));
-            alive.resize(m0, 1);
+        self.points
+            .extend(pending.into_iter().map(|(p, i)| (p, materialize(i))));
+        self.debug_check_mirror();
+        accepted
+    }
 
-            // Batch-start snapshot sorted by qor ascending (`vq`), with
-            // `vc[k]` = minimal cost over `vq[k..]` (suffix min). Front
-            // members are always finite, so `sort_unstable_by` over
-            // `total_cmp` is a plain numeric sort.
-            vq.clear();
-            vc.clear();
-            vq.extend_from_slice(qs);
-            vc.extend_from_slice(cs);
-            perm.clear();
-            perm.extend(0..m0);
-            perm.sort_unstable_by(|&a, &b| qs[a].total_cmp(&qs[b]));
-            for (k, &src) in perm.iter().enumerate() {
-                vq[k] = qs[src];
-                vc[k] = cs[src];
-            }
-            for k in (0..m0.saturating_sub(1)).rev() {
-                vc[k] = vc[k].min(vc[k + 1]);
-            }
+    /// The reject test and the mirror's update, shared by both inserts:
+    /// `None` when `p` is rejected, otherwise whether `p` evicted any
+    /// member.
+    ///
+    /// `p` is rejected when some member has qor ≥ `p.qor` and cost ≤
+    /// `p.cost` (it dominates `p` or equals it). Cost ascends with qor
+    /// along the mirror, so the cheapest such member is the first one
+    /// with qor ≥ `p.qor`: one `partition_point` and one compare. An
+    /// accepted `p` dominates exactly the members with qor ≤ `p.qor` and
+    /// cost ≥ `p.cost`, one contiguous run of the mirror, and takes
+    /// their place in it.
+    fn admit(&mut self, p: TradeoffPoint) -> Option<bool> {
+        if !p.is_finite() {
+            debug_assert!(p.is_finite(), "non-finite trade-off point {p:?}");
+            return None;
+        }
+        let k = self.by_qor.partition_point(|q| q.qor < p.qor);
+        let at_k = self.by_qor.get(k);
+        if at_k.is_some_and(|q| q.cost <= p.cost) {
+            return None;
+        }
+        // a member at k with p's qor costs more than p: p dominates it
+        let end = k + usize::from(at_k.is_some_and(|q| q.qor == p.qor));
+        let start = self.by_qor[..end].partition_point(|q| q.cost < p.cost);
+        self.by_qor.splice(start..end, [p]);
+        Some(start < end)
+    }
 
-            let mut accepted = 0usize;
-            for (i, p) in pts.iter().enumerate() {
-                if !p.is_finite() {
-                    debug_assert!(p.is_finite(), "non-finite trade-off point {p:?}");
-                    continue;
-                }
-                // Reject: dominated by or identical to any entry. The
-                // snapshot may contain members evicted earlier in this
-                // batch — harmless, because an evicted member is weakly
-                // dominated by its evictor, which is an accepted
-                // candidate scanned below.
-                let k = vq.partition_point(|&q| q < p.qor);
-                let mut rej = (k < m0 && vc[k] <= p.cost) as u8;
-                for k in m0..qs.len() {
-                    rej |= ((qs[k] >= p.qor) as u8) & ((cs[k] <= p.cost) as u8);
-                }
-                if rej != 0 {
-                    continue;
-                }
-                // Evict everything the candidate dominates.
-                for k in 0..qs.len() {
-                    alive[k] &= !(((p.qor >= qs[k]) as u8) & ((p.cost <= cs[k]) as u8));
-                }
-                qs.push(p.qor);
-                cs.push(p.cost);
-                alive.push(1);
-                origin.push(i);
-                accepted += 1;
-            }
-
-            // One compaction for the whole batch: drop dead originals in
-            // place, then append surviving candidates in acceptance order
-            // (matching the sequential append-at-end layout).
-            let mut k = 0;
-            self.points.retain(|_| {
-                let keep = alive[k] != 0;
-                k += 1;
-                keep
-            });
-            for (j, &src) in origin.iter().enumerate() {
-                if alive[m0 + j] != 0 {
-                    let p = TradeoffPoint::new(qs[m0 + j], cs[m0 + j]);
-                    self.points.push((p, materialize(src)));
-                }
-            }
-            accepted
-        })
+    /// Debug builds: the mirror holds exactly the members' points,
+    /// sorted by qor.
+    fn debug_check_mirror(&self) {
+        debug_assert!(
+            {
+                let mut want = self.points();
+                want.sort_by(|a, b| a.qor.total_cmp(&b.qor));
+                let bits = |v: &[TradeoffPoint]| -> Vec<(u64, u64)> {
+                    v.iter()
+                        .map(|p| (p.qor.to_bits(), p.cost.to_bits()))
+                        .collect()
+                };
+                bits(&want) == bits(&self.by_qor)
+            },
+            "sorted mirror out of step with the members"
+        );
     }
 
     /// Number of members.
@@ -631,19 +580,25 @@ mod tests {
 
     /// Deterministic pseudo-random stream on a coarse grid so the stream
     /// contains duplicates, dominated points and ties in one objective.
+    /// A zero coordinate is drawn as `-0.0` half the time, so `-0.0` and
+    /// `+0.0` compete.
     fn grid_stream(seed: u64, n: usize) -> Vec<TradeoffPoint> {
         let mut st = seed;
+        let mut draw = |levels: u64| {
+            st = st
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let v = ((st >> 33) % levels) as f64 / (levels - 1) as f64;
+            if v == 0.0 && (st >> 20) & 1 == 1 {
+                -0.0
+            } else {
+                v
+            }
+        };
         (0..n)
             .map(|_| {
-                st = st
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let q = ((st >> 33) % 13) as f64 / 12.0;
-                st = st
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let c = ((st >> 33) % 11) as f64 / 10.0;
-                TradeoffPoint::new(q, c)
+                let q = draw(13);
+                TradeoffPoint::new(q, draw(11))
             })
             .collect()
     }
@@ -892,39 +847,88 @@ mod tests {
         assert!(!ran2);
     }
 
+    /// The linear-scan `ParetoInsert` that the sorted mirror replaced:
+    /// the oracle both insert paths are held to.
+    fn oracle_insert(
+        points: &mut Vec<(TradeoffPoint, usize)>,
+        p: TradeoffPoint,
+        id: usize,
+    ) -> bool {
+        if !p.is_finite()
+            || points
+                .iter()
+                .any(|(q, _)| q.dominates(&p) || (q.qor == p.qor && q.cost == p.cost))
+        {
+            return false;
+        }
+        points.retain(|(q, _)| !p.dominates(q));
+        points.push((p, id));
+        true
+    }
+
     #[test]
     fn insert_batch_matches_sequential_inserts_exactly() {
-        // Many seeds, duplicate-heavy grid streams, varying batch sizes
-        // and non-empty starting fronts: the batched path must reproduce
-        // the sequential path member-for-member, order included.
+        // Many seeds, duplicate-heavy grid streams with both signed
+        // zeros, varying batch sizes and non-empty starting fronts: the
+        // per-candidate path must take every decision of the linear-scan
+        // oracle, and the batched path and a front that interleaves both
+        // mutators must reproduce it member for member, order included.
+        let bits = |v: &[(TradeoffPoint, usize)]| -> Vec<(u64, u64, usize)> {
+            v.iter()
+                .map(|(p, t)| (p.qor.to_bits(), p.cost.to_bits(), *t))
+                .collect()
+        };
+        let members =
+            |f: &ParetoFront<usize>| -> Vec<(TradeoffPoint, usize)> { f.iter().copied().collect() };
         for seed in [1u64, 7, 42, 2019, 77777] {
             let inputs = grid_stream(seed, 400);
             for batch in [1usize, 3, 32, 400] {
+                let mut oracle: Vec<(TradeoffPoint, usize)> = Vec::new();
                 let mut seq: ParetoFront<usize> = ParetoFront::new();
                 let mut bat: ParetoFront<usize> = ParetoFront::new();
-                let mut seq_accepts = 0usize;
+                let mut mixed: ParetoFront<usize> = ParetoFront::new();
+                let mut oracle_accepts = 0usize;
                 let mut bat_accepts = 0usize;
+                let mut mixed_accepts = 0usize;
                 for (ci, chunk) in inputs.chunks(batch).enumerate() {
                     for (i, p) in chunk.iter().enumerate() {
-                        if seq.try_insert_with(*p, || ci * batch + i) {
-                            seq_accepts += 1;
+                        let id = ci * batch + i;
+                        let want = oracle_insert(&mut oracle, *p, id);
+                        oracle_accepts += usize::from(want);
+                        assert_eq!(
+                            seq.try_insert_with(*p, || id),
+                            want,
+                            "seed {seed} batch {batch}: decision on {p:?} (#{id})"
+                        );
+                        if ci % 2 == 1 {
+                            mixed_accepts += usize::from(mixed.try_insert_with(*p, || id));
                         }
                     }
                     bat_accepts += bat.insert_batch_with(chunk, |i| ci * batch + i);
+                    if ci % 2 == 0 {
+                        mixed_accepts += mixed.insert_batch_with(chunk, |i| ci * batch + i);
+                    }
+                    assert_eq!(
+                        bits(&members(&seq)),
+                        bits(&oracle),
+                        "seed {seed} batch {batch}: sequential front diverges"
+                    );
+                    assert_eq!(
+                        bits(&members(&bat)),
+                        bits(&oracle),
+                        "seed {seed} batch {batch}: batched front diverges"
+                    );
+                    assert_eq!(
+                        bits(&members(&mixed)),
+                        bits(&oracle),
+                        "seed {seed} batch {batch}: interleaved front diverges"
+                    );
                 }
                 assert_eq!(
-                    seq_accepts, bat_accepts,
+                    (bat_accepts, mixed_accepts),
+                    (oracle_accepts, oracle_accepts),
                     "seed {seed} batch {batch}: acceptance counts differ"
                 );
-                let sm: Vec<(u64, u64, usize)> = seq
-                    .iter()
-                    .map(|(p, t)| (p.qor.to_bits(), p.cost.to_bits(), *t))
-                    .collect();
-                let bm: Vec<(u64, u64, usize)> = bat
-                    .iter()
-                    .map(|(p, t)| (p.qor.to_bits(), p.cost.to_bits(), *t))
-                    .collect();
-                assert_eq!(sm, bm, "seed {seed} batch {batch}: fronts diverge");
             }
         }
     }

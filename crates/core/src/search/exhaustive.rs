@@ -3,6 +3,7 @@
 //! enumerates all 4.92·10^7 reduced Sobel configurations.
 
 use super::hill::SearchOptions;
+use super::phase::{Phase, PhaseTimer};
 use super::{ConfigBatch, Estimator};
 use crate::config::{ConfigSpace, Configuration, MAX_ENUMERABLE_CONFIGS};
 use crate::job::CancelToken;
@@ -47,33 +48,31 @@ pub(crate) fn search(
     let mut odometer = vec![0u16; stride];
     let mut done = false;
     while !done && !cancel.is_cancelled() {
-        {
-            let _t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
-            batch.clear();
-            while batch.len() < SLAB && !done {
-                batch.push_genes(&odometer);
-                // advance the odometer (least-significant slot first,
-                // as ConfigSpace::iter_all does)
-                let mut i = 0;
-                loop {
-                    if i == stride {
-                        done = true;
-                        break;
-                    }
-                    odometer[i] += 1;
-                    if (odometer[i] as usize) < sizes[i] {
-                        break;
-                    }
-                    odometer[i] = 0;
-                    i += 1;
+        let mut t = PhaseTimer::start(Phase::Propose);
+        batch.clear();
+        while batch.len() < SLAB && !done {
+            batch.push_genes(&odometer);
+            // advance the odometer (least-significant slot first,
+            // as ConfigSpace::iter_all does)
+            let mut i = 0;
+            loop {
+                if i == stride {
+                    done = true;
+                    break;
                 }
+                odometer[i] += 1;
+                if (odometer[i] as usize) < sizes[i] {
+                    break;
+                }
+                odometer[i] = 0;
+                i += 1;
             }
         }
         estimates.clear();
-        super::estimate_round(estimator, &batch, None, &mut estimates);
+        super::estimate_round(estimator, &batch, None, &mut estimates, &mut t);
         // Batched offer — identical members and order to replaying
         // `try_insert_with` per candidate in enumeration order.
-        let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
+        t.next(Phase::Insert);
         front.insert_batch_with(&estimates, |i| batch.to_configuration(i));
     }
     front

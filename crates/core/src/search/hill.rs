@@ -47,6 +47,7 @@
 //!   `AUTOAX_THREADS`) never changes the result — islands are
 //!   deterministic in isolation and merged in island order.
 
+use super::phase::{Phase, PhaseTimer};
 use super::{ConfigBatch, Estimator, SearchAlgo};
 use crate::config::{ConfigSpace, Configuration};
 use crate::job::CancelToken;
@@ -160,12 +161,10 @@ impl Island {
             // Propose the whole round up front (all neighbours of the
             // current parent), written straight into the columnar arena:
             // the trajectory is fixed before estimation.
-            {
-                let _t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
-                self.round.clear();
-                for _ in 0..r {
-                    space.neighbor_into(&self.parent, self.round.push_row(), &mut self.rng);
-                }
+            let mut t = PhaseTimer::start(Phase::Propose);
+            self.round.clear();
+            for _ in 0..r {
+                space.neighbor_into(&self.parent, self.round.push_row(), &mut self.rng);
             }
             // Every row is a one-slot neighbour of the parent, which
             // selects the estimator's neighbour kernel.
@@ -175,10 +174,11 @@ impl Island {
                 &self.round,
                 Some(&self.parent),
                 &mut self.estimates,
+                &mut t,
             );
             // Replay the round through the sequential Algorithm-1 logic;
             // only accepted candidates materialize a Configuration.
-            let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
+            t.next(Phase::Insert);
             for i in 0..r {
                 let est = self.estimates[i];
                 let genes = self.round.row(i);

@@ -221,18 +221,19 @@ pub fn run_search_cancellable(
 }
 
 /// Estimates one round — every row of `batch` — in one estimator call,
-/// appending to `out`, and charges it to the estimate phase. With a
-/// `parent` (the hill climb's round, all neighbours of it) the rows go
-/// through [`Estimator::estimate_neighbours`], otherwise through
-/// [`Estimator::estimate_slice`].
+/// appending to `out`, and switches the round's `timer` to the estimate
+/// phase first. With a `parent` (the hill climb's round, all neighbours
+/// of it) the rows go through [`Estimator::estimate_neighbours`],
+/// otherwise through [`Estimator::estimate_slice`].
 pub(crate) fn estimate_round(
     estimator: &dyn Estimator,
     batch: &ConfigBatch,
     parent: Option<&[u16]>,
     out: &mut Vec<TradeoffPoint>,
+    timer: &mut phase::PhaseTimer,
 ) {
     let before = out.len();
-    let _t = phase::PhaseTimer::start(phase::Phase::Estimate);
+    timer.next(phase::Phase::Estimate);
     match parent {
         Some(parent) => estimator.estimate_neighbours(parent, batch.as_slice(), out),
         None => estimator.estimate_slice(batch.as_slice(), out),

@@ -29,6 +29,7 @@
 //! parallel, thread-invariant) batched estimator, so
 //! [`super::SearchOptions::threads`] never changes the result.
 
+use super::phase::{Phase, PhaseTimer};
 use super::{ConfigBatch, Estimator};
 use crate::config::{ConfigSpace, Configuration};
 use crate::job::CancelToken;
@@ -179,13 +180,16 @@ pub(crate) fn search(
     let pop = POP.min(opts.max_evals.max(2));
     let mut global: ParetoFront<Configuration> = ParetoFront::new();
 
+    let mut t = PhaseTimer::start(Phase::Propose);
     let mut parents = ConfigBatch::with_capacity(stride, pop);
     for _ in 0..pop {
         space.random_into(parents.push_row(), &mut rng);
     }
     let mut par_pts: Vec<TradeoffPoint> = Vec::with_capacity(pop);
-    super::estimate_round(estimator, &parents, None, &mut par_pts);
+    super::estimate_round(estimator, &parents, None, &mut par_pts, &mut t);
+    t.next(Phase::Insert);
     offer_all(&mut global, &parents, &par_pts);
+    drop(t);
     let mut evals = pop;
 
     let mut offspring = ConfigBatch::with_capacity(stride, pop);
@@ -198,7 +202,7 @@ pub(crate) fn search(
     while evals < opts.max_evals && !cancel.is_cancelled() {
         let r = pop.min(opts.max_evals - evals);
         // Rank the current parents for tournament selection.
-        let propose_t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
+        let mut t = PhaseTimer::start(Phase::Propose);
         s.objs.clear();
         s.objs.extend(par_pts.iter().map(|p| (-p.qor, p.cost)));
         rank_and_crowd(&mut s);
@@ -230,14 +234,15 @@ pub(crate) fn search(
                 }
             }
         }
-        drop(propose_t);
         off_pts.clear();
-        super::estimate_round(estimator, &offspring, None, &mut off_pts);
+        super::estimate_round(estimator, &offspring, None, &mut off_pts, &mut t);
+        // The global front's insert and the environmental selection are
+        // one insert phase.
+        t.next(Phase::Insert);
         offer_all(&mut global, &offspring, &off_pts);
         evals += r;
 
         // Environmental selection over parents ∪ offspring.
-        let _select_t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
         s.objs.clear();
         s.objs.extend(par_pts.iter().map(|p| (-p.qor, p.cost)));
         s.objs.extend(off_pts.iter().map(|p| (-p.qor, p.cost)));
@@ -276,7 +281,6 @@ pub(crate) fn search(
 /// insert (insertion order = batch order; configurations materialize only
 /// for candidates still on the front after the whole slab).
 fn offer_all(global: &mut ParetoFront<Configuration>, batch: &ConfigBatch, pts: &[TradeoffPoint]) {
-    let _t = crate::search::phase::PhaseTimer::start(crate::search::phase::Phase::Insert);
     global.insert_batch_with(pts, |i| batch.to_configuration(i));
 }
 

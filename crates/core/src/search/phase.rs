@@ -93,10 +93,12 @@ pub(crate) enum Phase {
     Insert = 2,
 }
 
-/// Scope guard recording its lifetime into one phase's histogram.
-/// Created at the top of a per-round loop; the `Drop` records the
-/// elapsed nanoseconds. Started while the registry is unsubscribed, it
-/// reads no clock and records nothing.
+/// Scope guard timing the phases of one round, each into its phase's
+/// histogram. [`PhaseTimer::next`] ends the running phase and starts the
+/// next at the same clock read, so a round of three back-to-back phases
+/// reads the clock four times; the `Drop` ends the last phase. Started
+/// while the registry is unsubscribed, it reads no clock and records
+/// nothing.
 pub(crate) struct PhaseTimer {
     t0: Option<Instant>,
     phase: Phase,
@@ -109,13 +111,26 @@ impl PhaseTimer {
             phase,
         }
     }
+
+    /// Records the running phase and starts `phase` at the same instant.
+    pub(crate) fn next(&mut self, phase: Phase) {
+        if let Some(t0) = self.t0 {
+            let now = Instant::now();
+            self.record(now - t0);
+            self.t0 = Some(now);
+        }
+        self.phase = phase;
+    }
+
+    fn record(&self, elapsed: std::time::Duration) {
+        phase_metrics().round_ns[self.phase as usize].record(elapsed.as_nanos() as u64);
+    }
 }
 
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
         if let Some(t0) = self.t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            phase_metrics().round_ns[self.phase as usize].record(ns);
+            self.record(t0.elapsed());
         }
     }
 }

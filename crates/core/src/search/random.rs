@@ -2,6 +2,7 @@
 //! Fig. 5: sample configurations uniformly, estimate, keep the Pareto set.
 
 use super::hill::SearchOptions;
+use super::phase::{Phase, PhaseTimer};
 use super::{ConfigBatch, Estimator};
 use crate::config::{ConfigSpace, Configuration};
 use crate::job::CancelToken;
@@ -32,18 +33,16 @@ pub(crate) fn search(
     let mut remaining = opts.max_evals;
     while remaining > 0 && !cancel.is_cancelled() {
         let r = ROUND.min(remaining);
-        {
-            let _t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
-            batch.clear();
-            for _ in 0..r {
-                space.random_into(batch.push_row(), &mut rng);
-            }
+        let mut t = PhaseTimer::start(Phase::Propose);
+        batch.clear();
+        for _ in 0..r {
+            space.random_into(batch.push_row(), &mut rng);
         }
         estimates.clear();
-        super::estimate_round(estimator, &batch, None, &mut estimates);
+        super::estimate_round(estimator, &batch, None, &mut estimates, &mut t);
         // Batched offer — identical members and order to replaying
         // `try_insert_with` per candidate.
-        let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
+        t.next(Phase::Insert);
         front.insert_batch_with(&estimates, |i| batch.to_configuration(i));
         remaining -= r;
     }

@@ -9,6 +9,7 @@
 //! configuration per level.
 
 use super::hill::SearchOptions;
+use super::phase::{Phase, PhaseTimer};
 use super::{ConfigBatch, Estimator};
 use crate::config::{ConfigSpace, Configuration};
 use crate::job::CancelToken;
@@ -31,15 +32,12 @@ pub(crate) fn search(
     let levels = opts.uniform_levels.max(2).min(opts.max_evals.max(2));
     let mut sp = autoax_telemetry::span("search.uniform");
     sp.field("levels", levels);
-    let (configs, batch) = {
-        let _t = super::phase::PhaseTimer::start(super::phase::Phase::Propose);
-        let configs = uniform_selection(space, levels);
-        let batch = ConfigBatch::from_configs(&configs);
-        (configs, batch)
-    };
+    let mut t = PhaseTimer::start(Phase::Propose);
+    let configs = uniform_selection(space, levels);
+    let batch = ConfigBatch::from_configs(&configs);
     let mut estimates: Vec<TradeoffPoint> = Vec::with_capacity(batch.len());
-    super::estimate_round(estimator, &batch, None, &mut estimates);
-    let _t = super::phase::PhaseTimer::start(super::phase::Phase::Insert);
+    super::estimate_round(estimator, &batch, None, &mut estimates, &mut t);
+    t.next(Phase::Insert);
     configs
         .into_iter()
         .zip(estimates)

@@ -44,10 +44,18 @@
 //! left-subtree leaf mask wherever the gene goes right; the word is the
 //! AND of those complements. The AND of a row's words over its slots
 //! then keeps exactly the leaves that no split the row fails rules out.
-//! Per call the parent's words are ANDed once into prefix and suffix
-//! arrays, so a one-slot neighbour at slot `s` costs, per tree, the word
-//! `prefix[s] & suffix[s + 1] & table[s][gene]`, one `trailing_zeros`
-//! and one leaf load.
+//!
+//! Per call the parent's words are ANDed into one exclusion row per
+//! slot, `excl[s] = prefix[s] & suffix[s + 1]` (its words over every
+//! slot but `s`), and one full row over all slots. Every row is then
+//! the AND of two word rows: a one-slot neighbour at slot `s` with gene
+//! `g` is `excl[s] & table[s][g]`, a copy of the parent is the full row,
+//! and a row that differs in two or more slots first ANDs all of its
+//! slots into scratch. One pass sums four rows at a time with the tree
+//! loop inside, so a one-slot neighbour costs, per tree, one AND, one
+//! `trailing_zeros` and one leaf load, with no row buffer in between.
+//! Only the genes that differ from the parent are range-checked; the
+//! parent itself is checked in full.
 //!
 //! **Exactness.** The lowest surviving bit is the pointer walk's exit
 //! leaf. Every leaf left of the exit leaf sits in the left subtree of
@@ -561,6 +569,27 @@ impl NeighbourTable {
         let trees = self.leaf_base.len();
         self.first[s].map(|r| &self.words[(r + g as usize) * trees..][..trees])
     }
+
+    /// The leaf sums of [`LANES`] rows whose exit words in tree `t` are
+    /// `words[l].0[t] & words[l].1[t]`: each sum starts at 0.0 and adds
+    /// its leaves in tree order, exactly as the walker does.
+    fn sum_lanes(&self, words: [(&[u64], &[u64]); LANES]) -> [f64; LANES] {
+        let trees = self.leaf_base.len();
+        // every row cut to the tree count, so the tree loop's loads need
+        // no bounds checks
+        let [(a0, b0), (a1, b1), (a2, b2), (a3, b3)] = words;
+        let (a0, b0, a1, b1) = (&a0[..trees], &b0[..trees], &a1[..trees], &b1[..trees]);
+        let (a2, b2, a3, b3) = (&a2[..trees], &b2[..trees], &a3[..trees], &b3[..trees]);
+        let mut sums = [0.0f64; LANES];
+        for (t, &base) in self.leaf_base.iter().enumerate() {
+            let leaves = &self.leaves[base as usize..];
+            sums[0] += leaves[(a0[t] & b0[t]).trailing_zeros() as usize];
+            sums[1] += leaves[(a1[t] & b1[t]).trailing_zeros() as usize];
+            sums[2] += leaves[(a2[t] & b2[t]).trailing_zeros() as usize];
+            sums[3] += leaves[(a3[t] & b3[t]).trailing_zeros() as usize];
+        }
+        sums
+    }
 }
 
 /// A [`CompiledForest`] with the estimator's per-slot feature tables
@@ -619,12 +648,11 @@ impl GatherForest {
 
     /// [`GatherForest::predict_genomes_into`] for rows that are mostly
     /// one-slot neighbours of `parent`, bit for bit the same values.
-    /// With a neighbour table the parent's words are ANDed once into
-    /// prefix and suffix arrays, so a one-slot neighbour costs one AND
-    /// word, one `trailing_zeros` and one leaf load per tree; a row equal
-    /// to the parent reads the full prefix, and a row that differs in
-    /// two or more slots ANDs all of its slots. A forest without a table
-    /// runs [`GatherForest::predict_genomes_into`].
+    /// With a neighbour table each row's exit leaves are the AND of two
+    /// word rows (see the module docs), so a one-slot neighbour costs one
+    /// AND, one `trailing_zeros` and one leaf load per tree; a row that
+    /// differs in two or more slots ANDs all of its slots first. A forest
+    /// without a table runs [`GatherForest::predict_genomes_into`].
     ///
     /// # Panics
     /// Panics when `parent` is not one genome, and on the slabs
@@ -635,79 +663,111 @@ impl GatherForest {
         let Some(table) = &self.neighbours else {
             return self.predict_genomes_into(genes, out);
         };
-        self.check_genes(genes);
-        out.clear();
-        out.resize(genes.len() / self.stride, 0.0);
         let (stride, trees) = (self.stride, self.roots.len());
-        let block = out.len().min(BLOCK);
+        assert_eq!(genes.len() % stride, 0, "ragged genome slab");
+        out.clear();
+        out.reserve(genes.len() / stride);
         NEIGHBOUR_WORDS.with(|cell| {
             let mut buf = cell.take();
-            let need = (2 * (stride + 1) + block) * trees;
-            if buf.len() < need {
-                buf.resize(need, 0);
-            }
-            // prefix[s]: the parent's words ANDed over slots < s;
-            // suffix[s]: over slots >= s (rows of `trees` words). Every
-            // other word is written before it is read.
-            let (prefix, rest) = buf.split_at_mut((stride + 1) * trees);
-            let (suffix, words) = rest.split_at_mut((stride + 1) * trees);
-            prefix[..trees].fill(!0);
-            suffix[stride * trees..].fill(!0);
+            buf.resize((stride + 2 + LANES) * trees, 0);
+            // Rows of `trees` words: the exclusion rows excl[0..stride]
+            // with the parent's full AND after them, the running suffix,
+            // and one row per lane for rows that differ in several slots.
+            let (excl, rest) = buf.split_at_mut((stride + 1) * trees);
+            let (suffix, many) = rest.split_at_mut(trees);
+            // excl[s] = the parent's words ANDed over slots < s, then
+            // over slots > s: excl[s] = prefix[s] & suffix[s + 1]
+            excl[..trees].fill(!0);
             for s in 0..stride {
-                let (done, next) = prefix.split_at_mut((s + 1) * trees);
+                let (done, next) = excl.split_at_mut((s + 1) * trees);
                 and_row(
                     &mut next[..trees],
                     &done[s * trees..],
                     table.row(s, parent[s]),
                 );
             }
+            suffix.fill(!0);
             for s in (0..stride).rev() {
-                let (next, done) = suffix.split_at_mut((s + 1) * trees);
-                and_row(&mut next[s * trees..], done, table.row(s, parent[s]));
+                let e = &mut excl[s * trees..][..trees];
+                match table.row(s, parent[s]) {
+                    Some(t) => {
+                        for ((e, q), &t) in e.iter_mut().zip(suffix.iter_mut()).zip(t) {
+                            *e &= *q;
+                            *q &= t;
+                        }
+                    }
+                    None => {
+                        for (e, &q) in e.iter_mut().zip(suffix.iter()) {
+                            *e &= q;
+                        }
+                    }
+                }
             }
-            let full = &prefix[stride * trees..];
-            for (rows, out) in genes.chunks(BLOCK * stride).zip(out.chunks_mut(BLOCK)) {
-                for (row, w) in rows.chunks_exact(stride).zip(words.chunks_exact_mut(trees)) {
-                    let mut diff = (0..stride).filter(|&s| row[s] != parent[s]);
-                    match (diff.next(), diff.next()) {
-                        (None, _) => w.copy_from_slice(full),
-                        (Some(s), None) => {
-                            let (p, q) = (&prefix[s * trees..], &suffix[(s + 1) * trees..]);
-                            match table.row(s, row[s]) {
-                                Some(t) => {
-                                    for (((w, &p), &q), &t) in w.iter_mut().zip(p).zip(q).zip(t) {
-                                        *w = p & q & t;
-                                    }
-                                }
-                                None => w.copy_from_slice(full),
-                            }
-                        }
-                        _ => {
-                            w.fill(!0);
-                            for (s, &g) in row.iter().enumerate() {
-                                if let Some(t) = table.row(s, g) {
-                                    for (w, &t) in w.iter_mut().zip(t) {
-                                        *w &= t;
-                                    }
-                                }
-                            }
-                        }
-                    }
+            let (excl, full) = excl.split_at(stride * trees);
+            for rows in genes.chunks(LANES * stride) {
+                let mut lanes = [Lane::Parent; LANES];
+                for ((lane, row), words) in lanes
+                    .iter_mut()
+                    .zip(rows.chunks_exact(stride))
+                    .zip(many.chunks_exact_mut(trees))
+                {
+                    *lane = self.lane(table, parent, row, words);
                 }
-                // tree order, so each row's sum adds its leaves exactly
-                // as the walker does
-                for (t, &base) in table.leaf_base.iter().enumerate() {
-                    let leaves = &table.leaves[base as usize..];
-                    for (o, w) in out.iter_mut().zip(words.chunks_exact(trees)) {
-                        *o += leaves[w[t].trailing_zeros() as usize];
+                // Each lane's exit words are `a & b`; `x & x` is `x`.
+                let words: [(&[u64], &[u64]); LANES] = std::array::from_fn(|l| match lanes[l] {
+                    Lane::Parent => (full, full),
+                    Lane::One(s, g) => {
+                        let e = &excl[s * trees..][..trees];
+                        (e, table.row(s, g).unwrap_or(e))
                     }
-                }
+                    Lane::Many => {
+                        let m = &many[l * trees..][..trees];
+                        (m, m)
+                    }
+                });
+                out.extend(
+                    table.sum_lanes(words)[..rows.len() / stride]
+                        .iter()
+                        .map(|sum| sum / self.divisor),
+                );
             }
             cell.replace(buf);
         });
-        for v in out.iter_mut() {
-            *v /= self.divisor;
+    }
+
+    /// Classifies one row of [`GatherForest::predict_neighbours_into`]
+    /// against the parent, checking only the genes that differ from it
+    /// (the parent's own are checked once per call). A row that differs
+    /// in several slots gets its words ANDed into `words`.
+    fn lane(&self, table: &NeighbourTable, parent: &[u16], row: &[u16], words: &mut [u64]) -> Lane {
+        let Some(s) = row.iter().zip(parent).position(|(g, p)| g != p) else {
+            return Lane::Parent;
+        };
+        if row[s + 1..] == parent[s + 1..] {
+            self.check_gene(s, row[s]);
+            return Lane::One(s, row[s]);
         }
+        words.fill(!0);
+        for (s, (&g, &p)) in row.iter().zip(parent).enumerate() {
+            if g != p {
+                self.check_gene(s, g);
+            }
+            if let Some(t) = table.row(s, g) {
+                for (w, &t) in words.iter_mut().zip(t) {
+                    *w &= t;
+                }
+            }
+        }
+        Lane::Many
+    }
+
+    /// Panics when gene `g` lies outside slot `s`'s baked table.
+    fn check_gene(&self, s: usize, g: u16) {
+        assert!(
+            (g as usize) < self.slot_members[s],
+            "gene {g} out of range for slot {s} ({} members)",
+            self.slot_members[s]
+        );
     }
 
     /// [`GatherForest::predict_genomes_into`], with the AVX2 kernel
@@ -742,11 +802,7 @@ impl GatherForest {
             for &g in genes[s..].iter().step_by(self.stride) {
                 max = max.max(g);
             }
-            assert!(
-                (max as usize) < self.slot_members[s],
-                "gene {max} out of range for slot {s} ({} members)",
-                self.slot_members[s]
-            );
+            self.check_gene(s, max);
         }
     }
 
@@ -1054,9 +1110,27 @@ thread_local! {
     static GENES32: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// Rows [`GatherForest::predict_neighbours_into`] sums at once: four
+/// independent sum chains overlap the latency of the leaf loads and the
+/// float adds.
+const LANES: usize = 4;
+
+/// How a row of [`GatherForest::predict_neighbours_into`] relates to
+/// its parent.
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    /// A copy of the parent (or a lane past the slab's last row).
+    Parent,
+    /// Differs from the parent in slot `.0` only, with gene `.1`.
+    One(usize, u16),
+    /// Differs in several slots: its words are ANDed into scratch.
+    Many,
+}
+
 thread_local! {
     /// Reusable word scratch of [`GatherForest::predict_neighbours_into`]:
-    /// the parent's prefix and suffix rows plus one block of row words.
+    /// the parent's exclusion rows and running suffix, plus one row per
+    /// lane.
     static NEIGHBOUR_WORDS: std::cell::RefCell<Vec<u64>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -1341,6 +1415,25 @@ mod tests {
         let (_, gf) = fit_and_bake(&layout, 3, 20, (0, 2, 4), &mut st);
         assert!(gf.has_neighbour_table());
         gf.predict_neighbours_into(&[0, 3], &[0, 0], &mut Vec::new());
+    }
+
+    #[test]
+    fn out_of_range_row_gene_panics_on_the_neighbour_path() {
+        // The neighbour kernel checks only the genes that differ from the
+        // parent: a one-slot neighbour and a row that differs in both
+        // slots each carry gene 3 in a 3-member slot.
+        let mut st = 1u64;
+        let layout = random_layout(2, 1, 3, &mut st);
+        let (_, gf) = fit_and_bake(&layout, 3, 20, (0, 2, 4), &mut st);
+        assert!(gf.has_neighbour_table());
+        for row in [[0u16, 3], [3, 1]] {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                gf.predict_neighbours_into(&[0, 0], &row, &mut Vec::new())
+            }))
+            .expect_err("an out-of-range gene must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains("out of range for slot"), "{row:?}: {msg}");
+        }
     }
 
     /// A gather layout over `stride` slots in which slot `unread` backs

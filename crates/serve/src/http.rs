@@ -47,6 +47,9 @@ pub enum ProtocolError {
         /// The server's limit.
         limit: usize,
     },
+    /// A read waited longer than the socket's read timeout: the client
+    /// went quiet mid-request, or never sent one.
+    Timeout,
     /// The connection closed before `Content-Length` bytes arrived.
     Truncated {
         /// Bytes the client declared.
@@ -79,6 +82,7 @@ impl ProtocolError {
             | ProtocolError::BadJson(_)
             | ProtocolError::BadField(_) => (400, "Bad Request"),
             ProtocolError::NotFound => (404, "Not Found"),
+            ProtocolError::Timeout => (408, "Request Timeout"),
             ProtocolError::HeadTooLarge => (431, "Request Header Fields Too Large"),
             ProtocolError::BodyTooLarge { .. } => (413, "Payload Too Large"),
             ProtocolError::Busy(_) => (429, "Too Many Requests"),
@@ -98,6 +102,7 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
             }
+            ProtocolError::Timeout => write!(f, "timed out waiting for the request"),
             ProtocolError::Truncated { declared, got } => {
                 write!(f, "body truncated: {got} of {declared} declared bytes")
             }
@@ -153,10 +158,9 @@ pub fn read_request(
         // Byte-capped read_line: a header stream with no newline must
         // hit HeadTooLarge, not grow without bound.
         loop {
-            let buf = reader.fill_buf().map_err(|_| ProtocolError::Truncated {
-                declared: 0,
-                got: *head_bytes,
-            })?;
+            let buf = reader
+                .fill_buf()
+                .map_err(|e| read_error(&e, 0, *head_bytes))?;
             if buf.is_empty() {
                 return Err(ProtocolError::BadRequestLine);
             }
@@ -222,8 +226,9 @@ pub fn read_request(
     let mut got = 0usize;
     while got < declared {
         match reader.read(&mut body[got..]) {
-            Ok(0) | Err(_) => return Err(ProtocolError::Truncated { declared, got }),
+            Ok(0) => return Err(ProtocolError::Truncated { declared, got }),
             Ok(n) => got += n,
+            Err(e) => return Err(read_error(&e, declared, got)),
         }
     }
     Ok(Request {
@@ -232,6 +237,16 @@ pub fn read_request(
         headers,
         body,
     })
+}
+
+/// The error a failed read becomes: [`ProtocolError::Timeout`] when the
+/// socket's read timeout expired (`WouldBlock` on Unix, `TimedOut` on
+/// Windows), [`ProtocolError::Truncated`] otherwise.
+fn read_error(e: &std::io::Error, declared: usize, got: usize) -> ProtocolError {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ProtocolError::Timeout,
+        _ => ProtocolError::Truncated { declared, got },
+    }
 }
 
 /// Writes a response head: status line plus the standard service headers
@@ -387,6 +402,7 @@ mod tests {
                 declared: 1,
                 limit: 0,
             },
+            ProtocolError::Timeout,
             ProtocolError::Truncated {
                 declared: 1,
                 got: 0,

@@ -2,8 +2,8 @@
 //! service tier, hand-rolled because the build environment has no
 //! crates.io access.
 //!
-//! Scope: the full JSON grammar minus extremes — no `\u` surrogate-pair
-//! decoding beyond the BMP, numbers parsed as `f64`. Numbers print via
+//! Scope: the full JSON grammar, surrogate-pair `\u` escapes included,
+//! with numbers parsed as `f64`. Numbers print via
 //! Rust's shortest-round-trip `Display`, so an `f64` survives a
 //! serialize→parse cycle bit-exactly; values that must stay exact past
 //! 2^53 (cache keys, digests) travel as hex strings instead.
@@ -52,14 +52,11 @@ impl Json {
     /// # Errors
     /// [`JsonError`] with the byte offset of the first problem.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: input, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing characters after the document"));
         }
         Ok(v)
@@ -109,7 +106,8 @@ impl Json {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset of the next character (always a char boundary).
     pos: usize,
 }
 
@@ -123,7 +121,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -133,7 +131,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8, msg: &'static str) -> Result<(), JsonError> {
@@ -163,7 +161,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &[u8], value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word) {
+        if self.src.as_bytes()[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -182,9 +180,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        let n: f64 = text.parse().map_err(|_| JsonError {
+        let n: f64 = self.src[start..self.pos].parse().map_err(|_| JsonError {
             msg: "invalid number",
             at: start,
         })?;
@@ -221,14 +217,21 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
+                            let mut code = self.hex4()?;
+                            if (0xD800..0xDC00).contains(&code) {
+                                // a high surrogate must pair with a low one
+                                let low = match self.src.as_bytes().get(self.pos..self.pos + 2) {
+                                    Some(b"\\u") => {
+                                        self.pos += 2;
+                                        self.hex4()?
+                                    }
+                                    _ => 0,
+                                };
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(self.err("unpaired surrogate in \\u escape"));
+                                }
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            }
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid \\u code point"))?,
@@ -239,18 +242,35 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let s = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(s)
-                        .ok()
-                        .and_then(|t| t.chars().next())
+                    // one scalar off the `&str`, in O(1)
+                    let ch = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
                         .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape at `pos`: exactly four, no
+    /// sign.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = self
+            .src
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
+        }
+        let code = hex.iter().fold(0, |code, &h| {
+            code * 16 + char::from(h).to_digit(16).expect("a hex digit")
+        });
+        self.pos += 4;
+        Ok(code)
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
@@ -354,6 +374,7 @@ pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars_and_containers() {
@@ -363,6 +384,10 @@ mod tests {
         assert_eq!(
             Json::parse(r#""a\"b\nA""#).unwrap(),
             Json::Str("a\"b\nA".into())
+        );
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00 \u00E9""#).unwrap(),
+            Json::Str("\u{1F600} \u{e9}".into())
         );
         let doc = Json::parse(r#"{"k":[1,2,{"x":null}],"y":false}"#).unwrap();
         assert_eq!(doc.get("y"), Some(&Json::Bool(false)));
@@ -381,10 +406,34 @@ mod tests {
             ("\"ab", 3),
             ("{} {}", 3),
             ("\"\u{0001}\"", 1),
+            // a sign is not a hex digit
+            (r#""\u+041""#, 3),
+            // unpaired surrogates
+            (r#""\ud83d""#, 7),
+            (r#""\ud83d\u0041""#, 13),
+            (r#""\ude00""#, 7),
         ] {
             let err = Json::parse(input).unwrap_err();
             assert_eq!(err.at, expect_at, "input={input:?}: {err}");
         }
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        // JSON source of one repeat: multi-byte characters, an escaped
+        // quote and plain ASCII
+        let unit = "\u{e9}\u{20ac}\u{1F600} plain \\\" ";
+        let repeats = (1 << 20) / unit.len() + 1;
+        let doc = format!("\"{}\"", unit.repeat(repeats));
+        let t0 = std::time::Instant::now();
+        let parsed = Json::parse(&doc).expect("a long string");
+        let took = t0.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+        // each repeat decodes its two-byte escape to one quote
+        assert_eq!(
+            parsed.as_str().map(str::len),
+            Some((unit.len() - 1) * repeats)
+        );
     }
 
     #[test]
@@ -425,5 +474,110 @@ mod tests {
             r#"{"text":"line\nbreak \"q\" \\ \u0007\r\t\u0001 é","n":2.5}"#
         );
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    /// Characters the string paths branch on: quotes, backslashes,
+    /// control characters, the edges of the BMP and a non-BMP scalar.
+    const SPECIAL: [char; 9] = [
+        '"',
+        '\\',
+        '/',
+        '\u{0}',
+        '\u{1f}',
+        '\u{7f}',
+        '\u{e9}',
+        '\u{ffff}',
+        '\u{1F600}',
+    ];
+
+    /// A string of up to 8 characters drawn from `x`: mostly
+    /// [`SPECIAL`], otherwise any Unicode scalar value.
+    fn text(mut x: u32) -> String {
+        (0..x % 9)
+            .map(|_| {
+                x = x.wrapping_mul(0x9E37_79B9).wrapping_add(0x7F4A_7C15);
+                match x >> 30 {
+                    0 => char::from_u32((x >> 8) % 0x11_0000).unwrap_or('\u{FFFD}'),
+                    _ => SPECIAL[(x >> 8) as usize % SPECIAL.len()],
+                }
+            })
+            .collect()
+    }
+
+    /// A `Json` tree of depth ≤ 3 read off a stream of draws.
+    fn tree(draws: &mut std::slice::Iter<'_, (u8, u32)>, depth: usize) -> Json {
+        let Some(&(kind, x)) = draws.next() else {
+            return Json::Null;
+        };
+        match kind % if depth < 3 { 7 } else { 5 } {
+            0 => Json::Null,
+            1 => Json::Bool(x & 1 == 1),
+            2 => {
+                let n = f64::from_bits(u64::from(x) << 32 | u64::from(x.rotate_left(7)));
+                Json::Num(if n.is_finite() { n } else { f64::from(x) })
+            }
+            3 | 4 => Json::Str(text(x)),
+            5 => Json::Arr((0..x % 4).map(|_| tree(draws, depth + 1)).collect()),
+            _ => Json::Obj(
+                (0..x % 4)
+                    .map(|i| (text(x ^ i), tree(draws, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Fragments the parser branches on.
+    const TOKENS: [&str; 16] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        "\\u",
+        "d83d",
+        "dc00",
+        "+041",
+        "true",
+        "-1e5",
+        " ",
+        "\u{1F600}",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary text up to 2 KiB parses or fails with an error; it
+        /// never panics.
+        #[test]
+        fn arbitrary_text_parses_or_fails_without_panicking(
+            picks in prop::collection::vec((0usize..TOKENS.len() * 2, any::<u32>()), 0..=600)
+        ) {
+            let mut input = String::new();
+            for (i, x) in picks {
+                match TOKENS.get(i) {
+                    Some(token) => input.push_str(token),
+                    None => input.push(char::from_u32(x % 0x11_0000).unwrap_or('\u{FFFD}')),
+                }
+                if input.len() > 2048 {
+                    break;
+                }
+            }
+            let _ = Json::parse(&input);
+        }
+
+        /// Generated trees of depth ≤ 3, with control and non-BMP
+        /// characters, survive `to_string` then `parse` bit for bit.
+        #[test]
+        fn generated_trees_round_trip_bit_for_bit(
+            draws in prop::collection::vec((any::<u8>(), any::<u32>()), 1..=40)
+        ) {
+            let doc = tree(&mut draws.iter(), 0);
+            let back = Json::parse(&doc.to_string()).expect("a printed tree parses");
+            // Debug prints every f64 distinctly, -0.0 included
+            prop_assert_eq!(format!("{back:?}"), format!("{doc:?}"));
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! job responses stream as NDJSON so a client sees accepted front
 //! members as soon as the job resolves, without chunked encoding. A
 //! connection that arrives while every handler is busy waits in the
-//! kernel's listen backlog until one is free.
+//! kernel's listen backlog until one is free; a client that goes quiet
+//! gets a `408` once a read has waited two seconds, so no idle
+//! client holds a handler for longer.
 //!
 //! Shutdown is graceful and layered: cancelling the server's token stops
 //! every handler from accepting, each finishes the connection it holds,
@@ -29,6 +31,12 @@ use std::time::Duration;
 /// Connection-handler threads: at most this many requests are served at
 /// once.
 const HANDLERS: usize = 4;
+
+/// The longest one read of a request may wait. A client that connects
+/// and goes quiet gets a 408 after this, so it holds a handler (and
+/// [`ServerHandle::stop`], which joins the handlers) only this long per
+/// read.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Server construction knobs.
 pub struct ServerConfig {
@@ -140,7 +148,11 @@ fn serve_connections(
     while !shutdown.is_cancelled() {
         match listener.accept() {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
+                if stream.set_nonblocking(false).is_err()
+                    || stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+                {
+                    continue;
+                }
                 let _ = catch_unwind(AssertUnwindSafe(|| handle(stream)));
             }
             // `WouldBlock` (nothing to accept) and transient accept

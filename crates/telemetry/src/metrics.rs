@@ -104,10 +104,9 @@ impl Default for Gauge {
 }
 
 struct HistogramInner {
+    /// Samples per bucket; their total is the sample count.
     counts: Box<[AtomicU64]>,
-    total: AtomicU64,
-    /// Saturating sum of recorded values (CAS loop; histograms are
-    /// recorded at burst/round granularity, not per candidate).
+    /// Saturating sum of recorded values.
     sum: AtomicU64,
 }
 
@@ -153,33 +152,34 @@ impl Histogram {
         let counts: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
         Histogram(Arc::new(HistogramInner {
             counts: counts.into_boxed_slice(),
-            total: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }))
     }
 
-    /// Records one sample. Wait-free except for the saturating-sum CAS.
+    /// Records one sample: two relaxed read-modify-writes, so search
+    /// workers recording every round stay cheap. A sum that overflows is
+    /// pinned at `u64::MAX` right after (a racing reader may see it
+    /// wrapped for that instant).
     pub fn record(&self, v: u64) {
         let inner = &*self.0;
         inner.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        inner.total.fetch_add(1, Ordering::Relaxed);
-        // Saturate instead of wrapping so `sum`/`count` stays a usable
-        // mean even after astronomically large samples (u64-overflow edge).
-        let mut cur = inner.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(v);
-            match inner
-                .sum
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
+        if inner
+            .sum
+            .fetch_add(v, Ordering::Relaxed)
+            .checked_add(v)
+            .is_none()
+        {
+            inner.sum.store(u64::MAX, Ordering::Relaxed);
         }
     }
 
+    /// Samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.0.total.load(Ordering::Relaxed)
+        self.0
+            .counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Saturating sum of all recorded samples.
@@ -205,7 +205,7 @@ impl Histogram {
                 return Some(bucket_lower_bound(i));
             }
         }
-        // Unreachable unless samples raced in after `total` was read;
+        // Unreachable unless samples raced in after the count was read;
         // report the largest occupied bucket conservatively.
         Some(bucket_lower_bound(BUCKETS - 1))
     }

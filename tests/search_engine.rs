@@ -239,6 +239,37 @@ fn pipeline_runs_under_every_portable_strategy() {
 }
 
 #[test]
+fn warm_gf_front_is_pinned_at_the_paper_budget() {
+    // The Generic-GF hill at the paper's 10^6-estimate budget, on the
+    // set-up of the warm-GF benchmark workload: every estimate of the
+    // neighbour kernel and every front insert decides these fronts. The
+    // seeds are the benchmark's first pipeline seeds for workload seeds
+    // 42, 43 and 44; the values hold at every worker count.
+    let accel = autoax_accel::gaussian_generic::GenericGaussian::with_sweep(4);
+    let lib =
+        autoax_circuit::charlib::build_library(&autoax_circuit::charlib::LibraryConfig::tiny());
+    let images = autoax_image::synthetic::benchmark_suite(2, 64, 48, 11);
+    for (seed, pseudo, finals, digest) in [
+        (275_413u64, 431usize, 40usize, 0x88e2_cb19_c7b3_03b8u64),
+        (545_160, 445, 37, 0xd38f_da26_2d72_65d7),
+        (77_331, 428, 50, 0x8697_d9df_3b91_e1af),
+    ] {
+        let mut opts = PipelineOptions::quick().with_strategy(SearchAlgo::Hill);
+        opts.search.max_evals = 1_000_000;
+        opts.final_eval_cap = 200;
+        opts.seed = seed;
+        let res = run_pipeline(&accel, &lib, &images, &opts).expect("warm-GF pipeline");
+        assert_eq!(res.pseudo_front.len(), pseudo, "seed {seed}: pseudo front");
+        assert_eq!(res.final_front.len(), finals, "seed {seed}: final front");
+        assert_eq!(
+            res.front_digest(),
+            digest,
+            "seed {seed}: front digest drifted"
+        );
+    }
+}
+
+#[test]
 fn nsga2_pipeline_is_deterministic_and_thread_invariant() {
     let accel = autoax_accel::sobel::SobelEd::new();
     let lib =

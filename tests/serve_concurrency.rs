@@ -293,3 +293,66 @@ fn wire_protocol_errors_and_disconnects_leave_the_server_healthy() {
     assert!(settled, "job slots must drain after a client disconnect");
     server.stop();
 }
+
+/// Idle clients cannot starve the server: four connections that never
+/// send a byte each hold a handler only until the per-read timeout, so a
+/// fifth client is served and `stop` (which joins the handlers) returns,
+/// each within that timeout plus two seconds. Every wait of the test is
+/// bounded, so a server without the timeout fails it instead of hanging.
+#[test]
+fn idle_connections_time_out_and_leave_the_server_responsive() {
+    use std::time::{Duration, Instant};
+    // the server's per-read timeout plus two seconds
+    let bound = Duration::from_secs(4);
+    let server = autoax_serve::spawn(ServerConfig::on_loopback(scratch("idle"))).expect("bind");
+    let addr = server.addr();
+    let idle = || -> Vec<TcpStream> {
+        (0..4)
+            .map(|_| {
+                let s = TcpStream::connect(addr).expect("connect an idle client");
+                s.set_read_timeout(Some(bound)).unwrap();
+                s
+            })
+            .collect()
+    };
+    // Four idle connections queue ahead of the probe and take every
+    // handler; four more queue behind it, so the handlers hold idle
+    // clients again when `stop` runs.
+    let first = idle();
+    let t0 = Instant::now();
+    let mut probe = TcpStream::connect(addr).expect("connect the probe");
+    probe.set_read_timeout(Some(bound)).unwrap();
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+        .expect("send the probe");
+    let second = idle();
+    let mut reply = String::new();
+    let _ = probe.read_to_string(&mut reply);
+    assert!(
+        reply.starts_with("HTTP/1.1 200"),
+        "the probe got {reply:?} after {:?}",
+        t0.elapsed()
+    );
+    assert!(t0.elapsed() < bound, "probe took {:?}", t0.elapsed());
+    for mut s in first {
+        let mut reply = String::new();
+        let _ = s.read_to_string(&mut reply);
+        assert!(
+            reply.starts_with("HTTP/1.1 408"),
+            "an idle client got {reply:?}"
+        );
+    }
+    let (done, stopped) = std::sync::mpsc::channel();
+    let t1 = Instant::now();
+    let stopper = std::thread::spawn(move || {
+        server.stop();
+        let _ = done.send(());
+    });
+    assert!(
+        stopped.recv_timeout(bound).is_ok(),
+        "stop did not return within {bound:?}"
+    );
+    assert!(t1.elapsed() < bound);
+    stopper.join().expect("the stopping thread");
+    drop(second);
+}
