@@ -8,12 +8,17 @@
 //! drive the WMED score used for library pre-processing.
 
 use crate::accelerator::OpObserver;
-use std::collections::HashMap;
+use autoax_exec::hash::IntMap;
 
 /// Empirical joint distribution of one slot's operand pairs.
+///
+/// The counts live in an [`IntMap`]: profiling is almost all inserts.
+/// Every reader is independent of the map's iteration order: sums run
+/// over integer counts, and the probabilities come out sorted
+/// ([`Pmf::top_mass`], [`Pmf::sorted_counts`]).
 #[derive(Debug, Clone, Default)]
 pub struct Pmf {
-    counts: HashMap<(u32, u32), u64>,
+    counts: IntMap<(u32, u32), u64>,
     total: u64,
 }
 
@@ -79,15 +84,18 @@ impl Pmf {
 
     /// Downsamples the joint distribution onto a `bins × bins` grid
     /// (row-major, normalized) for heat-map export (Fig. 3).
+    ///
+    /// Each bin sums its integer counts and divides once, so the grid
+    /// does not depend on the order the counts are visited in.
     pub fn to_grid(&self, bins: usize, max_a: u32, max_b: u32) -> Vec<f64> {
-        let mut grid = vec![0.0f64; bins * bins];
-        let t = self.total.max(1) as f64;
+        let mut counts = vec![0u64; bins * bins];
         for (&(a, b), &c) in &self.counts {
             let ia = ((a as usize * bins) / (max_a as usize + 1)).min(bins - 1);
             let ib = ((b as usize * bins) / (max_b as usize + 1)).min(bins - 1);
-            grid[ia * bins + ib] += c as f64 / t;
+            counts[ia * bins + ib] += c;
         }
-        grid
+        let t = self.total.max(1) as f64;
+        counts.into_iter().map(|c| c as f64 / t).collect()
     }
 
     /// The raw operand-pair counts in deterministic (sorted-key) order —
@@ -121,13 +129,13 @@ impl Pmf {
     /// (`|a - b| <= band`) — the quantitative form of Fig. 3's visual
     /// "operand values are typically very close".
     pub fn diagonal_mass(&self, band: u32) -> f64 {
-        let t = self.total.max(1) as f64;
-        self.counts
+        let near: u64 = self
+            .counts
             .iter()
             .filter(|(&(a, b), _)| a.abs_diff(b) <= band)
-            .map(|(_, &c)| c as f64)
-            .sum::<f64>()
-            / t
+            .map(|(_, &c)| c)
+            .sum();
+        near as f64 / self.total.max(1) as f64
     }
 }
 
@@ -246,6 +254,64 @@ mod tests {
             for (k, prob) in p.iter() {
                 assert!((prob - s.prob(k.0, k.1)).abs() < 1e-12, "{k:?}");
             }
+        }
+    }
+
+    /// A 4×4 grid over operands `0..8`: each bin spans two values of
+    /// each operand, and 8 samples make every probability a multiple of
+    /// 1/8.
+    #[test]
+    fn grid_matches_hand_computed_bins() {
+        let mut p = Pmf::new();
+        for (a, b) in [
+            (0, 0),
+            (1, 1),
+            (1, 0),
+            (2, 3),
+            (7, 7),
+            (6, 7),
+            (7, 0),
+            (3, 2),
+        ] {
+            p.add(a, b);
+        }
+        let mut want = [0.0; 16];
+        want[0] = 3.0 / 8.0; // (0,0) (1,1) (1,0)
+        want[5] = 2.0 / 8.0; // (2,3) (3,2)
+        want[15] = 2.0 / 8.0; // (7,7) (6,7)
+        want[12] = 1.0 / 8.0; // (7,0)
+        assert_eq!(p.to_grid(4, 7, 7), want);
+    }
+
+    /// The same counts inserted in any order give the same grid, bit for
+    /// bit, whatever order each map iterates them in.
+    #[test]
+    fn grid_is_independent_of_insertion_order() {
+        use autoax_exec::hash::splitmix64;
+        let mut st = 7;
+        let mut counts: Vec<((u32, u32), u64)> = (0..600)
+            .map(|_| {
+                let r = splitmix64(&mut st);
+                let (a, b) = ((r & 0xFF) as u32, ((r >> 8) & 0xFF) as u32);
+                ((a, b), 1 + (r >> 40) % 97)
+            })
+            .collect();
+        let want: Vec<u64> = Pmf::from_counts(counts.clone())
+            .to_grid(16, 255, 255)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        for _ in 0..20 {
+            // Fisher-Yates with the same stream
+            for i in (1..counts.len()).rev() {
+                counts.swap(i, (splitmix64(&mut st) % (i as u64 + 1)) as usize);
+            }
+            let got: Vec<u64> = Pmf::from_counts(counts.clone())
+                .to_grid(16, 255, 255)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want);
         }
     }
 

@@ -22,7 +22,7 @@
 use crate::cell::CellKind;
 use crate::netlist::{NetId, Netlist};
 use crate::sim::sim_all_nets;
-use std::collections::HashMap;
+use autoax_exec::hash::IntMap;
 
 /// Hardware cost report of a synthesized netlist.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,11 +94,19 @@ fn forward_simplify(netlist: &Netlist) -> Netlist {
         .map(|i| NetVal::Net(NetId(i)))
         .collect();
     // structural hash: (kind, resolved inputs) -> new net
-    let mut cse: HashMap<(CellKind, [u32; 3]), NetId> = HashMap::new();
+    let mut cse: IntMap<(CellKind, [u32; 3]), NetId> = IntMap::default();
     // cached constant nets in the new netlist
     let mut const_nets: [Option<NetId>; 2] = [None, None];
-    // cached inverters: new net -> net of its complement
-    let mut inv_cache: HashMap<u32, NetId> = HashMap::new();
+    // cached inverters, indexed by new net: the net of its complement
+    let mut inv_cache: Vec<Option<NetId>> = Vec::with_capacity(netlist.net_count());
+    let pair_inverters = |cache: &mut Vec<Option<NetId>>, x: NetId, y: NetId| {
+        let top = x.index().max(y.index());
+        if cache.len() <= top {
+            cache.resize(top + 1, None);
+        }
+        cache[x.index()] = Some(y);
+        cache[y.index()] = Some(x);
+    };
 
     // Materializes a NetVal as an actual net in `out`.
     // (Closures can't borrow `out` mutably twice, so plain fns + macros.)
@@ -117,13 +125,12 @@ fn forward_simplify(netlist: &Netlist) -> Netlist {
                     }
                 }
                 NetVal::NotNet(n) => {
-                    if let Some(&inv) = inv_cache.get(&n.0) {
+                    if let Some(inv) = inv_cache.get(n.index()).copied().flatten() {
                         inv
                     } else {
                         let key = (CellKind::Inv, [n.0, n.0, n.0]);
                         let invn = *cse.entry(key).or_insert_with(|| out.inv(n));
-                        inv_cache.insert(n.0, invn);
-                        inv_cache.insert(invn.0, n);
+                        pair_inverters(&mut inv_cache, n, invn);
                         invn
                     }
                 }
@@ -165,8 +172,7 @@ fn forward_simplify(netlist: &Netlist) -> Netlist {
                     let n = out.push(kind, nets);
                     cse.insert(key, n);
                     if kind == CellKind::Inv {
-                        inv_cache.insert(nets[0].0, n);
-                        inv_cache.insert(n.0, nets[0]);
+                        pair_inverters(&mut inv_cache, nets[0], n);
                     }
                     NetVal::Net(n)
                 }

@@ -5,34 +5,104 @@
 //! where `D_k` is the operand PMF of the accelerator's `k`-th operation,
 //! profiled on benchmark data. WMED is the application-aware error score
 //! that drives library pre-processing.
+//!
+//! A support is scored through the plane kernels: its `a` and `b`
+//! operands are laid out once as `u32` planes, next to each pair's
+//! probability and exact signed result, and every circuit runs
+//! [`Behavior::eval_plane`](autoax_circuit::approx::Behavior::eval_plane)
+//! over them (its model's plane kernel, or the 64-lane netlist simulator
+//! for a `Raw` mutant). The products `p · |error|` are then summed in
+//! support order, so each score is bit-identical to one `eval` per pair.
 
 use autoax_accel::Pmf;
-use autoax_circuit::CircuitEntry;
+use autoax_circuit::{CircuitEntry, OpSignature};
 use autoax_exec::par_map;
+
+/// A PMF support laid out for one class: the operand planes, each pair's
+/// probability and its exact result, all in support order.
+struct SupportPlanes {
+    sig: OpSignature,
+    a: Vec<u32>,
+    b: Vec<u32>,
+    p: Vec<f64>,
+    exact: Vec<i64>,
+}
+
+impl SupportPlanes {
+    /// Lays out `support` for circuits of class `sig`.
+    ///
+    /// # Panics
+    /// Panics if `sig`'s outputs do not fit the `u32` planes.
+    fn new(sig: OpSignature, support: &[((u32, u32), f64)]) -> Self {
+        assert!(
+            sig.output_width() <= 32,
+            "WMED scores {sig} through u32 planes, but its outputs are {} bits",
+            sig.output_width()
+        );
+        let a: Vec<u32> = support.iter().map(|&((a, _), _)| a).collect();
+        let b: Vec<u32> = support.iter().map(|&((_, b), _)| b).collect();
+        let p = support.iter().map(|&(_, p)| p).collect();
+        let exact = a
+            .iter()
+            .zip(&b)
+            .map(|(&a, &b)| sig.to_signed(sig.exact(a as u64, b as u64)))
+            .collect();
+        SupportPlanes {
+            sig,
+            a,
+            b,
+            p,
+            exact,
+        }
+    }
+
+    /// The WMED of one circuit of the class.
+    fn wmed(&self, entry: &CircuitEntry) -> f64 {
+        assert_eq!(
+            entry.signature(),
+            self.sig,
+            "{} is not of class {}",
+            entry.label,
+            self.sig
+        );
+        let mut raw = vec![0u32; self.a.len()];
+        entry.behavior.eval_plane(&self.a, &self.b, &mut raw);
+        let mut acc = 0.0;
+        for ((&r, &e), &p) in raw.iter().zip(&self.exact).zip(&self.p) {
+            let err = self.sig.to_signed(r as u64) - e;
+            acc += p * err.unsigned_abs() as f64;
+        }
+        acc
+    }
+}
 
 /// Computes the WMED of one circuit against a PMF support.
 ///
 /// `support` is a list of `((a, b), probability)` pairs, typically
 /// obtained from [`Pmf::top_mass`].
+///
+/// # Panics
+/// Panics if the circuit's outputs are wider than 32 bits.
 pub fn wmed_on_support(entry: &CircuitEntry, support: &[((u32, u32), f64)]) -> f64 {
-    let sig = entry.signature();
-    let mut acc = 0.0;
-    for &((a, b), p) in support {
-        let raw = entry.eval(a as u64, b as u64);
-        let err = sig.error(a as u64, b as u64, raw);
-        acc += p * err.unsigned_abs() as f64;
-    }
-    acc
+    SupportPlanes::new(entry.signature(), support).wmed(entry)
 }
 
-/// Computes WMED for every circuit of a class in parallel.
+/// Computes WMED for every circuit of a class in parallel, laying the
+/// support out once for the whole class.
 ///
 /// `mass_frac` truncates the PMF support to its highest-probability prefix
 /// covering that fraction of the mass (1.0 = exact WMED); the truncation
 /// bounds the cost on the 2^16-point supports of the multiplier class.
+///
+/// # Panics
+/// Panics if the entries differ in class, or their outputs are wider
+/// than 32 bits (every library class has at most 17).
 pub fn wmed_class(entries: &[CircuitEntry], pmf: &Pmf, mass_frac: f64) -> Vec<f64> {
-    let support = pmf.top_mass(mass_frac);
-    par_map(entries, |e| wmed_on_support(e, &support))
+    let Some(first) = entries.first() else {
+        return Vec::new();
+    };
+    let planes = SupportPlanes::new(first.signature(), &pmf.top_mass(mass_frac));
+    par_map(entries, |e| planes.wmed(e))
 }
 
 #[cfg(test)]
@@ -173,6 +243,85 @@ mod tests {
         let w_unaligned = wmed_on_support(trunc, &unaligned.top_mass(1.0));
         assert_eq!(w_aligned, 0.0);
         assert!(w_unaligned > 0.0);
+    }
+
+    /// The per-pair WMED loop that scored every circuit before the plane
+    /// path: one `eval` and one `error` per support pair, summed in
+    /// support order.
+    fn oracle_wmed_on_support(entry: &CircuitEntry, support: &[((u32, u32), f64)]) -> f64 {
+        let sig = entry.signature();
+        let mut acc = 0.0;
+        for &((a, b), p) in support {
+            let raw = entry.eval(a as u64, b as u64);
+            let err = sig.error(a as u64, b as u64, raw);
+            acc += p * err.unsigned_abs() as f64;
+        }
+        acc
+    }
+
+    /// Every class of the tiny library (the signed subtractors included),
+    /// plus four netlist mutants per class as `Raw` entries, against the
+    /// profiled Sobel and Generic-GF operand PMFs of its operand width,
+    /// exact and truncated.
+    #[test]
+    fn wmed_class_is_bit_identical_to_the_per_pair_oracle_on_profiled_pmfs() {
+        use autoax_accel::gaussian_generic::GenericGaussian;
+        use autoax_accel::sobel::SobelEd;
+        use autoax_accel::Accelerator;
+        use autoax_circuit::approx::mutate::mutate_netlist;
+        use autoax_circuit::charlib::build_library;
+        use std::sync::Arc;
+
+        let lib = build_library(&LibraryConfig::tiny());
+        let images = autoax_image::synthetic::benchmark_suite(2, 32, 24, 11);
+        let accels: [&dyn Accelerator; 2] = [&SobelEd::new(), &GenericGaussian::with_sweep(2)];
+        let profiled: Vec<(OpSignature, Pmf)> = accels
+            .iter()
+            .flat_map(|acc| {
+                let df = acc.dataflow();
+                let sigs: Vec<OpSignature> = df.slots().iter().map(|s| s.signature).collect();
+                sigs.into_iter().zip(df.profile(&images))
+            })
+            .collect();
+        let mut signed = 0;
+        for sig in lib.signatures() {
+            let exact = Behavior::exact_for(sig).build_netlist();
+            let mut class = lib.class(sig).to_vec();
+            let first = class.len() as u32;
+            class.extend((0..4u64).map(|seed| CircuitEntry {
+                id: CircuitId(first + seed as u32),
+                behavior: Behavior::Raw {
+                    sig,
+                    netlist: Arc::new(mutate_netlist(&exact, 1 + seed as u32, seed)),
+                },
+                label: format!("mutant{seed}"),
+                hw: HwReport::ZERO,
+                err: ErrorMetrics::default(),
+            }));
+            signed += usize::from(sig.kind == autoax_circuit::OpKind::Sub);
+            let pmfs: Vec<&Pmf> = profiled
+                .iter()
+                .filter(|(s, _)| s.width_a == sig.width_a)
+                .map(|(_, p)| p)
+                .collect();
+            assert!(!pmfs.is_empty(), "{sig}: no profiled PMF of its width");
+            for pmf in pmfs {
+                for mass_frac in [1.0, 0.999] {
+                    let support = pmf.top_mass(mass_frac);
+                    let want: Vec<u64> = class
+                        .iter()
+                        .map(|e| oracle_wmed_on_support(e, &support).to_bits())
+                        .collect();
+                    let got: Vec<u64> = wmed_class(&class, pmf, mass_frac)
+                        .iter()
+                        .map(|w| w.to_bits())
+                        .collect();
+                    assert_eq!(got, want, "{sig} at mass_frac {mass_frac}");
+                }
+            }
+        }
+        assert_eq!(lib.signatures().count(), 6, "every paper class");
+        assert_eq!(signed, 2, "sub10 and sub16");
     }
 
     #[test]

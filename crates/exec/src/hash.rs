@@ -1,12 +1,19 @@
 //! FNV-1a 64 and SplitMix64: the one implementation of each that every
 //! digest, checksum, content key and seeded stream of the workspace
-//! runs through.
+//! runs through. Beside them, one map hasher ([`MapHasher`]) for the
+//! integer-keyed in-memory maps.
 //!
-//! Neither is cryptographic. FNV-1a fingerprints content: front digests,
+//! None is cryptographic. FNV-1a fingerprints content: front digests,
 //! store checksums and cache keys, characterization dedupe and compiled
 //! forest identity. SplitMix64 drives the deterministic streams: operand
 //! stimuli, bootstrap resamples, weight initialization and shuffles. Pinned
 //! digests all over the workspace depend on these exact bits.
+//! [`MapHasher`] is not a digest: it only places keys in the buckets of
+//! an [`IntMap`], and nothing may depend on its values or on the order in
+//! which such a map iterates.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The FNV-1a 64 offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -14,6 +21,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// SplitMix64's state increment (the 64-bit golden ratio).
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The multiplier of [`MapHasher`]'s step (FxHash's).
+const MAP_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// A running FNV-1a 64 hash.
 ///
@@ -92,6 +101,83 @@ pub const fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A map hasher for small integer keys: each word is folded in with
+/// FxHash's step, `h = (h.rotl(5) ^ w) · K`.
+///
+/// Step 1's operand profiles and structural hashing in synthesis are
+/// almost all map inserts, and this step hashes an integer key in a few
+/// cycles where `std`'s SipHash takes tens. It is not a digest and not
+/// DoS-resistant: use it only for in-process maps of trusted keys whose
+/// results never depend on iteration order ([`IntMap`]). FNV's word step
+/// is no substitute: its last multiply leaves the low bits that pick a
+/// bucket poorly mixed.
+///
+/// ```
+/// use autoax_exec::hash::IntMap;
+/// let mut counts: IntMap<(u32, u32), u64> = IntMap::default();
+/// *counts.entry((3, 4)).or_insert(0) += 1;
+/// assert_eq!(counts[&(3, 4)], 1);
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MapHasher(u64);
+
+impl MapHasher {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(MAP_SEED);
+    }
+}
+
+impl Hasher for MapHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`MapHasher`]: the workspace's map for
+/// integer-keyed in-memory tables. Build one with `IntMap::default()`.
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<MapHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,5 +213,51 @@ mod tests {
     fn mix64_is_the_output_function_of_the_stream() {
         assert_eq!(mix64(GOLDEN_GAMMA), 0xe220_a839_7b1d_cdaf);
         assert_eq!(mix64(0), 0);
+    }
+
+    #[test]
+    fn map_hasher_folds_each_integer_as_one_word() {
+        let hash = |f: &dyn Fn(&mut MapHasher)| {
+            let mut h = MapHasher::default();
+            f(&mut h);
+            h.finish()
+        };
+        // one step from zero is a multiply
+        assert_eq!(hash(&|h| h.write_u32(1)), MAP_SEED);
+        assert_eq!(hash(&|h| h.write_u8(7)), hash(&|h| h.write_u64(7)));
+        // a byte slice folds whole little-endian words, then the zero-padded rest
+        assert_eq!(
+            hash(&|h| h.write(&[1, 0, 0, 0, 0, 0, 0, 0, 2, 0])),
+            hash(&|h| {
+                h.write_u64(1);
+                h.write_u64(2);
+            })
+        );
+        assert_ne!(
+            hash(&|h| {
+                h.write_u32(1);
+                h.write_u32(2);
+            }),
+            hash(&|h| {
+                h.write_u32(2);
+                h.write_u32(1);
+            })
+        );
+    }
+
+    #[test]
+    fn int_map_keys_spread_over_the_low_bits() {
+        // a 16×16 grid of operand pairs spreads over the low byte, the
+        // bits that pick a bucket
+        let mut low = std::collections::BTreeSet::new();
+        for a in 0..16u32 {
+            for b in 0..16u32 {
+                let mut h = MapHasher::default();
+                h.write_u32(a);
+                h.write_u32(b);
+                low.insert(h.finish() & 0xFF);
+            }
+        }
+        assert!(low.len() > 128, "only {} distinct low bytes", low.len());
     }
 }
