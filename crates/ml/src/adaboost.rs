@@ -3,7 +3,7 @@
 
 use crate::engine::{Regressor, TrainError};
 use crate::linalg::Matrix;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, FeatureRanks, TreeConfig};
 use autoax_exec::hash::splitmix64;
 
 /// AdaBoost.R2 regressor with linear loss.
@@ -51,6 +51,7 @@ impl Regressor for AdaBoost {
             return Err(TrainError::new("invalid training set"));
         }
         self.models.clear();
+        let data = FeatureRanks::new(x)?;
         let mut weights = vec![1.0 / n as f64; n];
         let mut st = self.seed ^ 0xADA_B005_7000_0001;
         let next = |st: &mut u64| splitmix64(st) as f64 / u64::MAX as f64;
@@ -75,7 +76,7 @@ impl Regressor for AdaBoost {
                 seed: self.seed.wrapping_add(round as u64),
                 ..Default::default()
             });
-            tree.fit_subset(x, y, &idx, None)?;
+            tree.fit_subset(&data, y, &idx, None)?;
             // linear loss per sample
             let errs: Vec<f64> = (0..n)
                 .map(|i| (tree.predict_row(x.row(i)) - y[i]).abs())
@@ -114,7 +115,7 @@ impl Regressor for AdaBoost {
                 max_depth: self.max_depth,
                 ..Default::default()
             });
-            tree.fit_subset(x, y, &idx, None)?;
+            tree.fit_subset(&data, y, &idx, None)?;
             self.models.push((tree, 1.0));
         }
         Ok(())

@@ -86,7 +86,7 @@
 
 use crate::engine::TrainError;
 use crate::forest::RandomForest;
-use crate::tree::{DecisionTree, NodeRepr};
+use crate::tree::{tree_depth, DecisionTree, NodeRepr};
 use autoax_exec::hash::Fnv64;
 
 /// Rows per traversal block: one tree's records are reused across this
@@ -455,29 +455,6 @@ impl CompiledForest {
             .collect();
         Nodes::Quant { nodes, ranks }
     }
-}
-
-/// Deepest leaf of an exported tree (node 0 is the root) — the fixed trip
-/// count of the branchless traversal.
-fn tree_depth(nodes: &[NodeRepr]) -> Result<u32, TrainError> {
-    let mut visited = vec![false; nodes.len()];
-    let mut stack = vec![(0u32, 0u32)];
-    let mut max = 0u32;
-    while let Some((at, d)) = stack.pop() {
-        let slot = &mut visited[at as usize];
-        if *slot {
-            return Err(TrainError::new("node graph is not a tree"));
-        }
-        *slot = true;
-        match nodes[at as usize] {
-            NodeRepr::Leaf { .. } => max = max.max(d),
-            NodeRepr::Split { left, right, .. } => {
-                stack.push((left, d + 1));
-                stack.push((right, d + 1));
-            }
-        }
-    }
-    Ok(max)
 }
 
 /// The feature-table layout [`CompiledForest::bake_gather`] consumes:

@@ -1,9 +1,15 @@
 //! Random forest regression: bagged CART trees (the paper's best engine,
 //! "random forest consisting of 100 different trees").
+//!
+//! A fit ranks the features once ([`FeatureRanks`]) and draws every
+//! tree's bootstrap up front, in tree order, from one SplitMix64 stream.
+//! The trees are then independent: `autoax_exec::par_map` fits them on
+//! the worker pool and returns them in tree order, so the forest is the
+//! same at any worker count, bit for bit.
 
 use crate::engine::{Regressor, TrainError};
 use crate::linalg::Matrix;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, FeatureRanks, TreeConfig};
 use autoax_exec::hash::splitmix64;
 
 /// Random forest regressor.
@@ -64,21 +70,29 @@ impl Regressor for RandomForest {
         if x.nrows() != y.len() {
             return Err(TrainError::new("row/target count mismatch"));
         }
-        let n = x.nrows();
         self.trees.clear();
+        let data = FeatureRanks::new(x)?;
+        let n = x.nrows();
         let mut st = self.seed ^ 0xF0E5_7000_0000_0001;
-        for t in 0..self.n_trees {
-            // bootstrap resample
-            let idx: Vec<usize> = (0..n)
-                .map(|_| (splitmix64(&mut st) % n as u64) as usize)
-                .collect();
+        // (tree seed, bootstrap resample) per tree, in tree order
+        let bootstraps: Vec<(u64, Vec<usize>)> = (0..self.n_trees)
+            .map(|t| {
+                let idx = (0..n)
+                    .map(|_| (splitmix64(&mut st) % n as u64) as usize)
+                    .collect();
+                (self.seed.wrapping_add(t as u64), idx)
+            })
+            .collect();
+        let config = self.tree_config;
+        self.trees = autoax_exec::par_map(&bootstraps, |(seed, idx)| {
             let mut tree = DecisionTree::new(TreeConfig {
-                seed: self.seed.wrapping_add(t as u64),
-                ..self.tree_config
+                seed: *seed,
+                ..config
             });
-            tree.fit_subset(x, y, &idx, None)?;
-            self.trees.push(tree);
-        }
+            tree.fit_subset(&data, y, idx, None).map(|()| tree)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
         Ok(())
     }
 
@@ -161,6 +175,47 @@ mod tests {
                 f.predict_row(row).to_bits(),
                 "row {i} diverged"
             );
+        }
+    }
+
+    /// `fit` equals the trees that the comparator-sort oracle fits one
+    /// by one, in order, from the same bootstrap stream, on data with
+    /// long ties and repeated targets.
+    #[test]
+    fn forest_equals_serial_oracle_trees() {
+        use crate::tree::tests::{node_bits, oracle_fit};
+        for (seed, rows, cols, max_features) in [
+            (3u64, 50, 5, None),
+            (42, 150, 11, Some(4)),
+            (1009, 400, 3, None),
+        ] {
+            let levels = [1usize, 2, 3, 5, 20];
+            let x = Matrix::from_vec(
+                rows,
+                cols,
+                (0..rows * cols)
+                    .map(|k| ((k / cols * 7 + k * 3) % levels[k % cols % 5]) as f64 * 0.5)
+                    .collect(),
+            );
+            let y: Vec<f64> = (0..rows)
+                .map(|r| ((r * 37) % 11) as f64 * 0.3 - 1.1)
+                .collect();
+            let mut forest = RandomForest::new(seed).with_trees(30);
+            forest.tree_config.max_features = max_features;
+            forest.fit(&x, &y).unwrap();
+            assert_eq!(forest.fitted_trees().len(), 30);
+            let mut st = seed ^ 0xF0E5_7000_0000_0001;
+            for (t, tree) in forest.fitted_trees().iter().enumerate() {
+                let idx: Vec<usize> = (0..rows)
+                    .map(|_| (splitmix64(&mut st) % rows as u64) as usize)
+                    .collect();
+                let config = TreeConfig {
+                    seed: seed.wrapping_add(t as u64),
+                    ..forest.tree_config
+                };
+                let oracle = oracle_fit(config, &x, &y, &idx, None);
+                assert_eq!(node_bits(tree), node_bits(&oracle), "seed {seed}, tree {t}");
+            }
         }
     }
 

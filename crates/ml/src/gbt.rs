@@ -2,7 +2,7 @@
 
 use crate::engine::{Regressor, TrainError};
 use crate::linalg::Matrix;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, FeatureRanks, TreeConfig};
 
 /// Gradient boosting regressor: shallow trees fitted to residuals.
 #[derive(Debug, Clone)]
@@ -39,6 +39,7 @@ impl Regressor for GradientBoosting {
             return Err(TrainError::new("invalid training set"));
         }
         self.stages.clear();
+        let data = FeatureRanks::new(x)?;
         self.base = y.iter().sum::<f64>() / y.len() as f64;
         let mut residual: Vec<f64> = y.iter().map(|&v| v - self.base).collect();
         let idx: Vec<usize> = (0..x.nrows()).collect();
@@ -48,7 +49,7 @@ impl Regressor for GradientBoosting {
                 seed: self.seed.wrapping_add(s as u64),
                 ..Default::default()
             });
-            tree.fit_subset(x, &residual, &idx, None)?;
+            tree.fit_subset(&data, &residual, &idx, None)?;
             for (i, r) in residual.iter_mut().enumerate() {
                 *r -= self.learning_rate * tree.predict_row(x.row(i));
             }

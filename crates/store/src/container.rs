@@ -85,19 +85,23 @@ pub fn unseal(bytes: &[u8], expected_tag: [u8; 4]) -> Result<&[u8], StoreError> 
             expected: expected_tag,
         });
     }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    if HEADER_LEN + len + 8 != bytes.len() {
+    // The length field is any u64 that a matching checksum vouches for,
+    // so it is compared with the payload's length, never added to.
+    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("an 8-byte field"));
+    let payload = &bytes[HEADER_LEN..bytes.len() - 8];
+    if payload.len() as u64 != len {
         return Err(StoreError::Invalid(format!(
             "payload length {len} disagrees with blob size {}",
             bytes.len()
         )));
     }
-    Ok(&bytes[HEADER_LEN..HEADER_LEN + len])
+    Ok(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn seal_unseal_round_trip() {
@@ -164,6 +168,78 @@ mod tests {
             unseal(&blob[..10], *b"TEST"),
             Err(StoreError::Truncated)
         ));
+    }
+
+    /// A valid blob whose header fields are replaced, with the checksum
+    /// recomputed over the edited bytes.
+    fn resealed(payload: &[u8], magic: [u8; 4], version: u32, tag: [u8; 4], len: u64) -> Vec<u8> {
+        let mut out = seal(*b"TEST", payload.to_vec());
+        out[0..4].copy_from_slice(&magic);
+        out[4..8].copy_from_slice(&version.to_le_bytes());
+        out[8..12].copy_from_slice(&tag);
+        out[12..20].copy_from_slice(&len.to_le_bytes());
+        let body = out.len() - 8;
+        let sum = fnv1a64(&out[..body]);
+        out[body..].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn a_huge_length_field_is_an_error_not_an_overflow() {
+        let blob = resealed(&[7; 5], MAGIC, FORMAT_VERSION, *b"TEST", u64::MAX - 3);
+        assert!(matches!(
+            unseal(&blob, *b"TEST"),
+            Err(StoreError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_blob_is_an_error() {
+        let blob = seal(*b"TEST", (0..40).collect());
+        for end in 0..blob.len() {
+            assert!(
+                unseal(&blob[..end], *b"TEST").is_err(),
+                "truncated to {end}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes never panic `unseal`.
+        #[test]
+        fn unseal_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..80usize),
+            tag in any::<u32>(),
+        ) {
+            let _ = unseal(&bytes, tag.to_le_bytes());
+        }
+
+        /// Valid blobs with arbitrary magic, version, tag and length
+        /// fields and a recomputed checksum never panic, and come back
+        /// only when every field is the expected one.
+        #[test]
+        fn unseal_never_panics_on_resealed_headers(
+            payload in prop::collection::vec(any::<u8>(), 0..40usize),
+            (real_magic, real_version, real_tag, real_len) in
+                (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+            (magic, version, tag, len) in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()),
+        ) {
+            let magic = if real_magic { MAGIC } else { magic.to_le_bytes() };
+            let version = if real_version { FORMAT_VERSION } else { version };
+            let tag = if real_tag { *b"TEST" } else { tag.to_le_bytes() };
+            let len = if real_len { payload.len() as u64 } else { len };
+            let blob = resealed(&payload, magic, version, tag, len);
+            let valid = magic == MAGIC
+                && version == FORMAT_VERSION
+                && tag == *b"TEST"
+                && len == payload.len() as u64;
+            match unseal(&blob, *b"TEST") {
+                Ok(p) => prop_assert!(valid && p == payload.as_slice()),
+                Err(_) => prop_assert!(!valid),
+            }
+        }
     }
 
     #[test]

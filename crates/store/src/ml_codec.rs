@@ -77,10 +77,13 @@ fn take_tree_config(d: &mut Decoder<'_>) -> Result<TreeConfig, StoreError> {
 }
 
 fn put_tree(e: &mut Encoder, t: &DecisionTree) {
-    put_tree_config(e, &t.config());
-    let nodes = t.export_nodes();
+    put_tree_nodes(e, &t.config(), &t.export_nodes());
+}
+
+fn put_tree_nodes(e: &mut Encoder, config: &TreeConfig, nodes: &[NodeRepr]) {
+    put_tree_config(e, config);
     e.put_len(nodes.len());
-    for n in nodes {
+    for &n in nodes {
         match n {
             NodeRepr::Leaf { value } => {
                 e.put_u8(0);
@@ -322,6 +325,43 @@ mod tests {
         let mut r = Ridge::new(1e-4);
         r.fit(&x, &y).unwrap();
         assert_bitwise_equal_predictions(&r, round_trip(&r).as_ref());
+    }
+
+    /// A checksum-valid payload can carry a tree whose split points at
+    /// itself; decoding refuses it, so no prediction walks it forever.
+    #[test]
+    fn a_tree_with_a_child_pointing_at_itself_fails_to_decode() {
+        let (x, y) = training_data();
+        let mut f = RandomForest::new(7).with_trees(3);
+        f.fit(&x, &y).unwrap();
+        let encode = |self_loop: bool| {
+            let mut e = Encoder::new();
+            e.put_u8(TAG_FOREST);
+            e.put_u64(f.seed);
+            put_tree_config(&mut e, &f.tree_config);
+            e.put_len(f.fitted_trees().len());
+            for (t, tree) in f.fitted_trees().iter().enumerate() {
+                let mut nodes = tree.export_nodes();
+                if self_loop && t == 1 {
+                    let at = nodes
+                        .iter()
+                        .rposition(|n| matches!(n, NodeRepr::Split { .. }))
+                        .expect("a split");
+                    if let NodeRepr::Split { right, .. } = &mut nodes[at] {
+                        *right = at as u32;
+                    }
+                }
+                put_tree_nodes(&mut e, &tree.config(), &nodes);
+            }
+            e.into_bytes()
+        };
+        let intact = encode(false);
+        let mut d = Decoder::new(&intact);
+        assert_bitwise_equal_predictions(&f, take_regressor(&mut d).unwrap().as_ref());
+        assert!(matches!(
+            take_regressor(&mut Decoder::new(&encode(true))),
+            Err(StoreError::Invalid(_))
+        ));
     }
 
     #[test]

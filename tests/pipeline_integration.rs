@@ -15,7 +15,8 @@ use autoax_accel::Accelerator;
 use autoax_circuit::charlib::{build_library, ComponentLibrary, LibraryConfig};
 use autoax_image::synthetic::benchmark_suite;
 use autoax_image::GrayImage;
-use autoax_ml::EngineKind;
+use autoax_ml::forest::RandomForest;
+use autoax_ml::{CompiledForest, EngineKind};
 use std::sync::mpsc::{self, TryRecvError};
 
 fn tiny_lib() -> ComponentLibrary {
@@ -311,4 +312,50 @@ fn pipeline_is_deterministic() {
         assert_eq!(a.area, b.area);
         assert_eq!(a.config, b.config);
     }
+}
+
+/// Compiled-arena digests of the QoR and hardware forests that Step 2
+/// fits, exactly as `run_pipeline` fits them: profile and preprocess,
+/// the training set from `EvaluatedSet::try_generate`, then
+/// `fit_models` with the random forest. A changed split or leaf bit
+/// moves a digest even when it leaves every front unchanged. CI runs
+/// this test at one and at eight workers as well as the default count.
+#[test]
+fn step2_forests_are_pinned() {
+    let lib = tiny_lib();
+    let opts = PipelineOptions::quick();
+    let digests = |accel: &dyn Accelerator, imgs: &[GrayImage]| {
+        let pre = preprocess(accel, &lib, imgs, &opts.preprocess).expect("preprocess");
+        let ev = Evaluator::new(accel, &lib, &pre.space, imgs);
+        let train = EvaluatedSet::try_generate(&ev, &pre.space, opts.train_configs, opts.seed)
+            .expect("training set");
+        let models = fit_models(
+            EngineKind::RandomForest,
+            &pre.space,
+            &lib,
+            &train,
+            opts.seed,
+        )
+        .expect("fit");
+        [&models.qor, &models.hw].map(|m| {
+            let forest = m
+                .as_any()
+                .and_then(|a| a.downcast_ref::<RandomForest>())
+                .expect("a random forest");
+            format!(
+                "{:016x}",
+                CompiledForest::from_forest(forest).unwrap().digest()
+            )
+        })
+    };
+    assert_eq!(
+        digests(&SobelEd::new(), &benchmark_suite(4, 96, 64, 7)),
+        ["ddb90a820eb9c259", "a7133ebfad16589c"],
+        "Sobel QoR, HW"
+    );
+    assert_eq!(
+        digests(&FixedGaussian::new(), &benchmark_suite(2, 48, 32, 5)),
+        ["8205057c52ea3516", "5fb6459ae77e3679"],
+        "Fixed GF QoR, HW"
+    );
 }
